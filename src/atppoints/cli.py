@@ -21,11 +21,13 @@ from . import __version__
 from .errors import DomainError, SchemaError
 from .ingest import (
     DEFAULT_LEVELS,
+    _read_key_values,
     dump_observations,
     load_matches,
     load_raw_rows,
     load_rankings,
     load_schema,
+    select_matches,
 )
 from .manifest import build_manifest, dataset_fingerprint, write_manifest
 from .model import ModelParams, baseline_brier, brier_score, fit_alpha, predict
@@ -83,21 +85,18 @@ def ingest_options(fn):
     return fn
 
 
+def _scope(date_from, date_to, levels, include_qualifying, drop_walkovers) -> dict:
+    """select_matches keyword arguments from the ingest options."""
+    dates = tuple(d.date() if d else None for d in (date_from, date_to))
+    return dict(date_range=dates, levels=frozenset(levels.split(",")),
+                include_qualifying=include_qualifying, drop_walkovers=drop_walkovers)
+
+
 def _load(match_files, date_from, date_to, levels, include_qualifying,
           drop_walkovers, schema_path):
     schema = load_schema(schema_path) if schema_path else None
-    date_range = (
-        date_from.date() if date_from else None,
-        date_to.date() if date_to else None,
-    )
-    return load_matches(
-        match_files,
-        date_range=date_range,
-        levels=frozenset(levels.split(",")),
-        include_qualifying=include_qualifying,
-        drop_walkovers=drop_walkovers,
-        schema=schema,
-    )
+    return load_matches(match_files, schema=schema, **_scope(
+        date_from, date_to, levels, include_qualifying, drop_walkovers))
 
 
 def _ensure_out(out: str) -> Path:
@@ -118,25 +117,19 @@ def write_params_file(path: Path, params: ModelParams, fingerprint: str,
 
 
 def read_params_file(path: str | Path) -> ModelParams:
-    fields: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    try:
-        alpha = float(fields["alpha"])
-    except (KeyError, ValueError):
-        raise SchemaError(f"{path}: missing or invalid alpha field") from None
-    e2 = fields.get("fitted_e2")
-    n = fields.get("n_matches")
-    return ModelParams(
-        alpha=alpha,
-        fitted_e2=float(e2) if e2 not in (None, "", "None") else None,
-        n_matches=int(n) if n not in (None, "", "None") else None,
-    )
+    fields = {key: value for _, key, value in _read_key_values(path)}
+
+    def number(key: str, kind):
+        text = fields.get(key, "")
+        if key != "alpha" and text in ("", "None"):
+            return None
+        try:
+            return kind(text)
+        except ValueError:
+            raise SchemaError(f"{path}: missing or invalid {key} field") from None
+
+    return ModelParams(alpha=number("alpha", float), fitted_e2=number("fitted_e2", float),
+                       n_matches=number("n_matches", int))
 
 
 def _resolve_alpha(alpha: float | None, params_path: str | None) -> float:
@@ -173,7 +166,12 @@ def fit(match_files, date_from, date_to, levels, include_qualifying,
     baseline = baseline_brier(observations)
 
     out_dir = _ensure_out(out)
-    fingerprint = dataset_fingerprint(match_files)
+    manifest = build_manifest("fit", _flags(
+        date_from=date_from, date_to=date_to, levels=levels,
+        include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
+        schema=schema_path, search_lo=search_lo, search_hi=search_hi,
+        tol=tol, out=out), match_files)
+    fingerprint = dataset_fingerprint([manifest.inputs[str(p)] for p in match_files])
     write_params_file(out_dir / "params.txt", params, fingerprint, date_from, date_to)
     with open(out_dir / "report.txt", "w", encoding="utf-8") as fp:
         fp.write(f"alpha        {params.alpha:.6f}\n")
@@ -181,14 +179,7 @@ def fit(match_files, date_from, date_to, levels, include_qualifying,
         fp.write(f"baseline_e2  {baseline:.6f}\n")
         fp.write(f"n_matches    {params.n_matches}\n\n")
         fp.write(report.summary() + "\n")
-    write_manifest(
-        build_manifest("fit", _flags(
-            date_from=date_from, date_to=date_to, levels=levels,
-            include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-            schema=schema_path, search_lo=search_lo, search_hi=search_hi,
-            tol=tol, out=out), match_files),
-        out_dir,
-    )
+    write_manifest(manifest, out_dir)
     click.echo(f"alpha={params.alpha:.6f} e2={params.fitted_e2:.6f} "
                f"baseline_e2={baseline:.6f} n={params.n_matches}")
 
@@ -268,8 +259,9 @@ def report(match_files, date_from, date_to, levels, include_qualifying,
            ratio_bins, prob_bins, out):
     """Emit figures and tables: ratio curve, calibration, rank stats, participation."""
     alpha = _resolve_alpha(alpha, params_path)
-    observations, ingest_report = _load(match_files, date_from, date_to, levels,
-                                        include_qualifying, drop_walkovers, schema_path)
+    raw = load_raw_rows(match_files, load_schema(schema_path) if schema_path else None)
+    observations, ingest_report = select_matches(raw, **_scope(
+        date_from, date_to, levels, include_qualifying, drop_walkovers))
     if not observations:
         raise DomainError("no matches after filtering")
     out_dir = _ensure_out(out)
@@ -299,9 +291,7 @@ def report(match_files, date_from, date_to, levels, include_qualifying,
     else:
         click.echo("no ranking files given: rank-band tables skipped", err=True)
 
-    schema = load_schema(schema_path) if schema_path else None
-    raw_rows = load_raw_rows(match_files, schema)
-    table = participation_table(raw_rows)
+    table = participation_table(raw)
     with open(out_dir / "participation.csv", "w", encoding="utf-8", newline="") as fp:
         write_participation_csv(table, fp)
     with open(out_dir / "participation.txt", "w", encoding="utf-8") as fp:

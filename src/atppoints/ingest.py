@@ -5,20 +5,24 @@ with a header row, dates as 8-digit yyyymmdd, single-letter tournament
 level codes, and winner/loser rank-point columns.  A flat key=value schema
 file can remap any column name for other archives.
 
-Rows are dropped (and counted) when a player's rank points are missing or
-zero, or when the row falls outside the requested date/level/round scope.
+An archive loads into one ``MatchTable`` in a single pass.  Rows are then
+dropped (and counted) when a player's rank points are missing, non-finite
+or zero, or when the row falls outside the requested date/level/round scope.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import SchemaError
-from .model import MatchObservation
+from .model import MatchTable
 from .points import Category
 
 #: Logical field -> column name in the archive files.
@@ -50,7 +54,7 @@ DEFAULT_LEVELS = frozenset({"G", "M", "A", "F", "D", "O"})
 
 _QUALIFYING_ROUNDS = frozenset({"Q1", "Q2", "Q3", "Q4"})
 
-#: Level letter -> normalized tag on MatchObservation.
+#: Level letter -> normalized tag on the selected matches.
 LEVEL_TAGS = {
     "G": "grand_slam",
     "M": "masters_1000",
@@ -61,9 +65,9 @@ LEVEL_TAGS = {
 }
 
 
-def load_schema(path: str | Path) -> dict[str, str]:
-    """Read a key=value schema file; keys must be known logical field names."""
-    schema = dict(DEFAULT_SCHEMA)
+def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, key, value) from a flat key=value file, skipping
+    blank and ``#`` lines; any other line without ``=`` is a SchemaError."""
     with open(path, encoding="utf-8") as fp:
         for line_no, raw in enumerate(fp, start=1):
             line = raw.strip()
@@ -72,38 +76,22 @@ def load_schema(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise SchemaError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in DEFAULT_SCHEMA:
-                raise SchemaError(f"{path}:{line_no}: unknown schema field {key!r}")
-            schema[key] = value
+            yield line_no, key.strip(), value.strip()
+
+
+def load_schema(path: str | Path) -> dict[str, str]:
+    """Read a key=value schema file; keys must be known logical field names."""
+    schema = dict(DEFAULT_SCHEMA)
+    for line_no, key, value in _read_key_values(path):
+        if key not in DEFAULT_SCHEMA:
+            raise SchemaError(f"{path}:{line_no}: unknown schema field {key!r}")
+        schema[key] = value
     return schema
-
-
-@dataclass(frozen=True)
-class RawMatchRow:
-    """One archive row with typed accessors; None marks an unparseable field."""
-
-    source: str
-    line: int
-    date: datetime.date | None
-    level: str
-    round: str
-    draw_size: int | None
-    tournament_id: str
-    tournament_name: str
-    winner_id: str
-    loser_id: str
-    winner_rank: int | None
-    loser_rank: int | None
-    winner_points: float | None
-    loser_points: float | None
-    score: str
-    category: Category | None
 
 
 @dataclass
 class IngestReport:
-    """Row accounting for one load_matches call.
+    """Row accounting for one select_matches call.
 
     kept + dropped_zero_points + dropped_missing + dropped_out_of_range
     equals the number of data rows read.  dropped_out_of_range covers every
@@ -118,7 +106,6 @@ class IngestReport:
     out_of_range_breakdown: dict[str, int] = field(
         default_factory=lambda: {"level": 0, "round": 0, "walkover": 0, "date": 0}
     )
-    files: list[str] = field(default_factory=list)
 
     @property
     def total_rows(self) -> int:
@@ -144,12 +131,9 @@ class IngestReport:
 
 def _parse_date(text: str) -> datetime.date | None:
     text = text.strip()
-    if len(text) == 8 and text.isdigit():
-        try:
-            return datetime.date(int(text[:4]), int(text[4:6]), int(text[6:8]))
-        except ValueError:
-            return None
     try:
+        if len(text) == 8 and text.isdigit():
+            return datetime.date(int(text[:4]), int(text[4:6]), int(text[6:8]))
         return datetime.date.fromisoformat(text)
     except ValueError:
         return None
@@ -165,65 +149,123 @@ def _parse_float(text: str) -> float | None:
 def _parse_int(text: str) -> int | None:
     try:
         return int(float(text))
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
 
 
-def _parse_category(text: str) -> Category | None:
-    try:
-        return Category(text.strip())
-    except ValueError:
-        return None
+def _parse_category(text: str) -> str:
+    text = text.strip()
+    return text if text in {c.value for c in Category} else ""
+
+
+def _each_distinct(fn: Callable, values: Sequence) -> list:
+    """fn of every value, evaluated once per distinct value."""
+    memo = {v: fn(v) for v in set(values)}
+    return list(map(memo.__getitem__, values))
+
+
+#: Logical field -> (column dtype, parser of one field); a parser's None
+#: becomes NaN in a float64 column.
+_COLUMNS: dict[str, tuple[object, Callable[[str], object]]] = {
+    "date": ("datetime64[D]", lambda t: np.datetime64(_parse_date(t) or "NaT", "D")),
+    "winner_points": (np.float64, _parse_float),
+    "loser_points": (np.float64, _parse_float),
+    "winner_rank": (np.float64, _parse_int),
+    "loser_rank": (np.float64, _parse_int),
+    "category": (object, _parse_category),
+    **{name: (object, str.strip) for name in ("level", "round", "score", "tournament_id",
+                                              "tournament_name", "winner_id", "loser_id")},
+}
+
+
+def _read_fields(
+    path: str | Path, schema: dict[str, str], names: Iterable[str], required: Iterable[str]
+) -> dict[str, Sequence[str]]:
+    """Text of each named logical field, one entry per row of a CSV file: blank
+    lines hold no row, a short row or an absent column reads "", and a
+    repeated column name resolves to its last column."""
+    with open(path, newline="", encoding="utf-8") as fp:
+        reader = csv.reader(fp)
+        header = next(reader, [])
+        missing = [schema[f] for f in required if schema[f] not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+        rows = [row for row in reader if row]
+    by_index = list(zip_longest(*rows, fillvalue=""))
+    index = {name: i for i, name in enumerate(header)}
+    texts = {}
+    for name in names:
+        i = index.get(schema.get(name) or None, len(by_index))
+        texts[name] = by_index[i] if i < len(by_index) else [""] * len(rows)
+    return texts
 
 
 def load_raw_rows(
     paths: Sequence[str | Path],
     schema: dict[str, str] | None = None,
-) -> list[RawMatchRow]:
-    """Parse archive files into raw rows, in file-argument and row order."""
+) -> MatchTable:
+    """Parse archive files into one table, in file-argument and row order.
+
+    Every row is kept, parsed or not; ``select_matches`` decides which rows
+    the model sees.  ``draw_size`` is a valid schema key but is not read.
+    """
     schema = schema or DEFAULT_SCHEMA
-    rows: list[RawMatchRow] = []
+    parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in _COLUMNS.items()}
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fp:
-            reader = csv.DictReader(fp)
-            header = reader.fieldnames or []
-            missing = [
-                schema[f] for f in _REQUIRED_FIELDS if schema[f] not in header
-            ]
-            if missing:
-                raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-
-            def col(record: dict, logical: str) -> str:
-                name = schema.get(logical, "")
-                return (record.get(name) or "").strip() if name else ""
-
-            for line_no, record in enumerate(reader, start=2):
-                rows.append(
-                    RawMatchRow(
-                        source=str(path),
-                        line=line_no,
-                        date=_parse_date(col(record, "date")),
-                        level=col(record, "level"),
-                        round=col(record, "round"),
-                        draw_size=_parse_int(col(record, "draw_size")),
-                        tournament_id=col(record, "tournament_id"),
-                        tournament_name=col(record, "tournament_name"),
-                        winner_id=col(record, "winner_id"),
-                        loser_id=col(record, "loser_id"),
-                        winner_rank=_parse_int(col(record, "winner_rank")),
-                        loser_rank=_parse_int(col(record, "loser_rank")),
-                        winner_points=_parse_float(col(record, "winner_points")),
-                        loser_points=_parse_float(col(record, "loser_points")),
-                        score=col(record, "score"),
-                        category=_parse_category(col(record, "category")),
-                    )
-                )
-    return rows
+        texts = _read_fields(path, schema, _COLUMNS, _REQUIRED_FIELDS)
+        for name, (dtype, parse) in _COLUMNS.items():
+            parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
+    columns = {name: np.concatenate(arrays) for name, arrays in parts.items()}
+    event_id, event_name = columns.pop("tournament_id"), columns.pop("tournament_name")
+    return MatchTable(event=np.where(event_id != "", event_id, event_name), **columns)
 
 
 def _is_walkover(score: str) -> bool:
     needle = score.replace(" ", "").replace(".", "").upper()
     return "W/O" in needle or "WO" == needle or "WALKOVER" in needle
+
+
+def select_matches(
+    table: MatchTable,
+    date_range: tuple[datetime.date | None, datetime.date | None] | None = None,
+    levels: frozenset[str] | set[str] = DEFAULT_LEVELS,
+    include_qualifying: bool = False,
+    drop_walkovers: bool = False,
+) -> tuple[MatchTable, IngestReport]:
+    """The rows of a raw table that reach the model, and their accounting.
+
+    Filter precedence per row: level, qualifying round, walkover (when the
+    flag is set), missing or non-finite date/points, date range, zero
+    points.  A row is counted by the first filter that drops it.  Kept rows
+    stay in input order.
+    """
+    report = IngestReport()
+    left = np.ones(len(table), dtype=bool)
+
+    def drop(mask: np.ndarray) -> int:
+        hit = mask & left
+        left[hit] = False
+        return int(np.count_nonzero(hit))
+
+    by = report.out_of_range_breakdown
+    by["level"] = drop(~np.isin(table.level, list(levels)))
+    if not include_qualifying:
+        by["round"] = drop(np.isin(table.round, list(_QUALIFYING_ROUNDS)))
+    if drop_walkovers:
+        by["walkover"] = drop(np.array(_each_distinct(_is_walkover, table.score), dtype=bool))
+    wp, lp = table.winner_points, table.loser_points
+    report.dropped_missing = drop(np.isnat(table.date) | ~np.isfinite(wp) | ~np.isfinite(lp))
+    # an open end is NaT, which no date is before or after
+    first, last = (np.datetime64(d or "NaT", "D") for d in date_range or (None, None))
+    by["date"] = drop((table.date < first) | (table.date > last))
+    report.dropped_zero_points = drop((wp <= 0) | (lp <= 0))
+    report.dropped_out_of_range = sum(by.values())
+    report.kept = int(np.count_nonzero(left))
+
+    kept = table[left]
+    tags = _each_distinct(lambda letter: LEVEL_TAGS.get(letter, "other"), kept.level)
+    rounds = np.where(kept.round == "", "unknown", kept.round)
+    return replace(kept, level=np.array(tags, dtype=object), round=rounds), report
 
 
 def load_matches(
@@ -233,61 +275,21 @@ def load_matches(
     include_qualifying: bool = False,
     drop_walkovers: bool = False,
     schema: dict[str, str] | None = None,
-) -> tuple[list[MatchObservation], IngestReport]:
-    """Load archives into winner-first observations, applying exclusions.
-
-    Filter precedence per row: level, qualifying round, walkover (when the
-    flag is set), missing date/points, date range, zero points.  Output
-    order equals input row order within each file, files in argument order.
-    """
-    report = IngestReport(files=[str(p) for p in paths])
-    observations: list[MatchObservation] = []
-    date_from, date_to = date_range if date_range else (None, None)
-    for row in load_raw_rows(paths, schema):
-        if row.level not in levels:
-            report.dropped_out_of_range += 1
-            report.out_of_range_breakdown["level"] += 1
-            continue
-        if not include_qualifying and row.round in _QUALIFYING_ROUNDS:
-            report.dropped_out_of_range += 1
-            report.out_of_range_breakdown["round"] += 1
-            continue
-        if drop_walkovers and _is_walkover(row.score):
-            report.dropped_out_of_range += 1
-            report.out_of_range_breakdown["walkover"] += 1
-            continue
-        if row.date is None or row.winner_points is None or row.loser_points is None:
-            report.dropped_missing += 1
-            continue
-        if (date_from and row.date < date_from) or (date_to and row.date > date_to):
-            report.dropped_out_of_range += 1
-            report.out_of_range_breakdown["date"] += 1
-            continue
-        if row.winner_points <= 0 or row.loser_points <= 0:
-            report.dropped_zero_points += 1
-            continue
-        observations.append(
-            MatchObservation(
-                winner_points=row.winner_points,
-                loser_points=row.loser_points,
-                date=row.date,
-                level=LEVEL_TAGS.get(row.level, "other"),
-                round=row.round or "unknown",
-            )
-        )
-        report.kept += 1
-    return observations, report
+) -> tuple[MatchTable, IngestReport]:
+    """Load archives and keep the rows that reach the model (``select_matches``)."""
+    return select_matches(load_raw_rows(paths, schema), date_range, levels,
+                          include_qualifying, drop_walkovers)
 
 
-def dump_observations(observations: Iterable[MatchObservation], fp) -> None:
-    """Write normalized observations as delimited text."""
+def dump_observations(table: MatchTable, fp) -> None:
+    """Write normalized matches as delimited text."""
     writer = csv.writer(fp)
     writer.writerow(["date", "level", "round", "winner_points", "loser_points"])
-    for obs in observations:
-        writer.writerow(
-            [obs.date.isoformat(), obs.level, obs.round,
-             _format_points(obs.winner_points), _format_points(obs.loser_points)]
-        )
+    writer.writerows(zip(
+        np.datetime_as_string(table.date).tolist(), table.level.tolist(), table.round.tolist(),
+        map(_format_points, table.winner_points.tolist()),
+        map(_format_points, table.loser_points.tolist()),
+    ))
 
 
 def _format_points(value: float) -> str:
@@ -325,30 +327,25 @@ def load_rankings(
     entries: list[RankingEntry] = []
     seen: set[tuple[datetime.date, int]] = set()
     wanted = set(dates) if dates is not None else None
+    fields = ("date", "rank", "player", "points")
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fp:
-            reader = csv.DictReader(fp)
-            header = reader.fieldnames or []
-            missing = [schema[f] for f in ("date", "rank", "player", "points")
-                       if schema[f] not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-            for line_no, record in enumerate(reader, start=2):
-                date = _parse_date((record.get(schema["date"]) or "").strip())
-                rank = _parse_int((record.get(schema["rank"]) or "").strip())
-                pts = _parse_float((record.get(schema["points"]) or "").strip())
-                player = (record.get(schema["player"]) or "").strip()
-                if date is None or rank is None or pts is None:
-                    continue
-                if wanted is not None and date not in wanted:
-                    continue
-                key = (date, rank)
-                if key in seen:
-                    raise SchemaError(
-                        f"{path}:{line_no}: duplicate rank {rank} for date {date}"
-                    )
-                seen.add(key)
-                entries.append(RankingEntry(date=date, rank=rank, player=player, points=pts))
+        texts = _read_fields(path, schema, fields, fields)
+        rows = zip(_each_distinct(_parse_date, texts["date"]),
+                   _each_distinct(_parse_int, texts["rank"]),
+                   map(str.strip, texts["player"]),
+                   _each_distinct(_parse_float, texts["points"]))
+        for line_no, (date, rank, player, pts) in enumerate(rows, start=2):
+            if date is None or rank is None or pts is None:
+                continue
+            if wanted is not None and date not in wanted:
+                continue
+            key = (date, rank)
+            if key in seen:
+                raise SchemaError(
+                    f"{path}:{line_no}: duplicate rank {rank} for date {date}"
+                )
+            seen.add(key)
+            entries.append(RankingEntry(date=date, rank=rank, player=player, points=pts))
     if wanted is None:
         return entries, []
     found = {e.date for e in entries}

@@ -34,12 +34,9 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def dataset_fingerprint(paths: Sequence[str | Path]) -> str:
-    """Content hash over the input files, in argument order."""
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(sha256_file(path).encode("ascii"))
-    return digest.hexdigest()
+def dataset_fingerprint(digests: Sequence[str]) -> str:
+    """Content hash over the inputs' sha256 digests, in argument order."""
+    return hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
 
 
 def build_manifest(

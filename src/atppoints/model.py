@@ -8,14 +8,18 @@ where r_i, r_j are the players' current ranking points and alpha is a
 single fitted exponent.  Fitting minimizes the Brier score (mean squared
 error between 0/1 outcomes and predicted probabilities) by golden-section
 search over a bracket.
+
+Matches travel as a ``MatchTable`` of numpy columns, one entry per match;
+``MatchObservation`` builds a single match by hand, and every function that
+takes matches accepts a table or a plain list of observations.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -47,10 +51,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class MatchObservation:
-    """One completed match, oriented winner-first.
+    """One completed match, oriented winner-first, for building data by hand.
 
-    Matches where either player had zero ranking points are excluded at
-    ingestion time and are never constructed.
+    Points must be positive and finite; ingestion drops (and counts) archive
+    rows where they are not.
     """
 
     winner_points: float
@@ -60,10 +64,58 @@ class MatchObservation:
     round: str = "unknown"
 
     def __post_init__(self) -> None:
-        if not self.winner_points > 0:
-            raise DomainError(f"winner_points must be positive, got {self.winner_points!r}")
-        if not self.loser_points > 0:
-            raise DomainError(f"loser_points must be positive, got {self.loser_points!r}")
+        _require_positive("winner_points", self.winner_points)
+        _require_positive("loser_points", self.loser_points)
+
+
+@dataclass(frozen=True)
+class MatchTable:
+    """Equal-length numpy columns, one entry per match; index by mask or slice.
+
+    ``ingest.load_raw_rows`` keeps every archive row (NaT, NaN or "" where a
+    field is absent or does not parse; ``level`` is the archive's letter).
+    ``ingest.select_matches`` keeps the rows the model sees: finite positive
+    points, ``level`` as its tag, an empty round as "unknown".
+    """
+
+    date: np.ndarray            # datetime64[D]
+    winner_points: np.ndarray   # float64
+    loser_points: np.ndarray    # float64
+    level: np.ndarray           # object (str), as are the text columns below
+    round: np.ndarray
+    score: np.ndarray
+    event: np.ndarray           # tournament id, else tournament name
+    winner_id: np.ndarray
+    loser_id: np.ndarray
+    winner_rank: np.ndarray     # float64
+    loser_rank: np.ndarray      # float64
+    category: np.ndarray        # Category value or ""
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+    def __getitem__(self, rows) -> MatchTable:
+        return MatchTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    @classmethod
+    def from_observations(cls, matches: Matches) -> MatchTable:
+        """The table of a list of observations; a table is returned as is."""
+        if isinstance(matches, MatchTable):
+            return matches
+        text = np.full(len(matches), "", dtype=object)
+        ranks = np.full(len(matches), np.nan)
+        return cls(
+            date=np.array([m.date for m in matches], dtype="datetime64[D]"),
+            winner_points=np.array([m.winner_points for m in matches], dtype=np.float64),
+            loser_points=np.array([m.loser_points for m in matches], dtype=np.float64),
+            level=np.array([m.level for m in matches], dtype=object),
+            round=np.array([m.round for m in matches], dtype=object),
+            score=text, event=text, winner_id=text, loser_id=text, category=text,
+            winner_rank=ranks, loser_rank=ranks,
+        )
+
+
+Matches = Union[MatchTable, Sequence[MatchObservation]]
 
 
 @dataclass(frozen=True)
@@ -103,16 +155,14 @@ def predict(alpha: float, r_i: float, r_j: float) -> Prediction:
 
 
 def _require_positive(name: str, value: float) -> None:
-    # `not value > 0` also rejects NaN
-    if not value > 0:
-        raise DomainError(f"{name} must be positive, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _log_ratios(matches: Sequence[MatchObservation]) -> np.ndarray:
-    out = np.empty(len(matches), dtype=np.float64)
-    for k, m in enumerate(matches):
-        out[k] = math.log(m.winner_points) - math.log(m.loser_points)
-    return out
+def _log_ratios(table: MatchTable) -> np.ndarray:
+    # math.log, not np.log: np.log is an ulp off on some integers, enough to move alpha
+    log = np.frompyfunc(math.log, 1, 1)
+    return (log(table.winner_points) - log(table.loser_points)).astype(np.float64)
 
 
 def _brier_from_log_ratios(alpha: float, log_ratios: np.ndarray) -> float:
@@ -125,7 +175,7 @@ def _brier_from_log_ratios(alpha: float, log_ratios: np.ndarray) -> float:
     return float(np.mean(resid * resid))
 
 
-def brier_score(alpha: float, matches: Sequence[MatchObservation]) -> float:
+def brier_score(alpha: float, matches: Matches) -> float:
     """Mean squared error of the model on winner-first observations.
 
     Each match contributes (1 - p)**2 with p the predicted probability of
@@ -133,38 +183,37 @@ def brier_score(alpha: float, matches: Sequence[MatchObservation]) -> float:
     the loser-side term (0 - (1 - p))**2 is identical.
     """
     _require_positive("alpha", alpha)
-    if len(matches) == 0:
-        raise DomainError("no matches")
-    return _brier_from_log_ratios(alpha, _log_ratios(matches))
+    return _brier_from_log_ratios(alpha, _log_ratios(_nonempty(matches)))
 
 
-def brier_curve(matches: Sequence[MatchObservation], alphas: Iterable[float]) -> np.ndarray:
+def brier_curve(matches: Matches, alphas: Iterable[float]) -> np.ndarray:
     """Brier score evaluated at each alpha, sharing one pass over the data."""
-    if len(matches) == 0:
-        raise DomainError("no matches")
-    logs = _log_ratios(matches)
+    logs = _log_ratios(_nonempty(matches))
     return np.array([_brier_from_log_ratios(float(a), logs) for a in alphas])
 
 
-def baseline_brier(matches: Sequence[MatchObservation]) -> float:
+def baseline_brier(matches: Matches) -> float:
     """Brier score of the hard predictor "the higher-point player wins".
 
     p = 1 when the winner had more points, 0 when fewer, 0.5 on a tie, so
     each match contributes 0, 1, or 0.25 respectively.
     """
-    if len(matches) == 0:
+    table = _nonempty(matches)
+    upsets = np.count_nonzero(table.winner_points < table.loser_points)
+    ties = np.count_nonzero(table.winner_points == table.loser_points)
+    # whole and quarter counts add exactly, so this equals the per-match sum
+    return (upsets + 0.25 * ties) / len(table)
+
+
+def _nonempty(matches: Matches) -> MatchTable:
+    table = MatchTable.from_observations(matches)
+    if len(table) == 0:
         raise DomainError("no matches")
-    total = 0.0
-    for m in matches:
-        if m.winner_points < m.loser_points:
-            total += 1.0
-        elif m.winner_points == m.loser_points:
-            total += 0.25
-    return total / len(matches)
+    return table
 
 
 def fit_alpha(
-    matches: Sequence[MatchObservation],
+    matches: Matches,
     search_lo: float = DEFAULT_SEARCH_LO,
     search_hi: float = DEFAULT_SEARCH_HI,
     tol: float = DEFAULT_TOL,
@@ -175,8 +224,7 @@ def fit_alpha(
     The objective is smooth and empirically unimodal on real data; tests
     cross-check against a dense grid scan.  Deterministic for fixed inputs.
     """
-    if len(matches) == 0:
-        raise DomainError("no matches")
+    table = _nonempty(matches)
     if not (0 < search_lo < search_hi):
         raise DomainError(
             f"invalid search bracket [{search_lo!r}, {search_hi!r}]: need 0 < lo < hi"
@@ -184,7 +232,7 @@ def fit_alpha(
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
 
-    logs = _log_ratios(matches)
+    logs = _log_ratios(table)
 
     def f(a: float) -> float:
         return _brier_from_log_ratios(a, logs)
@@ -203,4 +251,4 @@ def fit_alpha(
             d = a + (b - a) * _INVPHI
             fd = f(d)
     alpha = 0.5 * (a + b)
-    return ModelParams(alpha=alpha, fitted_e2=f(alpha), n_matches=len(matches))
+    return ModelParams(alpha=alpha, fitted_e2=f(alpha), n_matches=len(table))

@@ -3,9 +3,10 @@ rank-band point statistics, and participation counts.
 
 Each curve emits both match orientations: a match at ratio r contributes a
 win at r and a loss at 1/r, which makes the ratio axis two-sided and the
-frequency curve symmetric around r = 1.  Outputs are delimited text plus a
-self-contained SVG per figure so results are viewable with no extra
-toolchain.
+frequency curve symmetric around r = 1.  Matches arrive as a
+``MatchTable`` (or a list of observations) and are binned as whole columns.
+Outputs are delimited text plus a self-contained SVG per figure so results
+are viewable with no extra toolchain.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .ingest import RankingEntry, RawMatchRow
-from .model import MatchObservation, win_probability
+from .ingest import RankingEntry
+from .model import Matches, MatchTable, _nonempty, win_probability
 from .points import Category, expected_points, expected_ratio_to_32
 
 DEFAULT_RATIO_BINS = 40
@@ -69,23 +70,19 @@ def _bin_oriented(
     return counts, freq, mean_pred
 
 
-def _oriented_ratios(matches: Sequence[MatchObservation], alpha: float):
-    n = len(matches)
-    ratios = np.empty(2 * n)
-    outcomes = np.empty(2 * n)
-    for k, m in enumerate(matches):
-        r = m.winner_points / m.loser_points
-        ratios[2 * k] = r
-        ratios[2 * k + 1] = 1.0 / r
-        outcomes[2 * k] = 1.0
-        outcomes[2 * k + 1] = 0.0
+def _oriented_ratios(table: MatchTable, alpha: float):
+    # interleaved [r0, 1/r0, r1, 1/r1, ...]: bincount sums in index order,
+    # so this order fixes the last bits of every bin's sums
+    r = table.winner_points / table.loser_points
+    ratios = np.column_stack((r, 1.0 / r)).ravel()
+    outcomes = np.tile([1.0, 0.0], len(r))
     with np.errstate(over="ignore"):
         predicted = 1.0 / (1.0 + ratios ** (-alpha))
     return ratios, outcomes, predicted
 
 
 def bin_by_ratio(
-    matches: Sequence[MatchObservation],
+    matches: Matches,
     alpha: float,
     n_bins: int = DEFAULT_RATIO_BINS,
     span: tuple[float, float] = DEFAULT_RATIO_SPAN,
@@ -95,8 +92,7 @@ def bin_by_ratio(
     Both orientations are emitted, so bin counts sum to twice the match
     count; ratios outside the span are clamped into the end bins.
     """
-    if len(matches) == 0:
-        raise DomainError("no matches")
+    matches = _nonempty(matches)
     if n_bins < 2:
         raise DomainError(f"n_bins must be at least 2, got {n_bins!r}")
     lo, hi = span
@@ -114,7 +110,7 @@ def bin_by_ratio(
 
 
 def calibration_curve(
-    matches: Sequence[MatchObservation],
+    matches: Matches,
     alpha: float,
     n_bins: int = DEFAULT_PROB_BINS,
 ) -> BinnedCurve:
@@ -123,8 +119,7 @@ def calibration_curve(
     Linear bins on [0, 1]; well-calibrated data tracks the diagonal, so the
     per-bin model value is the mean predicted probability of its members.
     """
-    if len(matches) == 0:
-        raise DomainError("no matches")
+    matches = _nonempty(matches)
     if n_bins < 2:
         raise DomainError(f"n_bins must be at least 2, got {n_bins!r}")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
@@ -267,78 +262,71 @@ class ParticipationTable:
 
 
 def participation_table(
-    rows: Sequence[RawMatchRow],
+    table: MatchTable,
     bands: Sequence[int] = PARTICIPATION_BANDS,
     rankings: Iterable[RankingEntry] | None = None,
     as_of: datetime.date | None = None,
 ) -> ParticipationTable:
     """Count 500 and 250 events played per player, bucketed by rank band.
 
-    A player "played" a tournament if he appears in any of its rows.  Band
+    ``table`` is the raw archive table (``ingest.load_raw_rows``).  A player
+    "played" a tournament if they appear in any of its rows.  Band
     membership uses the ranking snapshot at ``as_of`` when given, else each
-    player's rank at his latest match.  Events whose category cannot be
+    player's rank at their latest match.  Events whose category cannot be
     resolved (stock archives tag both series "A") count as 250s and are
     tallied in ``unresolved_events``.
     """
-    counted = {Category.TOUR_500, Category.TOUR_250}
-    events: dict[str, tuple[Category, bool]] = {}
-    players_of_event: dict[str, set[str]] = {}
-    for row in rows:
-        if row.category is not None:
-            category, resolved = row.category, True
-        elif row.level == "A":
-            category, resolved = Category.TOUR_250, False
-        else:
-            continue
-        if category not in counted:
-            continue
-        key = row.tournament_id or row.tournament_name
-        events[key] = (category, resolved)
-        players_of_event.setdefault(key, set()).update((row.winner_id, row.loser_id))
+    counted = (Category.TOUR_500, Category.TOUR_250)
+    resolved = table.category != ""
+    category = np.where(resolved, table.category,
+                        np.where(table.level == "A", Category.TOUR_250.value, ""))
+    keep = np.isin(category, [c.value for c in counted])
+    # an event takes the category of its last counted row
+    _, event_of = np.unique(table.event[keep], return_inverse=True)
+    last = len(event_of) - 1 - np.unique(event_of[::-1], return_index=True)[1]
+    event_category = category[keep][last]
+    # each distinct (event, player) pair is one event played
+    players, player_of = np.unique(
+        np.concatenate((table.winner_id[keep], table.loser_id[keep])), return_inverse=True
+    )
+    width = max(len(players), 1)
+    pairs = np.unique(np.concatenate((event_of, event_of)) * width + player_of)
+    pair_event, pair_player = np.divmod(pairs, width)
+    played = {
+        c: dict(zip(players.tolist(), np.bincount(
+            pair_player[event_category[pair_event] == c.value], minlength=len(players)
+        ).tolist()))
+        for c in counted
+    }
 
-    per_player: dict[str, dict[Category, int]] = {}
-    for key, (category, _) in events.items():
-        for player in players_of_event[key]:
-            per_player.setdefault(player, {c: 0 for c in counted})[category] += 1
-
-    rank_of: dict[str, int] = {}
+    rank_of: dict[str, float] = {}
     if rankings is not None:
-        snapshot: dict[str, tuple[datetime.date, int]] = {}
-        for entry in rankings:
-            if as_of is not None and entry.date > as_of:
-                continue
-            best = snapshot.get(entry.player)
-            if best is None or entry.date > best[0]:
-                snapshot[entry.player] = (entry.date, entry.rank)
-        rank_of = {player: rank for player, (_, rank) in snapshot.items()}
+        # latest snapshot first; a stable sort keeps the first of a tie
+        for entry in sorted(rankings, key=lambda e: e.date, reverse=True):
+            if as_of is None or entry.date <= as_of:
+                rank_of.setdefault(entry.player, entry.rank)
     else:
-        latest: dict[str, tuple[datetime.date, int]] = {}
-        for row in rows:
-            if row.date is None:
-                continue
-            for player, rank in ((row.winner_id, row.winner_rank),
-                                 (row.loser_id, row.loser_rank)):
-                if rank is None:
-                    continue
-                seen = latest.get(player)
-                if seen is None or row.date >= seen[0]:
-                    latest[player] = (row.date, rank)
-        rank_of = {player: rank for player, (_, rank) in latest.items()}
+        # one entry per side of each row, winner first; among a player's
+        # entries the latest date wins, a later entry breaking a tie
+        side_date = np.repeat(table.date, 2)
+        side_rank = np.column_stack((table.winner_rank, table.loser_rank)).ravel()
+        side_player = np.column_stack((table.winner_id, table.loser_id)).ravel()
+        ok = ~np.isnat(side_date) & ~np.isnan(side_rank)
+        names, who = np.unique(side_player[ok], return_inverse=True)
+        order = np.lexsort((side_date[ok], who))
+        latest = order[np.diff(who[order], append=-1) != 0]
+        rank_of = dict(zip(names.tolist(), side_rank[ok][latest].tolist()))
 
-    table = ParticipationTable(bands=tuple(bands))
-    table.unresolved_events = sum(1 for _, resolved in events.values() if not resolved)
+    result = ParticipationTable(bands=tuple(bands))
+    result.unresolved_events = int(np.count_nonzero(~resolved[keep][last]))
     for band in bands:
         members = [p for p, r in rank_of.items() if r <= band]
-        for category in counted:
-            hist = [0] * (_HIST_CAP + 1)
-            total = 0
-            for player in members:
-                count = per_player.get(player, {}).get(category, 0)
-                hist[min(count, _HIST_CAP)] += 1
-                total += count
-            table.histograms[(band, category)] = hist
-            table.means[(band, category)] = total / len(members) if members else 0.0
-    return table
+        for c in counted:
+            counts = [played[c].get(p, 0) for p in members]
+            capped = [min(n, _HIST_CAP) for n in counts]
+            result.histograms[(band, c)] = [capped.count(k) for k in range(_HIST_CAP + 1)]
+            result.means[(band, c)] = sum(counts) / len(members) if members else 0.0
+    return result
 
 
 def write_participation_csv(table: ParticipationTable, fp: IO[str]) -> None:
@@ -411,27 +399,20 @@ def write_curve_svg(curve: BinnedCurve, fp: IO[str], title: str, x_label: str) -
             f'font-family="sans-serif" font-size="11">{frac:.2f}</text>'
         )
     if curve.log_scale:
-        tick = lo
-        while tick <= hi * 1.0000001:
-            x = _x_pos(tick, lo, hi, True)
-            parts.append(
-                f'<line x1="{x:.1f}" y1="{y0}" x2="{x:.1f}" y2="{y0 + 4}" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{x:.1f}" y="{y0 + 18}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{tick:g}</text>'
-            )
-            tick *= 10
+        ticks = [lo]
+        while ticks[-1] * 10 <= hi * 1.0000001:
+            ticks.append(ticks[-1] * 10)
     else:
-        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            x = _x_pos(lo + frac * (hi - lo), lo, hi, False)
-            parts.append(
-                f'<line x1="{x:.1f}" y1="{y0}" x2="{x:.1f}" y2="{y0 + 4}" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{x:.1f}" y="{y0 + 18}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{lo + frac * (hi - lo):g}</text>'
-            )
+        ticks = [lo + frac * (hi - lo) for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    for tick in ticks:
+        x = _x_pos(tick, lo, hi, curve.log_scale)
+        parts.append(
+            f'<line x1="{x:.1f}" y1="{y0}" x2="{x:.1f}" y2="{y0 + 4}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{x:.1f}" y="{y0 + 18}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{tick:g}</text>'
+        )
     parts.append(
         f'<text x="{_SVG_W / 2:.1f}" y="{_SVG_H - 16}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{x_label}</text>'

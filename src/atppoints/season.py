@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import datetime
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from heapq import nlargest
 from pathlib import Path
 from typing import IO, Sequence
@@ -28,6 +28,7 @@ import numpy as np
 
 from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
+from .ingest import _read_key_values
 from .points import BEST_N, Category, PlayerSeason, SeasonResult
 
 WEEKS_PER_SEASON = 52
@@ -365,19 +366,6 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
 
 # --- flat key=value config files -------------------------------------------
 
-_BOOL_KEYS = {"top30_mandatory"}
-_INT_KEYS = {
-    "n_500_choices",
-    "n_250_choices",
-    "rng_seed",
-    "n_players",
-    "n_seasons",
-    "burn_in",
-    "max_events_per_season",
-}
-_FLOAT_KEYS = {"alpha", "points_floor"}
-
-
 def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
     """Read a calendar CSV with columns week, category, draw_size."""
     events = []
@@ -394,31 +382,29 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
 
 
 def load_season_config(path: str | Path) -> SeasonConfig:
-    """Parse a flat key=value config file; unknown keys are rejected."""
+    """Parse a flat key=value config file (keys: the SeasonConfig fields);
+    unknown keys are rejected.  ``calendar`` is relative to the file."""
     config = SeasonConfig()
     base = Path(path).parent
-    with open(path, encoding="utf-8") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise DomainError(f"{path}:{line_no}: {key} must be true or false")
-                config = replace(config, **{key: value.lower() == "true"})
-            elif key in _INT_KEYS:
-                config = replace(config, **{key: int(value)})
-            elif key in _FLOAT_KEYS:
-                config = replace(config, **{key: float(value)})
-            elif key == "calendar":
-                calendar_path = Path(value)
-                if not calendar_path.is_absolute():
-                    calendar_path = base / calendar_path
-                config = replace(config, calendar=load_calendar_file(calendar_path))
-            else:
-                raise DomainError(f"{path}:{line_no}: unknown config key {key!r}")
+    kinds = {f.name: type(f.default) for f in fields(SeasonConfig)}
+    for line_no, key, value in _read_key_values(path):
+        where = f"{path}:{line_no}"
+        kind = kinds.get(key)
+        if key == "calendar":
+            calendar_path = Path(value)
+            if not calendar_path.is_absolute():
+                calendar_path = base / calendar_path
+            config = replace(config, calendar=load_calendar_file(calendar_path))
+        elif kind is bool:
+            if value.lower() not in ("true", "false"):
+                raise DomainError(f"{where}: {key} must be true or false")
+            config = replace(config, **{key: value.lower() == "true"})
+        elif kind in (int, float):
+            try:
+                config = replace(config, **{key: kind(value)})
+            except ValueError:
+                raise DomainError(f"{where}: {key} must be {kind.__name__}, "
+                                  f"got {value!r}") from None
+        else:
+            raise DomainError(f"{where}: unknown config key {key!r}")
     return config

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -75,6 +76,15 @@ class TestFit:
         assert result.exit_code == 4
         assert "i/o error" in result.output
 
+    def test_fingerprint_from_manifest_digests(self, runner, tmp_path):
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit", MATCHES, MATCHES, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(SAMPLE_MATCHES.read_bytes()).hexdigest()
+        assert manifest_of(out)["inputs"] == {MATCHES: digest}
+        expected = hashlib.sha256((digest + digest).encode("ascii")).hexdigest()
+        assert f"dataset_fingerprint={expected}\n" in (out / "params.txt").read_text()
+
     def test_fit_byte_identical_reruns(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -108,6 +118,12 @@ class TestPredict:
     def test_non_positive_points_usage_error(self, runner):
         result = runner.invoke(main, ["predict", "--alpha", "1", "0", "1000"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [["inf", "1"], ["1", "inf"], ["nan", "1"]])
+    def test_non_finite_points_usage_error(self, runner, args):
+        result = runner.invoke(main, ["predict", "--alpha", "1", *args])
+        assert result.exit_code == 2
+        assert "probability" not in result.output
 
     def test_params_file_source(self, runner, tmp_path):
         out = tmp_path / "fit"
@@ -166,6 +182,21 @@ class TestReport:
         assert not (out / "rank_stats.csv").exists()
         assert "rank-band tables skipped" in result.output
 
+    def test_archive_parsed_once(self, runner, tmp_path, monkeypatch):
+        import atppoints.cli
+        import atppoints.ingest
+
+        calls = []
+        for module in (atppoints.cli, atppoints.ingest):
+            parse = module.load_raw_rows
+            monkeypatch.setattr(module, "load_raw_rows",
+                                lambda *a, parse=parse, **k: calls.append(1) or parse(*a, **k))
+        result = runner.invoke(main, [
+            "report", MATCHES, "--alpha", "0.8722", "--out", str(tmp_path / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -222,6 +253,26 @@ class TestSimulate:
             ])
             assert result.exit_code == 0
         assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    @pytest.mark.parametrize("line", ["alpha=abc", "n_players=x", "burn_in=1.5"])
+    def test_bad_config_value_is_domain_error(self, runner, tmp_path, line):
+        config = tmp_path / "season.cfg"
+        config.write_text(f"n_seasons=2\n{line}\n")
+        result = runner.invoke(main, [
+            "simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 5
+        assert f"{config}:2" in result.output
+        assert "Traceback" not in result.output
+
+    def test_config_line_without_equals_is_schema_error(self, runner, tmp_path):
+        config = tmp_path / "season.cfg"
+        config.write_text("# header\nn_seasons 2\n")
+        result = runner.invoke(main, [
+            "simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 3
+        assert f"{config}:2" in result.output
 
     def test_infeasible_pool_clean_error(self, runner, tmp_path):
         config = write_small_sim_config(tmp_path)

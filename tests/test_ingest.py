@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import datetime
 import io
 
+import numpy as np
 import pytest
 
 from atppoints.errors import SchemaError
@@ -50,7 +52,7 @@ class TestLoadMatches:
         with open(SAMPLE_MATCHES) as src:
             path.write_text(src.readline())
         observations, report = load_matches([path])
-        assert observations == []
+        assert len(observations) == 0
         assert report.total_rows == 0
 
     def test_zero_point_rows_dropped(self, tmp_path):
@@ -62,8 +64,25 @@ class TestLoadMatches:
             "T1,Test Open,Hard,32,A,20140113,1,1,A,10,1200,2,B,20,0,6-0 6-0,3,R32,\n"
         )
         observations, report = load_matches([path])
-        assert observations == []
+        assert len(observations) == 0
         assert report.dropped_zero_points == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_points_counted_missing(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            "tourney_id,tourney_name,surface,draw_size,tourney_level,tourney_date,"
+            "match_num,winner_id,winner_name,winner_rank,winner_rank_points,"
+            "loser_id,loser_name,loser_rank,loser_rank_points,score,best_of,round,category\n"
+            f"T1,Test Open,Hard,32,A,20140113,1,1,A,10,{bad},2,B,20,900,6-0 6-0,3,R32,\n"
+            f"T1,Test Open,Hard,32,A,20140113,2,3,C,11,900,4,D,21,{bad},6-0 6-0,3,R32,\n"
+            "T1,Test Open,Hard,32,A,20140113,3,5,E,12,1200,6,F,22,800,6-0 6-0,3,R32,\n"
+        )
+        observations, report = load_matches([path])
+        assert report.dropped_missing == 2
+        assert report.kept == 1
+        assert np.isfinite(observations.winner_points).all()
+        assert np.isfinite(observations.loser_points).all()
 
     def test_missing_columns_listed(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -82,27 +101,31 @@ class TestLoadMatches:
     def test_order_stable_and_rerun_identical(self):
         first, _ = load_matches([SAMPLE_MATCHES])
         second, _ = load_matches([SAMPLE_MATCHES])
-        assert first == second
+        for column in vars(first):
+            assert np.array_equal(getattr(first, column), getattr(second, column)), column
         # output preserves input row order: kept raw rows line up 1:1
-        raw_kept = [
-            r for r in load_raw_rows([SAMPLE_MATCHES])
-            if r.level in DEFAULT_LEVELS and r.round not in ("Q1", "Q2", "Q3", "Q4")
-            and r.date and r.winner_points and r.loser_points
+        raw = load_raw_rows([SAMPLE_MATCHES])
+        raw_kept = raw[
+            np.isin(raw.level, list(DEFAULT_LEVELS))
+            & ~np.isin(raw.round, ["Q1", "Q2", "Q3", "Q4"])
+            & ~np.isnat(raw.date)
+            & np.isfinite(raw.winner_points) & (raw.winner_points != 0)
+            & np.isfinite(raw.loser_points) & (raw.loser_points != 0)
         ]
-        assert [r.winner_points for r in raw_kept] == [o.winner_points for o in first]
+        assert raw_kept.winner_points.tolist() == first.winner_points.tolist()
 
     def test_date_range_filter(self):
         observations, report = load_matches(
             [SAMPLE_MATCHES],
             date_range=(datetime.date(2015, 1, 1), datetime.date(2015, 12, 31)),
         )
-        assert all(obs.date.year == 2015 for obs in observations)
+        assert (observations.date.astype("datetime64[Y]") == np.datetime64("2015", "Y")).all()
         assert report.out_of_range_breakdown["date"] > 0
 
     def test_level_filter_and_tags(self):
         observations, _ = load_matches([SAMPLE_MATCHES], levels=frozenset({"G"}))
         assert observations
-        assert all(obs.level == "grand_slam" for obs in observations)
+        assert (observations.level == "grand_slam").all()
 
     def test_qualifying_excluded_by_default(self):
         excluded, _ = load_matches([SAMPLE_MATCHES])
@@ -128,7 +151,7 @@ class TestLoadMatches:
         schema = load_schema(schema_file)
         observations, report = load_matches([data], schema=schema)
         assert report.kept == 1
-        assert observations[0].winner_points == 2000
+        assert observations.winner_points[0] == 2000
 
     def test_schema_unknown_key_rejected(self, tmp_path):
         schema_file = tmp_path / "schema.cfg"
@@ -148,13 +171,17 @@ class TestLoadMatches:
 class TestRawRows:
     def test_category_column_parsed(self):
         rows = load_raw_rows([SAMPLE_MATCHES])
-        categories = {r.category for r in rows if r.category is not None}
+        categories = set(rows.category) - {""}
         assert len(categories) >= 3
 
     def test_row_order_matches_file(self):
         rows = load_raw_rows([SAMPLE_MATCHES])
-        assert rows[0].line == 2
-        assert [r.line for r in rows] == sorted(r.line for r in rows)
+        with open(SAMPLE_MATCHES, newline="") as fp:
+            lines = list(csv.DictReader(fp))
+        # one table entry per data line (the first on line 2), in file order
+        assert len(rows) == len(lines)
+        assert rows.event.tolist() == [r["tourney_id"] for r in lines]
+        assert rows.score.tolist() == [r["score"] for r in lines]
 
 
 class TestLoadRankings:

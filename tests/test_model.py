@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from atppoints.errors import DomainError
 from atppoints.ingest import load_matches
 from atppoints.model import (
     MatchObservation,
+    MatchTable,
     ModelParams,
+    _log_ratios,
     baseline_brier,
     brier_curve,
     brier_score,
@@ -21,6 +24,7 @@ from atppoints.model import (
     predict,
     win_probability,
 )
+from atppoints.report import _oriented_ratios
 from conftest import SAMPLE_MATCHES, synth_matches
 
 DAY = datetime.date(2012, 6, 1)
@@ -58,6 +62,8 @@ class TestPredict:
             (dict(alpha=1.0, r_i=0, r_j=100), "r_i"),
             (dict(alpha=1.0, r_i=100, r_j=-5), "r_j"),
             (dict(alpha=float("nan"), r_i=100, r_j=100), "alpha"),
+            (dict(alpha=1.0, r_i=float("inf"), r_j=100), "r_i"),
+            (dict(alpha=float("inf"), r_i=100, r_j=100), "alpha"),
         ],
     )
     def test_non_positive_inputs_name_the_argument(self, kwargs, name):
@@ -229,8 +235,79 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(alpha=1.0, fitted_e2=1.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_observation_rejects_non_finite_points(self, bad):
+        with pytest.raises(DomainError):
+            MatchObservation(bad, 100.0, DAY)
+        with pytest.raises(DomainError):
+            MatchObservation(100.0, bad, DAY)
+
     def test_observation_rejects_zero_points(self):
         with pytest.raises(DomainError):
             MatchObservation(0.0, 100.0, DAY)
         with pytest.raises(DomainError):
             MatchObservation(100.0, 0.0, DAY)
+
+
+def _sample_table() -> MatchTable:
+    return load_matches([SAMPLE_MATCHES])[0]
+
+
+def _synth_table() -> MatchTable:
+    return MatchTable.from_observations(synth_matches(0.87, 3000, seed=17))
+
+
+def _integer_table() -> MatchTable:
+    # integers on which np.log and math.log differ in the last bit (x86-64
+    # numpy 2.4), each paired both ways with small integers
+    odd = [9170, 19143, 94869, 102327, 136085, 136837, 141614, 147674]
+    small = range(1, 41)
+    return MatchTable.from_observations(
+        [MatchObservation(w, lo, DAY) for k in odd for j in small for w, lo in ((k, j), (j, k))]
+    )
+
+
+@pytest.mark.parametrize("make", [_sample_table, _synth_table, _integer_table],
+                         ids=["sample", "synth", "integers"])
+class TestScalarReference:
+    """The column code equals plain per-match loops, bit for bit."""
+
+    def test_log_ratios(self, make):
+        table = make()
+        expected = [math.log(w) - math.log(lo)
+                    for w, lo in zip(table.winner_points.tolist(), table.loser_points.tolist())]
+        assert _log_ratios(table).tolist() == expected
+
+    def test_oriented_ratios(self, make):
+        table = make()
+        alpha = 0.8722
+        n = len(table)
+        ratios, outcomes = np.empty(2 * n), np.empty(2 * n)
+        for k, (w, lo) in enumerate(zip(table.winner_points.tolist(),
+                                        table.loser_points.tolist())):
+            r = w / lo
+            ratios[2 * k], ratios[2 * k + 1] = r, 1.0 / r
+            outcomes[2 * k], outcomes[2 * k + 1] = 1.0, 0.0
+        with np.errstate(over="ignore"):
+            predicted = 1.0 / (1.0 + ratios ** (-alpha))
+        got = _oriented_ratios(table, alpha)
+        assert got[0].tolist() == ratios.tolist()
+        assert got[1].tolist() == outcomes.tolist()
+        assert got[2].tolist() == predicted.tolist()
+
+    def test_baseline_brier(self, make):
+        table = make()
+        total = 0.0
+        for w, lo in zip(table.winner_points.tolist(), table.loser_points.tolist()):
+            if w < lo:
+                total += 1.0
+            elif w == lo:
+                total += 0.25
+        assert baseline_brier(table) == total / len(table)
+
+    def test_list_and_table_agree(self, make):
+        table = make()
+        matches = [MatchObservation(w, lo, DAY) for w, lo in
+                   zip(table.winner_points.tolist(), table.loser_points.tolist())]
+        assert fit_alpha(matches) == fit_alpha(table)
+        assert baseline_brier(matches) == baseline_brier(table)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from atppoints.errors import DomainError
 from atppoints.ingest import RankingEntry, load_rankings, load_raw_rows
-from atppoints.model import MatchObservation
+from atppoints.model import MatchObservation, MatchTable
 from atppoints.points import Category
 from atppoints.report import (
     bin_by_ratio,
@@ -218,7 +218,7 @@ class TestRankStats:
 
 class TestParticipation:
     def test_empty_rows_zero_histograms(self):
-        table = participation_table([])
+        table = participation_table(MatchTable.from_observations([]))
         for band in table.bands:
             for category in (Category.TOUR_500, Category.TOUR_250):
                 assert table.histograms[(band, category)] == [0] * 7
