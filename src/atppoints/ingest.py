@@ -68,15 +68,19 @@ LEVEL_TAGS = {
 def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, key, value) from a flat key=value file, skipping
     blank and ``#`` lines; any other line without ``=`` is a SchemaError."""
-    with open(path, encoding="utf-8") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            yield line_no, key.strip(), value.strip()
+    try:
+        with open(path, encoding="utf-8") as fp:
+            lines = fp.readlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SchemaError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        yield line_no, key.strip(), value.strip()
 
 
 def load_schema(path: str | Path) -> dict[str, str]:
@@ -184,13 +188,16 @@ def _read_fields(
     """Text of each named logical field, one entry per row of a CSV file: blank
     lines hold no row, a short row or an absent column reads "", and a
     repeated column name resolves to its last column."""
-    with open(path, newline="", encoding="utf-8") as fp:
-        reader = csv.reader(fp)
-        header = next(reader, [])
-        missing = [schema[f] for f in required if schema[f] not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fp:
+            reader = csv.reader(fp)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    missing = [schema[f] for f in required if schema[f] not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
     by_index = list(zip_longest(*rows, fillvalue=""))
     index = {name: i for i, name in enumerate(header)}
     texts = {}

@@ -2,7 +2,7 @@
 
 Winner points double per category step (250, 500, 1000, 2000) and each win
 within a category multiplies points by 2 or 5/3.  A player's ranking points
-are the sum of his 18 best results in the trailing 52 weeks.
+are the sum of their 18 best results in the trailing 52 weeks.
 """
 
 from __future__ import annotations

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import csv
 import datetime
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from heapq import nlargest
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
-from .ingest import _read_key_values
+from .ingest import _read_fields, _read_key_values
 from .points import BEST_N, Category, PlayerSeason, SeasonResult
 
 WEEKS_PER_SEASON = 52
@@ -129,41 +128,32 @@ class SeasonConfig:
         for ev in self.calendar:
             if not 1 <= ev.week <= WEEKS_PER_SEASON:
                 raise DomainError(f"calendar week {ev.week} outside 1..{WEEKS_PER_SEASON}")
-
-
-@dataclass(frozen=True)
-class WeeklyStanding:
-    season: int
-    week: int
-    player: str
-    points: int
-    rank: int
+            if ev.draw_size not in SEEDS_FOR_DRAW:
+                raise DomainError(f"calendar draw size {ev.draw_size} not one of "
+                                  f"{', '.join(map(str, SEEDS_FOR_DRAW))}")
 
 
 @dataclass
 class SeasonReport:
-    """Weekly standings for every simulated season, plus per-player results."""
+    """Weekly standings for every simulated season, plus per-player results.
+
+    Row ``(season - 1) * 52 + week - 1`` of ``ranked_players`` holds the
+    player indices from rank 1 down after that week; the same row of
+    ``ranked_points`` holds their ranking points.
+    """
 
     config: SeasonConfig
     players: list[str]
-    standings: list[WeeklyStanding]
+    ranked_players: np.ndarray
+    ranked_points: np.ndarray
     player_results: list[PlayerSeason]
-
-    def __post_init__(self) -> None:
-        self._final: dict[tuple[int, int], int] | None = None
 
     def points_at_rank(self, season: int, rank: int) -> int:
         """Points held at the given rank in the season's final week."""
-        if self._final is None:
-            self._final = {
-                (row.season, row.rank): row.points
-                for row in self.standings
-                if row.week == WEEKS_PER_SEASON
-            }
-        try:
-            return self._final[(season, rank)]
-        except KeyError:
-            raise DomainError(f"no final standing for season {season}, rank {rank}") from None
+        n_seasons = len(self.ranked_points) // WEEKS_PER_SEASON
+        if not (1 <= season <= n_seasons and 1 <= rank <= len(self.players)):
+            raise DomainError(f"no final standing for season {season}, rank {rank}")
+        return int(self.ranked_points[season * WEEKS_PER_SEASON - 1, rank - 1])
 
     def measured_seasons(self) -> list[int]:
         return list(range(self.config.burn_in + 1, self.config.n_seasons + 1))
@@ -183,8 +173,12 @@ class SeasonReport:
     def write_csv(self, fp: IO[str]) -> None:
         writer = csv.writer(fp)
         writer.writerow(["season", "week", "player", "points", "rank"])
-        for row in self.standings:
-            writer.writerow([row.season, row.week, row.player, row.points, row.rank])
+        players = np.array(self.players, dtype=object)
+        ranks = range(1, len(self.players) + 1)
+        for row, (ranked, points) in enumerate(zip(self.ranked_players, self.ranked_points)):
+            season, week = divmod(row, WEEKS_PER_SEASON)
+            writer.writerows(zip(repeat(season + 1), repeat(week + 1),
+                                 players[ranked].tolist(), points.tolist(), ranks))
 
 
 def week_date(season: int, week: int) -> datetime.date:
@@ -199,30 +193,27 @@ def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
 
 def _pick_optional_events(
     config: SeasonConfig,
-    top30: list[int],
-    busy_weeks: dict[int, set[int]],
-) -> dict[int, list[int]]:
+    top30: np.ndarray,
+    busy: np.ndarray,
+    committed: np.ndarray,
+) -> None:
     """Greedy optional-event choice: players take the events with the weakest
-    committed field so far, in rank order.  Returns event index -> players."""
-    by_category: dict[Category, list[int]] = {Category.TOUR_500: [], Category.TOUR_250: []}
-    for idx, ev in enumerate(config.calendar):
-        if ev.category in by_category:
-            by_category[ev.category].append(idx)
-    committed: dict[int, list[int]] = {idx: [] for v in by_category.values() for idx in v}
+    committed field so far, in rank order.  Each pick is marked in
+    ``committed`` (event x player) and ``busy`` (player x week)."""
+    calendar = config.calendar
     for player in top30:
         for category, wanted in (
             (Category.TOUR_500, config.n_500_choices),
             (Category.TOUR_250, config.n_250_choices),
         ):
             candidates = sorted(
-                (idx for idx in by_category[category]
-                 if config.calendar[idx].week not in busy_weeks[player]),
-                key=lambda idx: (len(committed[idx]), config.calendar[idx].week, idx),
+                (idx for idx, ev in enumerate(calendar)
+                 if ev.category == category and not busy[player, ev.week]),
+                key=lambda idx: (np.count_nonzero(committed[idx]), calendar[idx].week, idx),
             )
             for idx in candidates[:wanted]:
-                committed[idx].append(player)
-                busy_weeks[player].add(config.calendar[idx].week)
-    return committed
+                committed[idx, player] = True
+                busy[player, calendar[idx].week] = True
 
 
 def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
@@ -239,8 +230,9 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
     if len(set(players)) != len(players):
         raise DomainError("player ids must be distinct")
     n = len(players)
+    calendar = config.calendar
     weekly_need: dict[int, int] = {}
-    for ev in config.calendar:
+    for ev in calendar:
         weekly_need[ev.week] = weekly_need.get(ev.week, 0) + ev.draw_size
     worst = max(weekly_need.values())
     if n < worst:
@@ -250,82 +242,71 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
 
     season_streams = np.random.SeedSequence(config.rng_seed).spawn(config.n_seasons)
     results: list[PlayerSeason] = [PlayerSeason() for _ in range(n)]
-    # Rolling (absolute_week, points) entries per player; the best-18 total
-    # over this window is the player's current ranking points.
-    windows: list[deque[tuple[int, int]]] = [deque() for _ in range(n)]
+    # Each player's result in each of the last 52 weeks, in column
+    # abs_week % 52 (a player plays at most one event a week); the best-18
+    # sum of a row is the player's current ranking points.
+    window = np.zeros((n, WEEKS_PER_SEASON), dtype=np.int64)
     points = np.zeros(n)
-    standings: list[WeeklyStanding] = []
+    n_weeks = config.n_seasons * WEEKS_PER_SEASON
+    ranked_players = np.empty((n_weeks, n), dtype=np.intp)
+    ranked_points = np.empty((n_weeks, n), dtype=np.int64)
 
     events_by_week: dict[int, list[int]] = {}
-    for idx, ev in enumerate(config.calendar):
-        events_by_week.setdefault(ev.week, []).append(idx)
+    for idx in sorted(range(len(calendar)),
+                      key=lambda i: (_PRESTIGE[calendar[i].category], i)):
+        events_by_week.setdefault(calendar[idx].week, []).append(idx)
     masters_order = [
-        idx for idx, ev in enumerate(config.calendar)
+        idx for idx, ev in enumerate(calendar)
         if ev.category == Category.MASTERS_1000
     ]
     mandatory_events = [
-        idx for idx, ev in enumerate(config.calendar)
+        idx for idx, ev in enumerate(calendar)
         if ev.category == Category.GRAND_SLAM
     ] + masters_order[:MANDATORY_MASTERS]
+    mandatory_weeks = [calendar[idx].week for idx in mandatory_events]
 
     for season in range(1, config.n_seasons + 1):
         rng = np.random.Generator(np.random.PCG64(season_streams[season - 1]))
         order = _ranked_order(points, rng.random(n))
 
-        committed: dict[int, list[int]] = {idx: [] for idx in range(len(config.calendar))}
-        busy_weeks: dict[int, set[int]] = {p: set() for p in range(n)}
-        restricted: set[int] = set()
+        committed = np.zeros((len(calendar), n), dtype=bool)  # event x player
+        restricted = np.zeros(n, dtype=bool)
         if config.top30_mandatory:
-            top30 = [int(p) for p in order[: min(TOP_N_MANDATORY, n)]]
-            for idx in mandatory_events:
-                week = config.calendar[idx].week
-                for p in top30:
-                    committed[idx].append(p)
-                    busy_weeks[p].add(week)
-            committed.update(_pick_optional_events(config, top30, busy_weeks))
-            restricted = set(top30)
+            top30 = order[: min(TOP_N_MANDATORY, n)]
+            committed[np.ix_(mandatory_events, top30)] = True
+            busy = np.zeros((n, WEEKS_PER_SEASON + 1), dtype=bool)  # player x week
+            busy[np.ix_(top30, mandatory_weeks)] = True
+            _pick_optional_events(config, top30, busy, committed)
+            restricted[top30] = True
 
-        events_played = [0] * n
+        events_played = np.zeros(n, dtype=np.int64)
         for week in range(1, WEEKS_PER_SEASON + 1):
             abs_week = (season - 1) * WEEKS_PER_SEASON + week
             today = week_date(season, week)
-            played: set[int] = set()
-            for idx in sorted(
-                events_by_week.get(week, ()),
-                key=lambda i: (_PRESTIGE[config.calendar[i].category], i),
-            ):
-                ev = config.calendar[idx]
-                entrants = [p for p in committed[idx] if p not in played]
-                have = set(entrants)
+            slot = abs_week % WEEKS_PER_SEASON
+            window[:, slot] = 0
+            played = np.zeros(n, dtype=bool)
+            for idx in events_by_week.get(week, ()):
+                ev = calendar[idx]
+                have = committed[idx] & ~played
                 # first pass honors the appetite cap for small events; the
                 # second ignores it so a draw short of entrants still fills
-                # (nobody skips a Grand Slam or Masters over fatigue either)
+                # (nobody skips a Grand Slam or Masters over fatigue either).
+                # Only restricted players have busy weeks.
                 for honor_cap in (True, False):
-                    if len(entrants) == ev.draw_size:
+                    need = ev.draw_size - np.count_nonzero(have)
+                    if need == 0:
                         break
-                    for p in order:
-                        p = int(p)
-                        if p in played or p in have:
-                            continue
-                        if p in restricted or week in busy_weeks[p]:
-                            continue
-                        if (
-                            honor_cap
-                            and events_played[p] >= config.max_events_per_season
-                            and _PRESTIGE[ev.category] >= 2
-                        ):
-                            continue
-                        entrants.append(p)
-                        have.add(p)
-                        if len(entrants) == ev.draw_size:
-                            break
+                    eligible = ~(played | have | restricted)
+                    if honor_cap and _PRESTIGE[ev.category] >= 2:
+                        eligible &= events_played < config.max_events_per_season
+                    have[order[eligible[order]][:need]] = True
+                entrants = order[have[order]].tolist()  # in rank order
                 if len(entrants) < ev.draw_size:
                     raise DomainError(
                         f"week {week}: only {len(entrants)} entrants for a "
                         f"{ev.draw_size}-draw event"
                     )
-                rank_of = {int(p): r for r, p in enumerate(order)}
-                entrants.sort(key=lambda p: rank_of[p])
                 n_seeds = SEEDS_FOR_DRAW[ev.draw_size]
                 br = place_seeds(ev.draw_size, entrants[:n_seeds], rng)
                 br = fill_unseeded(br, entrants[n_seeds:], rng)
@@ -335,49 +316,37 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
                     results[p].results.append(
                         SeasonResult(ev.category, res.round_reached, res.points, today)
                     )
-                    windows[p].append((abs_week, res.points))
-                for p in entrants:
-                    events_played[p] += 1
-                played.update(entrants)
+                    window[p, slot] = res.points
+                events_played[have] += 1
+                played |= have
 
-            cutoff = abs_week - WEEKS_PER_SEASON
-            for p in range(n):
-                window = windows[p]
-                expired = False
-                while window and window[0][0] <= cutoff:
-                    window.popleft()
-                    expired = True
-                if expired or p in played:
-                    entries = [pts for _, pts in window]
-                    if len(entries) > BEST_N:
-                        entries = nlargest(BEST_N, entries)
-                    points[p] = sum(entries)
+            points[:] = np.partition(window, WEEKS_PER_SEASON - BEST_N, axis=1)[
+                :, WEEKS_PER_SEASON - BEST_N:].sum(axis=1)
             order = _ranked_order(points, rng.random(n))
-            for r, p in enumerate(order):
-                p = int(p)
-                standings.append(
-                    WeeklyStanding(season, week, players[p], int(points[p]), r + 1)
-                )
+            ranked_players[abs_week - 1] = order
+            ranked_points[abs_week - 1] = points[order]
 
-    return SeasonReport(
-        config=config, players=players, standings=standings, player_results=results
-    )
+    return SeasonReport(config=config, players=players, ranked_players=ranked_players,
+                        ranked_points=ranked_points, player_results=results)
 
 
 # --- flat key=value config files -------------------------------------------
 
 def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
-    """Read a calendar CSV with columns week, category, draw_size."""
+    """Read a calendar CSV with columns week, category, draw_size.
+
+    A missing column is a SchemaError; a week or draw size that is not an
+    integer, or an unknown category, is a DomainError.
+    """
+    names = ("week", "category", "draw_size")
+    texts = _read_fields(path, {name: name for name in names}, names, names)
     events = []
-    with open(path, newline="", encoding="utf-8") as fp:
-        for row in csv.DictReader(fp):
-            events.append(
-                CalendarEvent(
-                    week=int(row["week"]),
-                    category=Category(row["category"]),
-                    draw_size=int(row["draw_size"]),
-                )
-            )
+    for week, category, draw_size in zip(*texts.values()):
+        try:
+            events.append(CalendarEvent(int(week), Category(category), int(draw_size)))
+        except ValueError:
+            raise DomainError(f"{path}: bad calendar row: week={week!r}, "
+                              f"category={category!r}, draw_size={draw_size!r}") from None
     return events
 
 

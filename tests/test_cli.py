@@ -69,6 +69,16 @@ class TestFit:
         assert result.exit_code == 3
         assert "schema error" in result.output
 
+    def test_non_utf8_archive_is_schema_error(self, runner, tmp_path):
+        bad = tmp_path / "matches.csv"
+        text = SAMPLE_MATCHES.read_bytes()
+        cut = text.index(b"\n", len(text) // 2)
+        bad.write_bytes(text[:cut] + b"\xe9" + text[cut:])
+        result = runner.invoke(main, ["fit", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3
+        assert f"{bad}: not UTF-8" in result.output
+        assert "Traceback" not in result.output
+
     def test_fit_io_error_exit_code(self, runner, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("i am a file, not a directory")
@@ -273,6 +283,50 @@ class TestSimulate:
         ])
         assert result.exit_code == 3
         assert f"{config}:2" in result.output
+
+    @pytest.mark.parametrize("extra, seasons_sha, summary_sha", [
+        ([], "aafc3bd7645e67a6d014cfcba9e70ab034a92d800cb5c6987399cba3b99aafa4",
+         "3db55d56f2d7a4ed93407ece47068d3bcaf5595cf20105b932a48336eda3fbb7"),
+        (["--no-top30-mandatory", "--max-events", "5"],
+         "3f6791547ed23a396c29438ca2386e36983c0cbd7b7f072abab8dd64594804d0",
+         "39c743d9a809888e7a3a20fb69ab0586dc264e676bd891f6864b527edb6b3474"),
+    ], ids=["top30", "free-max5"])
+    def test_golden_digests(self, runner, tmp_path, extra, seasons_sha, summary_sha):
+        # pinned outputs: a change to the season engine must keep every byte
+        out = tmp_path / "sim"
+        result = runner.invoke(main, [
+            "simulate", "--seed", "99", "--players", "150", "--seasons", "2", *extra,
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256((out / "seasons.csv").read_bytes()).hexdigest() == seasons_sha
+        assert hashlib.sha256((out / "summary.txt").read_bytes()).hexdigest() == summary_sha
+
+    @pytest.mark.parametrize("content, code, named", [
+        ("week,category,draw_size\n3,grand_slam,96\n", 5, "96"),
+        ("week,category,draw_size\n3,slam,128\n", 5, "'slam'"),
+        ("week,category\n3,grand_slam\n", 3, "draw_size"),
+        ("week,category,draw_size\nx,grand_slam,128\n", 5, "'x'"),
+    ], ids=["draw96", "category", "no-draw-size", "week"])
+    def test_bad_calendar_exit_code(self, runner, tmp_path, content, code, named):
+        calendar = tmp_path / "cal.csv"
+        calendar.write_text(content)
+        result = runner.invoke(main, [
+            "simulate", "--calendar", str(calendar), "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == code, result.output
+        assert named in result.output
+        assert "Traceback" not in result.output
+
+    def test_non_utf8_config_is_schema_error(self, runner, tmp_path):
+        config = tmp_path / "season.cfg"
+        config.write_bytes(b"# caf\xe9\nn_seasons=2\n")
+        result = runner.invoke(main, [
+            "simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 3
+        assert f"{config}: not UTF-8" in result.output
+        assert "Traceback" not in result.output
 
     def test_infeasible_pool_clean_error(self, runner, tmp_path):
         config = write_small_sim_config(tmp_path)

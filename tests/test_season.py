@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from atppoints.errors import DomainError
-from atppoints.points import Category, best_18_total
+from atppoints.points import BEST_N, Category, best_18_total
 from atppoints.season import (
     CalendarEvent,
     SeasonConfig,
@@ -41,39 +45,59 @@ def small_config(**overrides) -> SeasonConfig:
 
 PLAYERS = [f"P{i:03d}" for i in range(140)]
 
+Standing = namedtuple("Standing", "season week player points rank")
+
+
+def standings(report) -> list[Standing]:
+    """The report's weekly standings rows, read back from its CSV."""
+    buf = io.StringIO()
+    report.write_csv(buf)
+    buf.seek(0)
+    rows = list(csv.reader(buf))[1:]
+    return [Standing(int(s), int(w), p, int(pts), int(r)) for s, w, p, pts, r in rows]
+
 
 class TestRunSeason:
     def test_standings_shape(self):
         report = run_season(small_config(), PLAYERS)
         expected_rows = len(PLAYERS) * WEEKS_PER_SEASON * 2
-        assert len(report.standings) == expected_rows
-        week_one = [r for r in report.standings if r.season == 1 and r.week == 1]
+        assert report.ranked_players.shape == report.ranked_points.shape
+        assert report.ranked_points.size == expected_rows
+        rows = standings(report)
+        assert len(rows) == expected_rows
+        week_one = [r for r in rows if r.season == 1 and r.week == 1]
         assert sorted(r.rank for r in week_one) == list(range(1, len(PLAYERS) + 1))
+        assert sorted(report.ranked_players[0]) == list(range(len(PLAYERS)))
 
     def test_repeat_run_is_identical(self):
         a = run_season(small_config(), PLAYERS)
         b = run_season(small_config(), PLAYERS)
-        assert a.standings == b.standings
+        assert np.array_equal(a.ranked_players, b.ranked_players)
+        assert np.array_equal(a.ranked_points, b.ranked_points)
+        assert standings(a) == standings(b)
 
     def test_different_seed_differs(self):
         a = run_season(small_config(), PLAYERS)
         b = run_season(small_config(rng_seed=12), PLAYERS)
-        assert a.standings != b.standings
+        assert standings(a) != standings(b)
 
     def test_points_match_best_18_rule(self):
         # dual route: the simulator's rolling window against the date-based
-        # best-18 rule applied to the recorded per-player results
-        report = run_season(small_config(), PLAYERS)
-        by_player = {p: idx for idx, p in enumerate(report.players)}
-        checked = 0
-        for row in report.standings:
-            if row.week not in (1, 20, 52) or by_player[row.player] % 17 != 0:
-                continue
-            season_results = report.player_results[by_player[row.player]].results
-            expected = best_18_total(season_results, week_date(row.season, row.week))
-            assert row.points == expected
-            checked += 1
-        assert checked > 50
+        # best-18 rule applied to the recorded per-player results; on the
+        # full calendar players hold more than 18 results in a window
+        for config in (small_config(), SeasonConfig(rng_seed=11, n_seasons=2)):
+            report = run_season(config, PLAYERS)
+            by_player = {p: idx for idx, p in enumerate(report.players)}
+            checked = 0
+            for row in standings(report):
+                if row.week not in (1, 20, 52) or by_player[row.player] % 17 != 0:
+                    continue
+                season_results = report.player_results[by_player[row.player]].results
+                expected = best_18_total(season_results, week_date(row.season, row.week))
+                assert row.points == expected
+                checked += 1
+            assert checked > 50
+        assert max(len(ps.results) for ps in report.player_results[::17]) > 2 * BEST_N
 
     def test_pool_too_small_raises(self):
         with pytest.raises(DomainError, match="pool"):
@@ -89,7 +113,8 @@ class TestRunSeason:
         config = small_config(alpha=0.0, n_seasons=4, rng_seed=5)
         report = run_season(config, PLAYERS)
         finals = np.zeros(len(PLAYERS))
-        for row in report.standings:
+        rows = standings(report)
+        for row in rows:
             if row.week == WEEKS_PER_SEASON:
                 finals[int(row.player[1:])] += row.points
         idx = np.arange(len(PLAYERS))
@@ -97,7 +122,7 @@ class TestRunSeason:
         assert abs(corr) < 0.25
         champions = {
             row.player
-            for row in report.standings
+            for row in rows
             if row.week == WEEKS_PER_SEASON and row.rank == 1
         }
         assert len(champions) > 1
@@ -110,7 +135,7 @@ class TestRunSeason:
         by_player = {p: idx for idx, p in enumerate(report.players)}
         top30 = [
             by_player[row.player]
-            for row in report.standings
+            for row in standings(report)
             if row.season == 1 and row.week == WEEKS_PER_SEASON and row.rank <= 30
         ]
         season2_start = week_date(2, 1)
@@ -128,17 +153,39 @@ class TestRunSeason:
         assert max(counts) > 8  # free players roam the whole calendar
 
     def test_mandatory_top30_in_grand_slam(self):
-        config = small_config(top30_mandatory=True, n_seasons=1, rng_seed=3)
+        config = small_config(top30_mandatory=True, n_seasons=2, rng_seed=3)
         report = run_season(config, PLAYERS)
         by_player = {p: idx for idx, p in enumerate(report.players)}
-        # season-start ranking is random (cold start); every top-30 id from
-        # week-1 standings must hold a Grand Slam result
+        # season 2 enters from the final season-1 standings, ties broken by a
+        # fresh draw: everyone with more points than rank 31 is in its top 30
+        # and must hold a season-2 Grand Slam result
+        season2_start = week_date(2, 1)
+        cutoff = report.points_at_rank(1, 31)
+        top = [
+            by_player[row.player]
+            for row in standings(report)
+            if row.season == 1 and row.week == WEEKS_PER_SEASON and row.points > cutoff
+        ]
+        assert len(top) >= 20
+        for idx in top:
+            assert any(
+                r.category == Category.GRAND_SLAM and r.date >= season2_start
+                for r in report.player_results[idx].results
+            )
         gs_players = {
             idx
             for idx, ps in enumerate(report.player_results)
-            if any(r.category == Category.GRAND_SLAM for r in ps.results)
+            if any(r.category == Category.GRAND_SLAM and r.date < season2_start
+                   for r in ps.results)
         }
         assert len(gs_players) == 128
+
+    @pytest.mark.parametrize("season, rank", [(1, 0), (1, 141), (3, 1), (0, 1)])
+    def test_points_at_rank_out_of_range(self, season, rank):
+        report = run_season(small_config(), PLAYERS)
+        assert report.points_at_rank(2, 140) >= 0
+        with pytest.raises(DomainError, match="no final standing"):
+            report.points_at_rank(season, rank)
 
 
 class TestSeasonConfig:
