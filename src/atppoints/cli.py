@@ -163,6 +163,9 @@ def fit(match_files, date_from, date_to, levels, include_qualifying,
     if not observations:
         raise DomainError("no matches after filtering")
     params = fit_alpha(observations, search_lo=search_lo, search_hi=search_hi, tol=tol)
+    if min(params.alpha - search_lo, search_hi - params.alpha) <= tol:
+        click.echo(f"warning: alpha={params.alpha:.6f} is within tol of the search bound "
+                   f"[{search_lo}, {search_hi}]; the minimum may lie outside it", err=True)
     baseline = baseline_brier(observations)
 
     out_dir = _ensure_out(out)
@@ -280,8 +283,7 @@ def report(match_files, date_from, date_to, levels, include_qualifying,
                         "predicted probability")
 
     if ranking_files:
-        entries, _ = load_rankings(ranking_files)
-        stats, skipped = rank_stats(entries)
+        stats, skipped = rank_stats(load_rankings(ranking_files))
         with open(out_dir / "rank_stats.csv", "w", encoding="utf-8", newline="") as fp:
             write_rank_stats_csv(stats, fp)
         with open(out_dir / "rank_stats.txt", "w", encoding="utf-8") as fp:

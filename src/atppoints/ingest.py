@@ -8,6 +8,8 @@ file can remap any column name for other archives.
 An archive loads into one ``MatchTable`` in a single pass.  Rows are then
 dropped (and counted) when a player's rank points are missing, non-finite
 or zero, or when the row falls outside the requested date/level/round scope.
+Ranking snapshot files load the same way into one ``RankingTable``, keeping
+the rows whose date and rank parse and whose points are finite and positive.
 """
 
 from __future__ import annotations
@@ -184,15 +186,20 @@ _COLUMNS: dict[str, tuple[object, Callable[[str], object]]] = {
 
 def _read_fields(
     path: str | Path, schema: dict[str, str], names: Iterable[str], required: Iterable[str]
-) -> dict[str, Sequence[str]]:
-    """Text of each named logical field, one entry per row of a CSV file: blank
-    lines hold no row, a short row or an absent column reads "", and a
-    repeated column name resolves to its last column."""
+) -> tuple[dict[str, Sequence[str]], list[int]]:
+    """Text of each named logical field, one entry per row of a CSV file, and
+    the file line each row ends on: blank lines hold no row, a short row or an
+    absent column reads "", and a repeated column name resolves to its last
+    column."""
+    rows, lines = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fp:
             reader = csv.reader(fp)
             header = next(reader, [])
-            rows = [row for row in reader if row]
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     missing = [schema[f] for f in required if schema[f] not in header]
@@ -204,7 +211,7 @@ def _read_fields(
     for name in names:
         i = index.get(schema.get(name) or None, len(by_index))
         texts[name] = by_index[i] if i < len(by_index) else [""] * len(rows)
-    return texts
+    return texts, lines
 
 
 def load_raw_rows(
@@ -219,7 +226,7 @@ def load_raw_rows(
     schema = schema or DEFAULT_SCHEMA
     parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in _COLUMNS.items()}
     for path in paths:
-        texts = _read_fields(path, schema, _COLUMNS, _REQUIRED_FIELDS)
+        texts, _ = _read_fields(path, schema, _COLUMNS, _REQUIRED_FIELDS)
         for name, (dtype, parse) in _COLUMNS.items():
             parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
     columns = {name: np.concatenate(arrays) for name, arrays in parts.items()}
@@ -313,47 +320,52 @@ DEFAULT_RANKING_SCHEMA: dict[str, str] = {
 }
 
 
+#: Ranking field -> (column dtype, parser), parsed as the match columns are.
+_RANKING_COLUMNS = {"date": _COLUMNS["date"], "rank": _COLUMNS["winner_rank"],
+                    "player": (object, str.strip), "points": _COLUMNS["winner_points"]}
+
+
 @dataclass(frozen=True)
-class RankingEntry:
-    date: datetime.date
-    rank: int
-    player: str
-    points: float
+class RankingTable:
+    """Ranking snapshot rows as equal-length numpy columns, in file-argument
+    and row order; ``(date, rank)`` is unique and points are finite and
+    positive."""
+
+    date: np.ndarray    # datetime64[D]
+    rank: np.ndarray    # int64
+    player: np.ndarray  # object (str)
+    points: np.ndarray  # float64
 
 
 def load_rankings(
     paths: Sequence[str | Path],
-    dates: Sequence[datetime.date] | None = None,
     schema: dict[str, str] | None = None,
-) -> tuple[list[RankingEntry], list[datetime.date]]:
-    """Load ranking snapshots; returns (entries, requested dates not found).
+) -> RankingTable:
+    """Load ranking snapshot files into one table.
 
-    Ranks must be unique within a date; a duplicate raises SchemaError.
+    A row is skipped when its date or rank does not parse or its points are
+    not a finite positive number.  Ranks must be unique within a date: a
+    duplicate raises SchemaError naming the file and line of its later copy.
     """
     schema = schema or DEFAULT_RANKING_SCHEMA
-    entries: list[RankingEntry] = []
-    seen: set[tuple[datetime.date, int]] = set()
-    wanted = set(dates) if dates is not None else None
-    fields = ("date", "rank", "player", "points")
+    parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in _RANKING_COLUMNS.items()}
+    files, line_nos = [], []
     for path in paths:
-        texts = _read_fields(path, schema, fields, fields)
-        rows = zip(_each_distinct(_parse_date, texts["date"]),
-                   _each_distinct(_parse_int, texts["rank"]),
-                   map(str.strip, texts["player"]),
-                   _each_distinct(_parse_float, texts["points"]))
-        for line_no, (date, rank, player, pts) in enumerate(rows, start=2):
-            if date is None or rank is None or pts is None:
-                continue
-            if wanted is not None and date not in wanted:
-                continue
-            key = (date, rank)
-            if key in seen:
-                raise SchemaError(
-                    f"{path}:{line_no}: duplicate rank {rank} for date {date}"
-                )
-            seen.add(key)
-            entries.append(RankingEntry(date=date, rank=rank, player=player, points=pts))
-    if wanted is None:
-        return entries, []
-    found = {e.date for e in entries}
-    return entries, sorted(d for d in wanted if d not in found)
+        texts, lines = _read_fields(path, schema, _RANKING_COLUMNS, _RANKING_COLUMNS)
+        for name, (dtype, parse) in _RANKING_COLUMNS.items():
+            parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
+        files += [path] * len(lines)
+        line_nos += lines
+    date, rank, player, points = (np.concatenate(parts[name]) for name in _RANKING_COLUMNS)
+    # a rank that is NaN or outside int64 did not parse; NaN points fail both tests
+    keep = ~np.isnat(date) & (np.abs(rank) < 2.0**63) & np.isfinite(points) & (points > 0)
+    table = RankingTable(date[keep], rank[keep].astype(np.int64), player[keep], points[keep])
+    # a stable sort by (date, rank) puts each key's copies together in row order
+    order = np.lexsort((table.rank, table.date))
+    same = (np.diff(table.rank[order]) == 0) & (np.diff(table.date[order]) == np.timedelta64(0))
+    if same.any():
+        later = order[1:][same].min()
+        row = np.flatnonzero(keep)[later]
+        raise SchemaError(f"{files[row]}:{line_nos[row]}: duplicate rank {table.rank[later]} "
+                          f"for date {table.date[later]}")
+    return table

@@ -4,7 +4,8 @@ rank-band point statistics, and participation counts.
 Each curve emits both match orientations: a match at ratio r contributes a
 win at r and a loss at 1/r, which makes the ratio axis two-sided and the
 frequency curve symmetric around r = 1.  Matches arrive as a
-``MatchTable`` (or a list of observations) and are binned as whole columns.
+``MatchTable`` (or a list of observations) and ranking snapshots as an
+``ingest.RankingTable``; both are binned and tallied as whole columns.
 Outputs are delimited text plus a self-contained SVG per figure so results
 are viewable with no extra toolchain.
 """
@@ -15,12 +16,12 @@ import csv
 import datetime
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .ingest import RankingEntry
+from .ingest import RankingTable
 from .model import Matches, MatchTable, _nonempty, win_probability
 from .points import Category, expected_points, expected_ratio_to_32
 
@@ -165,32 +166,28 @@ class RankStats:
 
 
 def rank_stats(
-    rankings: Iterable[RankingEntry],
+    table: RankingTable,
     bands: Sequence[int] = (16, 32, 64),
 ) -> tuple[dict[int, RankStats], list[datetime.date]]:
     """Per-band max/mean/min/std of points and of the ratio to rank 32.
 
-    Dates missing any requested band (or rank 32) are skipped and reported.
-    Std is the population standard deviation.
+    Snapshot dates missing any requested band (or rank 32) are skipped and
+    returned in date order.  Std is the population standard deviation.
     """
     needed = sorted(set(bands) | {32})
-    by_date: dict[datetime.date, dict[int, float]] = {}
-    for entry in rankings:
-        if entry.rank in needed:
-            by_date.setdefault(entry.date, {})[entry.rank] = entry.points
-    usable: dict[datetime.date, dict[int, float]] = {}
-    skipped: list[datetime.date] = []
-    for date in sorted(by_date):
-        if all(rank in by_date[date] for rank in needed):
-            usable[date] = by_date[date]
-        else:
-            skipped.append(date)
-    if not usable:
+    rows = np.isin(table.rank, needed)
+    dates, date_of = np.unique(table.date[rows], return_inverse=True)
+    # band x date points; a row per band keeps each band's values contiguous
+    grid = np.full((len(needed), len(dates)), np.nan)
+    grid[np.searchsorted(needed, table.rank[rows]), date_of] = table.points[rows]
+    complete = ~np.isnan(grid).any(axis=0)
+    if not complete.any():
         raise DomainError("no snapshot date contains every requested rank band")
+    usable = grid[:, complete]
     stats: dict[int, RankStats] = {}
     for band in bands:
-        pts = np.array([usable[d][band] for d in usable])
-        ratio = np.array([usable[d][band] / usable[d][32] for d in usable])
+        pts = usable[needed.index(band)]
+        ratio = pts / usable[needed.index(32)]
         stats[band] = RankStats(
             band=band,
             n_dates=len(pts),
@@ -203,7 +200,7 @@ def rank_stats(
             ratio_min=float(ratio.min()),
             ratio_std=float(ratio.std()),
         )
-    return stats, skipped
+    return stats, dates[~complete].tolist()
 
 
 def write_rank_stats_csv(stats: Mapping[int, RankStats], fp: IO[str]) -> None:
@@ -264,17 +261,14 @@ class ParticipationTable:
 def participation_table(
     table: MatchTable,
     bands: Sequence[int] = PARTICIPATION_BANDS,
-    rankings: Iterable[RankingEntry] | None = None,
-    as_of: datetime.date | None = None,
 ) -> ParticipationTable:
     """Count 500 and 250 events played per player, bucketed by rank band.
 
     ``table`` is the raw archive table (``ingest.load_raw_rows``).  A player
     "played" a tournament if they appear in any of its rows.  Band
-    membership uses the ranking snapshot at ``as_of`` when given, else each
-    player's rank at their latest match.  Events whose category cannot be
-    resolved (stock archives tag both series "A") count as 250s and are
-    tallied in ``unresolved_events``.
+    membership uses each player's rank at their latest dated match.  Events
+    whose category cannot be resolved (stock archives tag both series "A")
+    count as 250s and are tallied in ``unresolved_events``.
     """
     counted = (Category.TOUR_500, Category.TOUR_250)
     resolved = table.category != ""
@@ -285,47 +279,33 @@ def participation_table(
     _, event_of = np.unique(table.event[keep], return_inverse=True)
     last = len(event_of) - 1 - np.unique(event_of[::-1], return_index=True)[1]
     event_category = category[keep][last]
+    # one entry per side of each row, winner first
+    players, side_player = np.unique(
+        np.column_stack((table.winner_id, table.loser_id)).ravel(), return_inverse=True)
     # each distinct (event, player) pair is one event played
-    players, player_of = np.unique(
-        np.concatenate((table.winner_id[keep], table.loser_id[keep])), return_inverse=True
-    )
     width = max(len(players), 1)
-    pairs = np.unique(np.concatenate((event_of, event_of)) * width + player_of)
+    pairs = np.unique(np.repeat(event_of, 2) * width + side_player[np.repeat(keep, 2)])
     pair_event, pair_player = np.divmod(pairs, width)
-    played = {
-        c: dict(zip(players.tolist(), np.bincount(
-            pair_player[event_category[pair_event] == c.value], minlength=len(players)
-        ).tolist()))
-        for c in counted
-    }
-
-    rank_of: dict[str, float] = {}
-    if rankings is not None:
-        # latest snapshot first; a stable sort keeps the first of a tie
-        for entry in sorted(rankings, key=lambda e: e.date, reverse=True):
-            if as_of is None or entry.date <= as_of:
-                rank_of.setdefault(entry.player, entry.rank)
-    else:
-        # one entry per side of each row, winner first; among a player's
-        # entries the latest date wins, a later entry breaking a tie
-        side_date = np.repeat(table.date, 2)
-        side_rank = np.column_stack((table.winner_rank, table.loser_rank)).ravel()
-        side_player = np.column_stack((table.winner_id, table.loser_id)).ravel()
-        ok = ~np.isnat(side_date) & ~np.isnan(side_rank)
-        names, who = np.unique(side_player[ok], return_inverse=True)
-        order = np.lexsort((side_date[ok], who))
-        latest = order[np.diff(who[order], append=-1) != 0]
-        rank_of = dict(zip(names.tolist(), side_rank[ok][latest].tolist()))
+    played = {c: np.bincount(pair_player[event_category[pair_event] == c.value],
+                             minlength=len(players)) for c in counted}
+    # a player's rank is the one at their latest date, a later side breaking a tie
+    side_date = np.repeat(table.date, 2)
+    side_rank = np.column_stack((table.winner_rank, table.loser_rank)).ravel()
+    ok = np.flatnonzero(~np.isnat(side_date) & ~np.isnan(side_rank))
+    ok = ok[np.lexsort((side_date[ok], side_player[ok]))]
+    latest = ok[np.diff(side_player[ok], append=-1) != 0]
+    rank = np.full(len(players), np.nan)
+    rank[side_player[latest]] = side_rank[latest]
 
     result = ParticipationTable(bands=tuple(bands))
     result.unresolved_events = int(np.count_nonzero(~resolved[keep][last]))
     for band in bands:
-        members = [p for p, r in rank_of.items() if r <= band]
+        members = rank <= band
         for c in counted:
-            counts = [played[c].get(p, 0) for p in members]
-            capped = [min(n, _HIST_CAP) for n in counts]
-            result.histograms[(band, c)] = [capped.count(k) for k in range(_HIST_CAP + 1)]
-            result.means[(band, c)] = sum(counts) / len(members) if members else 0.0
+            counts = played[c][members]
+            result.histograms[(band, c)] = np.bincount(
+                np.minimum(counts, _HIST_CAP), minlength=_HIST_CAP + 1).tolist()
+            result.means[(band, c)] = int(counts.sum()) / len(counts) if len(counts) else 0.0
     return result
 
 

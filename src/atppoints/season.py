@@ -339,7 +339,7 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
     integer, or an unknown category, is a DomainError.
     """
     names = ("week", "category", "draw_size")
-    texts = _read_fields(path, {name: name for name in names}, names, names)
+    texts, _ = _read_fields(path, {name: name for name in names}, names, names)
     events = []
     for week, category, draw_size in zip(*texts.values()):
         try:

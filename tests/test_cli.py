@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atppoints.cli import main
 from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS
@@ -106,6 +109,19 @@ class TestFit:
             m.pop("created_at")
             m["flags"].pop("out")
         assert ma == mb
+
+
+    def test_warns_when_alpha_stops_at_search_bound(self, runner, tmp_path):
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit", MATCHES, "--search-hi", "0.5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "warning: alpha=0.500000 is within tol of the search bound" in result.stderr
+        assert (out / "params.txt").exists()
+
+    def test_no_warning_inside_search_bounds(self, runner, tmp_path):
+        result = runner.invoke(main, ["fit", MATCHES, "--out", str(tmp_path / "fit")])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
 
 
 class TestPredict:
@@ -216,6 +232,108 @@ class TestReport:
             ])
             assert result.exit_code == 0
         assert tree_bytes(out_a) == tree_bytes(out_b)
+
+
+    def test_golden_digests(self, runner, tmp_path):
+        # pinned outputs: a change to ranking or participation code must keep every byte
+        out = tmp_path / "report"
+        result = runner.invoke(main, [
+            "report", MATCHES, "--rankings", RANKINGS, "--alpha", "0.8722", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        expected = {
+            "rank_stats.csv": "6d02ccac309a3839ef7c23d66dfef63f4a6e161dee0f2a02aa410331b8512beb",
+            "rank_stats.txt": "fd2c9fbd79c5d0915e9d8268e589dda84bae445542541b61768c7d710f3bd825",
+            "participation.csv": "9891d2dde4a0e106615bfd713e9a121bf1ff7b80edf78d85d097af2ab99ff36d",
+            "participation.txt": "87645fe8282bb9c4460481ee195dd09c88d8188565c17b9b631b1b4e94d1c285",
+        }
+        for name, digest in expected.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("points", ["nan", "0", "inf", "-5"])
+    @pytest.mark.parametrize("band", [16, 32])
+    def test_bad_ranking_points_row_skipped(self, runner, tmp_path, points, band):
+        rankings = tmp_path / "rankings.csv"
+        snapshot = {16: "2425", 32: "1265", 64: "773"}
+        lines = ["ranking_date,rank,player,points"]
+        lines += [f"20150105,{rank},p{rank},{pts}" for rank, pts in snapshot.items()]
+        lines += [f"20160104,{rank},p{rank},{points if rank == band else pts}"
+                  for rank, pts in snapshot.items()]
+        rankings.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report"
+        result = runner.invoke(main, [
+            "report", MATCHES, "--rankings", str(rankings), "--alpha", "0.8722", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+        text = (out / "rank_stats.txt").read_text()
+        assert "nan" not in text and "inf" not in text
+        assert "skipped 1 snapshot dates missing a band" in text
+
+    def test_only_snapshot_with_zero_rank_32_is_domain_error(self, runner, tmp_path):
+        rankings = tmp_path / "rankings.csv"
+        rankings.write_text("ranking_date,rank,player,points\n"
+                            "20150105,16,a,2425\n20150105,32,b,0\n20150105,64,c,773\n")
+        result = runner.invoke(main, [
+            "report", MATCHES, "--rankings", str(rankings), "--alpha", "0.8722",
+            "--out", str(tmp_path / "report"),
+        ])
+        assert result.exit_code == 5, result.output
+        assert "no snapshot date contains every requested rank band" in result.output
+        assert "Traceback" not in result.output
+
+
+_RANKING_COLUMNS = ["ranking_date", "rank", "player", "points"]
+
+
+@st.composite
+def malformed_rankings(draw) -> bytes:
+    """A ranking CSV with dropped or reordered columns, blank lines, bad or
+    non-positive points, repeated (date, rank) keys and, sometimes, bytes
+    that are not UTF-8."""
+    columns = draw(st.permutations(_RANKING_COLUMNS))
+    columns = columns[:draw(st.integers(3, 4))]
+    values = {
+        "ranking_date": st.sampled_from(["20150105", "2015-01-05", "20160104", "bad", ""]),
+        "rank": st.sampled_from(["16", "32", "64", "32.0", "7", "-1", "x", "", "1e30"]),
+        "player": st.sampled_from(["a", "b", " c ", ""]),
+        "points": st.sampled_from(["2425", "1265", "773.5", "0", "-40", "nan", "inf",
+                                   "-inf", "1e400", "abc", ""]),
+    }
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            lines.append(",".join(draw(values[c]) for c in columns))
+        else:
+            lines.append("" if draw(st.booleans()) else "20150105,32")
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff\xfe" + data[cut:]
+    return data
+
+
+class TestRankingsFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(content=malformed_rankings())
+    @example(content=b"ranking_date,rank,player,points\n"
+                     b"20150105,16,a,2425\n20150105,32,b,0\n20150105,64,c,773\n")
+    @example(content=b"ranking_date,rank,player,points\n20150105,16,a,2425\n"
+                     b"20150105,32,b,1265\n20150105,64,c,nan\n20150105,32,d,5\n")
+    def test_report_exit_code_no_traceback(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            rankings = Path(tmp) / "rankings.csv"
+            rankings.write_bytes(content)
+            out = Path(tmp) / "report"
+            result = CliRunner().invoke(main, [
+                "report", MATCHES, "--rankings", str(rankings), "--alpha", "0.8722",
+                "--out", str(out),
+            ])
+            assert result.exit_code in (0, 3, 5), (result.output, result.exception)
+            assert "Traceback" not in result.output
+            if result.exit_code == 0:
+                text = (out / "rank_stats.txt").read_text()
+                assert "nan" not in text and "inf" not in text
 
 
 def write_small_sim_config(tmp_path: Path) -> Path:

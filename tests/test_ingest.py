@@ -186,20 +186,20 @@ class TestRawRows:
 
 class TestLoadRankings:
     def test_sample_contains_2017_snapshot(self):
-        entries, missing = load_rankings(
-            [SAMPLE_RANKINGS], dates=[datetime.date(2017, 3, 20)]
-        )
-        assert missing == []
-        by_rank = {e.rank: e.points for e in entries}
+        table = load_rankings([SAMPLE_RANKINGS])
+        snapshot = table.date == np.datetime64("2017-03-20")
+        assert snapshot.any()
+        by_rank = dict(zip(table.rank[snapshot].tolist(), table.points[snapshot].tolist()))
         assert by_rank[16] == 2425
         assert by_rank[32] == 1265
         assert by_rank[64] == 773
 
     def test_absent_date_reported_not_fabricated(self):
         wanted = datetime.date(2011, 1, 3)
-        entries, missing = load_rankings([SAMPLE_RANKINGS], dates=[wanted])
-        assert entries == []
-        assert missing == [wanted]
+        table = load_rankings([SAMPLE_RANKINGS])
+        rows = table.date == np.datetime64(wanted)
+        assert len(table.rank[rows]) == 0
+        assert wanted not in table.date.tolist()
 
     def test_duplicate_rank_raises(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -211,11 +211,57 @@ class TestLoadRankings:
         with pytest.raises(SchemaError, match="duplicate rank"):
             load_rankings([path])
 
+    def test_duplicate_rank_names_physical_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "ranking_date,rank,player,points\n"
+            "\n"
+            "\n"
+            "20150105,5,AA,900\n"
+            "20150105,5,BB,880\n"
+        )
+        with pytest.raises(SchemaError, match=r"dup\.csv:5: duplicate rank 5 for date 2015-01-05"):
+            load_rankings([path])
+
+    def test_duplicate_rank_names_second_file(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text("ranking_date,rank,player,points\n20150105,5,AA,900\n")
+        second.write_text("ranking_date,rank,player,points\n"
+                          "20150105,6,CC,870\n20150105,5,BB,880\n")
+        with pytest.raises(SchemaError, match=r"b\.csv:3: duplicate rank 5"):
+            load_rankings([first, second])
+
     def test_all_dates_when_unfiltered(self):
-        entries, missing = load_rankings([SAMPLE_RANKINGS])
-        assert missing == []
-        assert {e.date for e in entries} == {
+        table = load_rankings([SAMPLE_RANKINGS])
+        assert len(table.rank) == 300
+        assert set(table.date.tolist()) == {
             datetime.date(2015, 1, 5),
             datetime.date(2016, 1, 4),
             datetime.date(2017, 3, 20),
         }
+
+    def test_columns_and_skipped_rows(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text(
+            "ranking_date,rank,player,points\n"
+            "20150105,1,AA,900\n"
+            "2015-01-05,2.0, BB ,880.5\n"
+            "20150105,3,CC,nan\n"
+            "20150105,4,DD,inf\n"
+            "20150105,5,EE,0\n"
+            "20150105,6,FF,-10\n"
+            "20150105,7,GG,abc\n"
+            "20150105,x,HH,800\n"
+            "bad,9,II,800\n"
+            "20150105,1e30,JJ,800\n"
+            # a skipped row does not count as a rank's first copy
+            "20150105,3,KK,700\n"
+        )
+        table = load_rankings([path])
+        assert table.date.dtype == np.dtype("datetime64[D]")
+        assert table.rank.dtype == np.int64
+        assert table.points.dtype == np.float64
+        assert table.rank.tolist() == [1, 2, 3]
+        assert table.player.tolist() == ["AA", "BB", "KK"]
+        assert table.points.tolist() == [900.0, 880.5, 700.0]
+        assert set(table.date.tolist()) == {datetime.date(2015, 1, 5)}

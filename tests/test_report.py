@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from atppoints.errors import DomainError
-from atppoints.ingest import RankingEntry, load_rankings, load_raw_rows
+from atppoints.ingest import RankingTable, load_rankings, load_raw_rows
 from atppoints.model import MatchObservation, MatchTable
 from atppoints.points import Category
 from atppoints.report import (
@@ -148,10 +148,13 @@ class TestCalibrationCurve:
 
 class TestRankStats:
     def entries(self, rows):
-        out = []
-        for date, rank, points in rows:
-            out.append(RankingEntry(date=date, rank=rank, player=f"p{rank}", points=points))
-        return out
+        dates, ranks, points = zip(*rows)
+        return RankingTable(
+            date=np.array(dates, dtype="datetime64[D]"),
+            rank=np.array(ranks, dtype=np.int64),
+            player=np.array([f"p{rank}" for rank in ranks], dtype=object),
+            points=np.array(points, dtype=np.float64),
+        )
 
     def test_single_snapshot_ratios(self):
         date = datetime.date(2017, 3, 20)
@@ -174,7 +177,7 @@ class TestRankStats:
             assert stats[band].n_dates == 2
 
     def test_band_32_ratio_column_degenerate(self):
-        entries, _ = load_rankings([SAMPLE_RANKINGS])
+        entries = load_rankings([SAMPLE_RANKINGS])
         stats, _ = rank_stats(entries)
         s = stats[32]
         assert (s.ratio_max, s.ratio_mean, s.ratio_min, s.ratio_std) == (1.0, 1.0, 1.0, 0.0)
@@ -188,7 +191,7 @@ class TestRankStats:
         assert stats[16].n_dates == 1
 
     def test_min_le_mean_le_max(self):
-        entries, _ = load_rankings([SAMPLE_RANKINGS])
+        entries = load_rankings([SAMPLE_RANKINGS])
         stats, _ = rank_stats(entries)
         for s in stats.values():
             assert s.points_min <= s.points_mean <= s.points_max
@@ -200,14 +203,14 @@ class TestRankStats:
             rank_stats(self.entries(rows))
 
     def test_text_table_mentions_expected_row(self):
-        entries, _ = load_rankings([SAMPLE_RANKINGS])
+        entries = load_rankings([SAMPLE_RANKINGS])
         stats, _ = rank_stats(entries)
         text = format_rank_stats(stats)
         assert "expected" in text
         assert "2430" in text and "1260" in text and "650" in text
 
     def test_csv_emission(self):
-        entries, _ = load_rankings([SAMPLE_RANKINGS])
+        entries = load_rankings([SAMPLE_RANKINGS])
         stats, _ = rank_stats(entries)
         buf = io.StringIO()
         write_rank_stats_csv(stats, buf)
@@ -265,6 +268,112 @@ class TestParticipation:
         buf = io.StringIO()
         write_participation_csv(table, buf)
         assert buf.getvalue().startswith("band,category,0,1,2,3,4,5,6_or_more,mean")
+
+
+def reference_rank_stats(table, bands):
+    """rank_stats by per-row dictionaries, the loop the columns replaced."""
+    needed = set(bands) | {32}
+    by_date = {}
+    for date, rank, points in zip(table.date.tolist(), table.rank.tolist(),
+                                  table.points.tolist()):
+        if rank in needed:
+            by_date.setdefault(date, {})[rank] = points
+    usable = {d: v for d, v in sorted(by_date.items()) if needed <= v.keys()}
+    skipped = [d for d in sorted(by_date) if d not in usable]
+    stats = {}
+    for band in bands:
+        pts = np.array([v[band] for v in usable.values()])
+        ratio = np.array([v[band] / v[32] for v in usable.values()])
+        stats[band] = (len(pts), float(pts.max()), float(pts.mean()), float(pts.min()),
+                       float(pts.std()), float(ratio.max()), float(ratio.mean()),
+                       float(ratio.min()), float(ratio.std()))
+    return stats, skipped
+
+
+def reference_participation(table, bands):
+    """participation_table by per-row and per-player loops."""
+    counted = (Category.TOUR_500.value, Category.TOUR_250.value)
+    event_category, event_resolved, entrants = {}, {}, {}
+    for k in range(len(table)):
+        category = table.category[k] or ("tour_250" if table.level[k] == "A" else "")
+        if category in counted:
+            event = table.event[k]
+            event_category[event] = category  # the last counted row decides
+            event_resolved[event] = table.category[k] != ""
+            entrants.setdefault(event, set()).update((table.winner_id[k], table.loser_id[k]))
+    played = {c: {} for c in counted}
+    for event, players in entrants.items():
+        for player in players:
+            tally = played[event_category[event]]
+            tally[player] = tally.get(player, 0) + 1
+    rank_of, seen_on = {}, {}
+    for k in range(len(table)):
+        date = table.date[k]
+        for player, rank in ((table.winner_id[k], table.winner_rank[k]),
+                             (table.loser_id[k], table.loser_rank[k])):
+            if not np.isnat(date) and not math.isnan(rank) and not date < seen_on.get(player, date):
+                rank_of[player], seen_on[player] = rank, date
+    histograms, means = {}, {}
+    for band in bands:
+        members = [p for p, r in rank_of.items() if r <= band]
+        for c in counted:
+            counts = [played[c].get(p, 0) for p in members]
+            histograms[(band, Category(c))] = [sum(min(n, 6) == j for n in counts)
+                                               for j in range(7)]
+            means[(band, Category(c))] = sum(counts) / len(members) if members else 0.0
+    return histograms, means, sum(not r for r in event_resolved.values())
+
+
+def random_archive(seed: int) -> MatchTable:
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([0, 1, 40, 600]))
+    pick = lambda values: rng.choice(np.array(values, dtype=object), n)  # noqa: E731
+    dates = np.datetime64("2015-01-05") + rng.integers(0, 6, n).astype("timedelta64[D]")
+    dates[rng.random(n) < 0.1] = np.datetime64("NaT")
+    players = [f"P{k}" for k in range(int(rng.choice([2, 12, 80])))] + [""]
+    ranks = [rng.integers(1, 90, n).astype(float) for _ in range(2)]
+    for r in ranks:
+        r[rng.random(n) < 0.15] = np.nan
+    return MatchTable(
+        date=dates, winner_points=np.ones(n), loser_points=np.ones(n),
+        level=pick(["A", "A", "G", "M", ""]), round=pick(["F"]), score=pick([""]),
+        event=pick([f"E{k}" for k in range(int(rng.choice([1, 6, 30])))]),
+        winner_id=pick(players), loser_id=pick(players),
+        winner_rank=ranks[0], loser_rank=ranks[1],
+        category=pick(["tour_500", "tour_250", "", "", "grand_slam", "masters_1000"]),
+    )
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rank_stats_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        week, rank = np.divmod(rng.permutation(40), 5)
+        keep = rng.random(40) < 0.8
+        table = RankingTable(
+            date=np.datetime64("2015-01-05") + 7 * week[keep],
+            rank=np.array([1, 16, 32, 64, 70])[rank[keep]],
+            player=np.full(keep.sum(), "p", dtype=object),
+            points=rng.uniform(1.0, 5000.0, keep.sum()),
+        )
+        bands = ((16, 32, 64), (64,), (16, 32))[seed % 3]
+        expected, expected_skipped = reference_rank_stats(table, bands)
+        stats, skipped = rank_stats(table, bands)
+        got = {b: (s.n_dates, s.points_max, s.points_mean, s.points_min, s.points_std,
+                   s.ratio_max, s.ratio_mean, s.ratio_min, s.ratio_std)
+               for b, s in stats.items()}
+        assert got == expected
+        assert skipped == expected_skipped
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_participation_matches_loop(self, seed):
+        table = random_archive(seed)
+        bands = ((8, 16, 30, 64), (1, 2, 200), (50,))[seed % 3]
+        result = participation_table(table, bands=bands)
+        histograms, means, unresolved = reference_participation(table, bands)
+        assert result.histograms == histograms
+        assert result.means == means
+        assert result.unresolved_events == unresolved
 
 
 class TestEmission:
