@@ -17,7 +17,6 @@ from .model import (
 )
 from .points import (
     Category,
-    PlayerSeason,
     PointTable,
     SeasonResult,
     best_18_total,
@@ -42,7 +41,6 @@ __all__ = [
     "predict",
     "win_probability",
     "Category",
-    "PlayerSeason",
     "PointTable",
     "SeasonResult",
     "best_18_total",

@@ -10,6 +10,7 @@ final, 1-4 before the semifinals, and 1-8 before the quarterfinals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
@@ -166,11 +167,12 @@ def run_tournament(
     """
     if not bracket.is_complete():
         raise DomainError("bracket has unfilled slots")
-    if not alpha >= 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha!r}")
+    if not 0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
     for player in bracket.slots:
-        if not ratings[player] > 0:
-            raise DomainError(f"player {player!r} has non-positive rating {ratings[player]!r}")
+        if not 0 < ratings[player] < math.inf:
+            raise DomainError(f"player {player!r} has non-positive or non-finite "
+                              f"rating {ratings[player]!r}")
 
     draw = bracket.draw_size
     alive: list[PlayerId] = list(bracket.slots)

@@ -132,16 +132,6 @@ class SeasonResult:
     date: datetime.date
 
 
-@dataclass
-class PlayerSeason:
-    """A player's dated tournament results."""
-
-    results: list[SeasonResult] = field(default_factory=list)
-
-    def total_points(self, as_of: datetime.date) -> int:
-        return best_18_total(self.results, as_of)
-
-
 def best_18_total(results: Iterable[SeasonResult], as_of: datetime.date) -> int:
     """Sum of the 18 largest results in the 52 weeks ending at ``as_of``.
 

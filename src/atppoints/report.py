@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ingest import RankingTable
-from .model import Matches, MatchTable, _nonempty, win_probability
+from .model import Matches, MatchTable, _nonempty, _require_positive, win_probability
 from .points import Category, expected_points, expected_ratio_to_32
 
 DEFAULT_RATIO_BINS = 40
@@ -72,6 +72,7 @@ def _bin_oriented(
 
 
 def _oriented_ratios(table: MatchTable, alpha: float):
+    _require_positive("alpha", alpha)
     # interleaved [r0, 1/r0, r1, 1/r1, ...]: bincount sums in index order,
     # so this order fixes the last bits of every bin's sums
     r = table.winner_points / table.loser_points

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
 from .ingest import _read_fields, _read_key_values
-from .points import BEST_N, Category, PlayerSeason, SeasonResult
+from .points import BEST_N, Category
 
 WEEKS_PER_SEASON = 52
 TOP_N_MANDATORY = 30
@@ -107,8 +108,10 @@ class SeasonConfig:
     max_events_per_season: int = 18
 
     def validate(self) -> None:
-        if not self.alpha >= 0:
-            raise DomainError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if not 0 <= self.alpha < math.inf:
+            raise DomainError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
         if self.n_500_choices < 0 or self.n_250_choices < 0:
             raise DomainError("optional-event choices must be nonnegative")
         if self.top30_mandatory and self.n_500_choices + self.n_250_choices < 6:
@@ -119,8 +122,9 @@ class SeasonConfig:
             raise DomainError("n_seasons must be at least 1")
         if not 0 <= self.burn_in < self.n_seasons:
             raise DomainError("burn_in must be smaller than n_seasons")
-        if not self.points_floor > 0:
-            raise DomainError("points_floor must be positive")
+        if not 0 < self.points_floor < math.inf:
+            raise DomainError(f"points_floor must be positive and finite, "
+                              f"got {self.points_floor!r}")
         if self.max_events_per_season < 1:
             raise DomainError("max_events_per_season must be at least 1")
         if not self.calendar:
@@ -135,18 +139,21 @@ class SeasonConfig:
 
 @dataclass
 class SeasonReport:
-    """Weekly standings for every simulated season, plus per-player results.
+    """Weekly standings for every simulated season, plus the results log.
 
     Row ``(season - 1) * 52 + week - 1`` of ``ranked_players`` holds the
     player indices from rank 1 down after that week; the same row of
-    ``ranked_points`` holds their ranking points.
+    ``ranked_points`` holds their ranking points.  ``results`` has one row
+    per tournament entry, in the order the draws were played, and four
+    integer columns: player index, absolute week ``(season - 1) * 52 + week``,
+    index of the event in ``config.calendar``, and points won.
     """
 
     config: SeasonConfig
     players: list[str]
     ranked_players: np.ndarray
     ranked_points: np.ndarray
-    player_results: list[PlayerSeason]
+    results: np.ndarray
 
     def points_at_rank(self, season: int, rank: int) -> int:
         """Points held at the given rank in the season's final week."""
@@ -194,26 +201,29 @@ def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
 def _pick_optional_events(
     config: SeasonConfig,
     top30: np.ndarray,
-    busy: np.ndarray,
     committed: np.ndarray,
 ) -> None:
     """Greedy optional-event choice: players take the events with the weakest
-    committed field so far, in rank order.  Each pick is marked in
-    ``committed`` (event x player) and ``busy`` (player x week)."""
+    committed field so far, in rank order, skipping the weeks they already
+    play; ties go to the earlier week, then the earlier calendar entry.
+    Each pick is marked in ``committed`` (event x player)."""
     calendar = config.calendar
+    weeks = np.array([ev.week for ev in calendar])
+    field_size = committed.sum(axis=1)
+    choices = [
+        (np.flatnonzero([ev.category == category for ev in calendar]), wanted)
+        for category, wanted in ((Category.TOUR_500, config.n_500_choices),
+                                 (Category.TOUR_250, config.n_250_choices))
+    ]
     for player in top30:
-        for category, wanted in (
-            (Category.TOUR_500, config.n_500_choices),
-            (Category.TOUR_250, config.n_250_choices),
-        ):
-            candidates = sorted(
-                (idx for idx, ev in enumerate(calendar)
-                 if ev.category == category and not busy[player, ev.week]),
-                key=lambda idx: (np.count_nonzero(committed[idx]), calendar[idx].week, idx),
-            )
-            for idx in candidates[:wanted]:
-                committed[idx, player] = True
-                busy[player, calendar[idx].week] = True
+        busy = np.zeros(WEEKS_PER_SEASON + 1, dtype=bool)
+        busy[weeks[committed[:, player]]] = True
+        for events, wanted in choices:
+            free = events[~busy[weeks[events]]]
+            picks = free[np.lexsort((free, weeks[free], field_size[free]))[:wanted]]
+            committed[picks, player] = True
+            busy[weeks[picks]] = True
+            field_size[picks] += 1
 
 
 def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
@@ -241,7 +251,8 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
         )
 
     season_streams = np.random.SeedSequence(config.rng_seed).spawn(config.n_seasons)
-    results: list[PlayerSeason] = [PlayerSeason() for _ in range(n)]
+    results = np.empty((config.n_seasons * sum(weekly_need.values()), 4), dtype=np.int64)
+    n_results = 0
     # Each player's result in each of the last 52 weeks, in column
     # abs_week % 52 (a player plays at most one event a week); the best-18
     # sum of a row is the player's current ranking points.
@@ -263,7 +274,6 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
         idx for idx, ev in enumerate(calendar)
         if ev.category == Category.GRAND_SLAM
     ] + masters_order[:MANDATORY_MASTERS]
-    mandatory_weeks = [calendar[idx].week for idx in mandatory_events]
 
     for season in range(1, config.n_seasons + 1):
         rng = np.random.Generator(np.random.PCG64(season_streams[season - 1]))
@@ -274,15 +284,12 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
         if config.top30_mandatory:
             top30 = order[: min(TOP_N_MANDATORY, n)]
             committed[np.ix_(mandatory_events, top30)] = True
-            busy = np.zeros((n, WEEKS_PER_SEASON + 1), dtype=bool)  # player x week
-            busy[np.ix_(top30, mandatory_weeks)] = True
-            _pick_optional_events(config, top30, busy, committed)
+            _pick_optional_events(config, top30, committed)
             restricted[top30] = True
 
         events_played = np.zeros(n, dtype=np.int64)
         for week in range(1, WEEKS_PER_SEASON + 1):
             abs_week = (season - 1) * WEEKS_PER_SEASON + week
-            today = week_date(season, week)
             slot = abs_week % WEEKS_PER_SEASON
             window[:, slot] = 0
             played = np.zeros(n, dtype=bool)
@@ -312,11 +319,10 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
                 br = fill_unseeded(br, entrants[n_seeds:], rng)
                 ratings = {p: max(points[p], config.points_floor) for p in entrants}
                 outcome = run_tournament(br, ratings, config.alpha, ev.category, rng)
-                for p, res in outcome.items():
-                    results[p].results.append(
-                        SeasonResult(ev.category, res.round_reached, res.points, today)
-                    )
-                    window[p, slot] = res.points
+                log = results[n_results:n_results + ev.draw_size]
+                n_results += ev.draw_size
+                log[:] = [(p, abs_week, idx, res.points) for p, res in outcome.items()]
+                window[log[:, 0], slot] = log[:, 3]
                 events_played[have] += 1
                 played |= have
 
@@ -327,7 +333,7 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
             ranked_points[abs_week - 1] = points[order]
 
     return SeasonReport(config=config, players=players, ranked_players=ranked_players,
-                        ranked_points=ranked_points, player_results=results)
+                        ranked_points=ranked_points, results=results)
 
 
 # --- flat key=value config files -------------------------------------------

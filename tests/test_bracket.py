@@ -186,13 +186,15 @@ class TestRunTournament:
             run_tournament(br, {}, 1.0, T250, np.random.default_rng(0))
 
     def test_deterministic_limit_highest_points_wins(self):
-        # with seeds placed by rating, an infinite exponent makes every
-        # favorite win: seed 1 takes the title and meets seed 2 in the final
+        # with seeds placed by rating, an exponent this large saturates every
+        # win probability (a ratio of at least 2000/1990 raised to 1e6 is past
+        # float range), so every favorite wins: seed 1 takes the title and
+        # meets seed 2 in the final
         players = [f"p{i:03d}" for i in range(32)]
         ratings = {p: 2000.0 - 10 * k for k, p in enumerate(players)}
         br = place_seeds(32, players[:8], np.random.default_rng(5))
         br = fill_unseeded(br, players[8:], np.random.default_rng(5))
-        results = run_tournament(br, ratings, math.inf, T250, np.random.default_rng(5))
+        results = run_tournament(br, ratings, 1e6, T250, np.random.default_rng(5))
         assert results[players[0]].round_reached == "W"
         assert results[players[1]].round_reached == "F"
 
@@ -242,6 +244,20 @@ class TestRunTournament:
         ratings[players[5]] = 0.0
         with pytest.raises(DomainError, match="non-positive"):
             run_tournament(br, ratings, 1.0, T250, rng)
+
+    @pytest.mark.parametrize("rating, alpha, named", [
+        (math.inf, 1.0, "rating"), (math.nan, 1.0, "rating"),
+        (100.0, math.inf, "alpha"), (100.0, math.nan, "alpha"),
+    ])
+    def test_non_finite_input_raises(self, rating, alpha, named):
+        # an infinite floor or rating made every ratio inf/inf = nan, which
+        # hands every match to the second slot
+        rng = np.random.default_rng(9)
+        br, players = full_bracket(32, rng)
+        ratings = {p: 100.0 for p in players}
+        ratings[players[5]] = rating
+        with pytest.raises(DomainError, match=named):
+            run_tournament(br, ratings, alpha, T250, rng)
 
     def test_fixed_seed_reproduces(self):
         br, players = full_bracket(32, np.random.default_rng(10))

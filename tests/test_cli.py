@@ -282,8 +282,26 @@ class TestReport:
         assert "no snapshot date contains every requested rank band" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_bad_alpha_is_domain_error(self, runner, tmp_path, command, alpha):
+        result = runner.invoke(main, [
+            command, MATCHES, "--alpha", alpha, "--out", str(tmp_path / command),
+        ])
+        assert result.exit_code == 5, result.output
+        assert "alpha must be positive and finite" in result.output
+        assert "Traceback" not in result.output
+
 
 _RANKING_COLUMNS = ["ranking_date", "rank", "player", "points"]
+
+
+def _maybe_not_utf8(draw, data: bytes) -> bytes:
+    """``data`` with two non-UTF-8 bytes spliced in one time in ten."""
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff\xfe" + data[cut:]
+    return data
 
 
 @st.composite
@@ -306,11 +324,7 @@ def malformed_rankings(draw) -> bytes:
             lines.append(",".join(draw(values[c]) for c in columns))
         else:
             lines.append("" if draw(st.booleans()) else "20150105,32")
-    data = ("\n".join(lines) + "\n").encode()
-    if draw(st.integers(0, 9)) == 0:
-        cut = draw(st.integers(0, len(data)))
-        data = data[:cut] + b"\xff\xfe" + data[cut:]
-    return data
+    return _maybe_not_utf8(draw, ("\n".join(lines) + "\n").encode())
 
 
 class TestRankingsFuzz:
@@ -402,6 +416,17 @@ class TestSimulate:
         assert result.exit_code == 3
         assert f"{config}:2" in result.output
 
+    @pytest.mark.parametrize("args, named", [
+        (["--seed", "-1"], "rng_seed"),
+        (["--points-floor", "inf"], "points_floor"),
+        (["--alpha", "inf"], "alpha"),
+    ], ids=["seed-1", "floor-inf", "alpha-inf"])
+    def test_bad_season_value_is_domain_error(self, runner, tmp_path, args, named):
+        result = runner.invoke(main, ["simulate", *args, "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 5, result.output
+        assert named in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("extra, seasons_sha, summary_sha", [
         ([], "aafc3bd7645e67a6d014cfcba9e70ab034a92d800cb5c6987399cba3b99aafa4",
          "3db55d56f2d7a4ed93407ece47068d3bcaf5595cf20105b932a48336eda3fbb7"),
@@ -454,6 +479,79 @@ class TestSimulate:
         ])
         assert result.exit_code == 5
         assert "pool" in result.output
+
+
+# each key's valid values come first; n_players stays at most 400 and
+# n_seasons at most 2, so no example runs long
+_CONFIG_VALUES = {
+    "alpha": (["0.8722", "0", "2"], ["-1", "nan", "inf", "abc", ""]),
+    "rng_seed": (["0", "7"], ["-1", "1.5", "x"]),
+    "n_players": (["140", "200", "400"], ["0", "-5", "x"]),
+    "n_seasons": (["1", "2"], ["0", "-1", "nan"]),
+    "burn_in": (["0", "1"], ["-1", "x"]),
+    "points_floor": (["1.0", "7.5"], ["0", "-1", "nan", "inf", "x"]),
+    "top30_mandatory": (["true", "false"], ["yes"]),
+    "n_500_choices": (["3", "0", "13"], ["-1", "x"]),
+    "n_250_choices": (["3", "6", "40"], ["-1", "x"]),
+    "max_events_per_season": (["18", "5"], ["0", "-1", "x"]),
+    "calendar": (["calendar.csv"], ["missing.csv", ""]),
+    "alpa": ([], ["0.9"]),
+}
+
+_CALENDAR_VALUES = {
+    "week": (["1", "3", "20", "52"], ["0", "53", "x", ""]),
+    "category": (["grand_slam", "masters_1000", "tour_500", "tour_250"], ["slam", ""]),
+    "draw_size": (["32", "64", "128"], ["0", "48", "96", "x"]),
+}
+
+
+def _value(draw, choices: tuple[list[str], list[str]]) -> str:
+    """A valid value four times in five, where the key has any."""
+    valid, invalid = choices
+    return draw(st.sampled_from(valid if valid and draw(st.integers(0, 4)) else invalid))
+
+
+@st.composite
+def malformed_season_config(draw) -> bytes:
+    """A key=value season config with junk keys, lines missing ``=``, bad,
+    nan, inf and negative values and, sometimes, bytes that are not UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from(sorted(_CONFIG_VALUES)))
+        value = _value(draw, _CONFIG_VALUES[key])
+        lines.append(f"{key}={value}" if draw(st.integers(0, 19)) else f"{key} {value}")
+    return _maybe_not_utf8(draw, ("\n".join(lines) + "\n").encode())
+
+
+@st.composite
+def malformed_calendar(draw) -> bytes:
+    """A calendar CSV with dropped or reordered columns, draw sizes outside
+    32/64/128, unknown categories and, sometimes, bytes that are not UTF-8."""
+    columns = draw(st.permutations(list(_CALENDAR_VALUES)))
+    columns = columns[:draw(st.sampled_from([2, 3, 3, 3]))]
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 8))):
+        lines.append(",".join(_value(draw, _CALENDAR_VALUES[c]) for c in columns))
+    return _maybe_not_utf8(draw, ("\n".join(lines) + "\n").encode())
+
+
+class TestSeasonInputFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(config=malformed_season_config(), calendar=st.none() | malformed_calendar())
+    @example(config=b"rng_seed=-1\n", calendar=None)
+    @example(config=b"points_floor=inf\n", calendar=None)
+    def test_simulate_exit_code_no_traceback(self, config, calendar):
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = Path(tmp) / "season.cfg"
+            config_path.write_bytes(config)
+            args = ["simulate", "--config", str(config_path), "--out", str(Path(tmp) / "sim")]
+            if calendar is not None:
+                calendar_path = Path(tmp) / "calendar.csv"
+                calendar_path.write_bytes(calendar)
+                args += ["--calendar", str(calendar_path)]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code in (0, 2, 3, 4, 5), (result.output, result.exception)
+            assert "Traceback" not in result.output
 
 
 class TestIngestDump:

@@ -14,7 +14,6 @@ from atppoints.points import (
     BEST_N,
     Category,
     EVENTS_PER_YEAR,
-    PlayerSeason,
     SeasonResult,
     best_18_total,
     dump_tables,
@@ -161,9 +160,8 @@ class TestBest18:
         results = [result(v, DAY) for v in values]
         assert best_18_total(results, DAY) == sum(values)
 
-    def test_player_season_delegates(self):
-        season = PlayerSeason([result(90, DAY), result(45, DAY)])
-        assert season.total_points(DAY) == 135
+    def test_two_same_day_results_sum(self):
+        assert best_18_total([result(90, DAY), result(45, DAY)], DAY) == 135
 
 
 class TestExpectedPoints:

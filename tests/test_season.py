@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from atppoints.errors import DomainError
-from atppoints.points import BEST_N, Category, best_18_total
+from atppoints.points import BEST_N, Category, SeasonResult, best_18_total
 from atppoints.season import (
     CalendarEvent,
     SeasonConfig,
@@ -57,6 +57,29 @@ def standings(report) -> list[Standing]:
     return [Standing(int(s), int(w), p, int(pts), int(r)) for s, w, p, pts, r in rows]
 
 
+def dated_results(report, player: int) -> list[SeasonResult]:
+    """One player's rows of the results log as dated results for the best-18
+    oracle (the log keeps no round, which the oracle does not read)."""
+    calendar = report.config.calendar
+    dated = []
+    for _, abs_week, event, points in report.results[report.results[:, 0] == player].tolist():
+        season, week = divmod(abs_week - 1, WEEKS_PER_SEASON)
+        dated.append(SeasonResult(calendar[event].category, "", points,
+                                  week_date(season + 1, week + 1)))
+    return dated
+
+
+#: Points one draw hands out, enumerated by hand: the winner's points plus,
+#: per round, the losers times that round's points (blank cells award 0).
+DRAW_TOTALS = {
+    (Category.GRAND_SLAM, 128): 2000 + 1200 + 2 * 720 + 4 * 360 + 8 * 180
+    + 16 * 90 + 32 * 45 + 64 * 10,
+    (Category.MASTERS_1000, 64): 1000 + 600 + 2 * 360 + 4 * 180 + 8 * 90 + 16 * 45 + 32 * 10,
+    (Category.TOUR_500, 32): 500 + 300 + 2 * 180 + 4 * 90 + 8 * 45,
+    (Category.TOUR_250, 32): 250 + 150 + 2 * 90 + 4 * 45 + 8 * 20,
+}
+
+
 class TestRunSeason:
     def test_standings_shape(self):
         report = run_season(small_config(), PLAYERS)
@@ -92,12 +115,42 @@ class TestRunSeason:
             for row in standings(report):
                 if row.week not in (1, 20, 52) or by_player[row.player] % 17 != 0:
                     continue
-                season_results = report.player_results[by_player[row.player]].results
+                season_results = dated_results(report, by_player[row.player])
                 expected = best_18_total(season_results, week_date(row.season, row.week))
                 assert row.points == expected
                 checked += 1
             assert checked > 50
-        assert max(len(ps.results) for ps in report.player_results[::17]) > 2 * BEST_N
+        entries = np.bincount(report.results[:, 0], minlength=len(PLAYERS))
+        assert entries[::17].max() > 2 * BEST_N
+
+    @pytest.mark.parametrize("config", [
+        small_config(),
+        small_config(top30_mandatory=True, rng_seed=3),
+        small_config(calendar=small_calendar() + 2 * [CalendarEvent(3, Category.TOUR_250, 32)],
+                     n_players=200, rng_seed=5),
+        SeasonConfig(rng_seed=11, n_seasons=2),
+    ], ids=["free", "top30", "gs-week-250s", "default-calendar"])
+    def test_results_log_invariants(self, config):
+        players = [f"P{i:03d}" for i in range(config.n_players)]
+        report = run_season(config, players)
+        player, abs_week, event, points = report.results.T
+        calendar = config.calendar
+        assert len(report.results) == config.n_seasons * sum(ev.draw_size for ev in calendar)
+        # each week holds at most one row per player
+        week_player = abs_week * len(players) + player
+        assert len(np.unique(week_player)) == len(week_player)
+        # each event is played once a season, in its calendar week, with one
+        # row per entrant, and hands out its draw's point-table total
+        assert np.array_equal((abs_week - 1) % WEEKS_PER_SEASON + 1,
+                              [calendar[e].week for e in event])
+        draws, which, sizes = np.unique(abs_week * len(calendar) + event,
+                                        return_inverse=True, return_counts=True)
+        assert len(draws) == config.n_seasons * len(calendar)
+        totals = np.bincount(which, weights=points)
+        for draw, size, total in zip(draws, sizes, totals):
+            ev = calendar[draw % len(calendar)]
+            assert size == ev.draw_size
+            assert total == DRAW_TOTALS[ev.category, ev.draw_size]
 
     def test_pool_too_small_raises(self):
         with pytest.raises(DomainError, match="pool"):
@@ -138,19 +191,14 @@ class TestRunSeason:
             for row in standings(report)
             if row.season == 1 and row.week == WEEKS_PER_SEASON and row.rank <= 30
         ]
-        season2_start = week_date(2, 1)
+        season2_start = WEEKS_PER_SEASON + 1  # absolute week
+        player, abs_week, _, _ = report.results.T
+        counts = np.bincount(player[abs_week >= season2_start], minlength=len(PLAYERS))
         # restricted players enter Grand Slam + both Masters + their picks
         # only: the small calendar offers 2 of 3 wanted 500s and 3 250s
         for idx in top30:
-            played = sum(
-                1 for r in report.player_results[idx].results if r.date >= season2_start
-            )
-            assert played <= 1 + 2 + 2 + 3
-        counts = [
-            sum(1 for r in ps.results if r.date >= season2_start)
-            for ps in report.player_results
-        ]
-        assert max(counts) > 8  # free players roam the whole calendar
+            assert counts[idx] <= 1 + 2 + 2 + 3
+        assert counts.max() > 8  # free players roam the whole calendar
 
     def test_mandatory_top30_in_grand_slam(self):
         config = small_config(top30_mandatory=True, n_seasons=2, rng_seed=3)
@@ -159,7 +207,7 @@ class TestRunSeason:
         # season 2 enters from the final season-1 standings, ties broken by a
         # fresh draw: everyone with more points than rank 31 is in its top 30
         # and must hold a season-2 Grand Slam result
-        season2_start = week_date(2, 1)
+        season2_start = WEEKS_PER_SEASON + 1  # absolute week
         cutoff = report.points_at_rank(1, 31)
         top = [
             by_player[row.player]
@@ -167,17 +215,13 @@ class TestRunSeason:
             if row.season == 1 and row.week == WEEKS_PER_SEASON and row.points > cutoff
         ]
         assert len(top) >= 20
+        player, abs_week, event, _ = report.results.T
+        grand_slam = np.array([ev.category == Category.GRAND_SLAM
+                               for ev in config.calendar])[event]
+        season2_gs = set(player[grand_slam & (abs_week >= season2_start)].tolist())
         for idx in top:
-            assert any(
-                r.category == Category.GRAND_SLAM and r.date >= season2_start
-                for r in report.player_results[idx].results
-            )
-        gs_players = {
-            idx
-            for idx, ps in enumerate(report.player_results)
-            if any(r.category == Category.GRAND_SLAM and r.date < season2_start
-                   for r in ps.results)
-        }
+            assert idx in season2_gs
+        gs_players = set(player[grand_slam & (abs_week < season2_start)].tolist())
         assert len(gs_players) == 128
 
     @pytest.mark.parametrize("season, rank", [(1, 0), (1, 141), (3, 1), (0, 1)])
