@@ -10,6 +10,7 @@ final, 1-4 before the semifinals, and 1-8 before the quarterfinals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
@@ -150,53 +151,62 @@ class TournamentResult:
     points: int
 
 
+@functools.cache
+def _exit_results(category: Category, draw: int) -> tuple[TournamentResult, ...]:
+    """Each round's loser results, first round first, then the champion's."""
+    losers = [TournamentResult(tag, points_or_zero(category, tag, draw))
+              for size, tag in sorted(ROUND_OF.items(), reverse=True) if size <= draw
+              for _ in range(size // 2)]
+    return (*losers, TournamentResult("W", points_for(category, "W")))
+
+
+# (alpha, slot ratings, {a * draw + b: p}) of the draw played last; p is a
+# function of the key alone, so callers sharing the memo cannot affect each other.
+_memo: tuple[float, list[float], dict[int, float]] = (math.nan, [], {})
+
+
 def run_tournament(
     bracket: Bracket,
-    ratings: Mapping[PlayerId, float],
+    ratings: Mapping[PlayerId, float] | Sequence[float],
     alpha: float,
     category: Category,
     rng: np.random.Generator,
 ) -> dict[PlayerId, TournamentResult]:
     """Play out the draw; returns each player's exit round and points.
 
-    Slot 1 meets slot 2, 3 meets 4, and winners are re-paired in order.
-    Each match is won by the slot-i player with the model probability for
-    the players' rating ratio.  One uniform draw per match, consumed per
-    round in bracket order, so runs are reproducible for a fixed rng.
-    Rounds the point table leaves blank for this draw size award 0.
+    Slot 1 meets slot 2, 3 meets 4, and winners are re-paired in order.  Each
+    match is won by the slot-i player with the model probability for the
+    rating ratio, drawn with one uniform per match in bracket order.  Players
+    are listed in order of exit; blank point-table cells award 0.  A one-entry
+    memo keeps the slot-pair probabilities of the last alpha and ratings played.
     """
+    global _memo
     if not bracket.is_complete():
         raise DomainError("bracket has unfilled slots")
     if not 0 <= alpha < math.inf:
         raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
-    for player in bracket.slots:
-        if not 0 < ratings[player] < math.inf:
-            raise DomainError(f"player {player!r} has non-positive or non-finite "
-                              f"rating {ratings[player]!r}")
+    values = list(map(ratings.__getitem__, bracket.slots))
+    memo_alpha, memo_values, probs = _memo
+    # a list equal to the memo's was validated when stored; nan equals nothing
+    if alpha != memo_alpha or values != memo_values:
+        for player, rating in zip(bracket.slots, values):
+            if not 0 < rating < math.inf:
+                raise DomainError(f"player {player!r} has non-positive or non-finite "
+                                  f"rating {rating!r}")
+        probs = {}
+        _memo = (alpha, values, probs)
 
     draw = bracket.draw_size
-    alive: list[PlayerId] = list(bracket.slots)
-    results: dict[PlayerId, TournamentResult] = {}
-    # one uniform per match, consumed round by round in bracket order
-    uniforms = rng.random(draw - 1)
-    win_p = win_probability
-    next_u = 0
-    size = draw
-    while size > 1:
-        tag = ROUND_OF[size]
-        loser_result = TournamentResult(tag, points_or_zero(category, tag, draw))
-        nxt: list[PlayerId] = []
-        for k in range(0, size, 2):
-            a, b = alive[k], alive[k + 1]
-            p = win_p(alpha, ratings[a] / ratings[b])
-            if uniforms[next_u] < p:
-                winner, loser = a, b
-            else:
-                winner, loser = b, a
-            next_u += 1
-            results[loser] = loser_result
-            nxt.append(winner)
-        alive = nxt
-        size //= 2
-    results[alive[0]] = TournamentResult("W", points_for(category, "W"))
-    return results
+    alive = list(range(draw))  # slot indices; each match appends its winner
+    exits: list[int] = []
+    pairs = iter(alive)
+    for u, a, b in zip(rng.random(draw - 1).tolist(), pairs, pairs):
+        p = probs.get(a * draw + b)
+        if p is None:
+            p = probs[a * draw + b] = win_probability(alpha, values[a] / values[b])
+        if u >= p:  # the second slot wins
+            a, b = b, a
+        alive.append(a)
+        exits.append(b)
+    exits.append(alive[-1])
+    return dict(zip(map(bracket.slots.__getitem__, exits), _exit_results(category, draw)))

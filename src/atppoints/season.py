@@ -17,7 +17,6 @@ priority.
 from __future__ import annotations
 
 import csv
-import datetime
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
@@ -49,10 +48,6 @@ _PRESTIGE = {
     Category.TOUR_500: 2,
     Category.TOUR_250: 3,
 }
-
-#: Anchor date for week arithmetic; week 1 of season 1 maps to this Monday.
-SEASON_EPOCH = datetime.date(2000, 1, 3)
-
 
 @dataclass(frozen=True)
 class CalendarEvent:
@@ -188,11 +183,6 @@ class SeasonReport:
                                  players[ranked].tolist(), points.tolist(), ranks))
 
 
-def week_date(season: int, week: int) -> datetime.date:
-    absolute = (season - 1) * WEEKS_PER_SEASON + (week - 1)
-    return SEASON_EPOCH + datetime.timedelta(days=7 * absolute)
-
-
 def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
     """Player indices from rank 1 down; ties broken by the random key."""
     return np.lexsort((tiebreak, -points))
@@ -293,6 +283,7 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
             slot = abs_week % WEEKS_PER_SEASON
             window[:, slot] = 0
             played = np.zeros(n, dtype=bool)
+            ratings = np.maximum(points, config.points_floor).tolist()  # by player index
             for idx in events_by_week.get(week, ()):
                 ev = calendar[idx]
                 have = committed[idx] & ~played
@@ -317,7 +308,6 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
                 n_seeds = SEEDS_FOR_DRAW[ev.draw_size]
                 br = place_seeds(ev.draw_size, entrants[:n_seeds], rng)
                 br = fill_unseeded(br, entrants[n_seeds:], rng)
-                ratings = {p: max(points[p], config.points_floor) for p in entrants}
                 outcome = run_tournament(br, ratings, config.alpha, ev.category, rng)
                 log = results[n_results:n_results + ev.draw_size]
                 n_results += ev.draw_size

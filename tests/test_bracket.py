@@ -9,14 +9,18 @@ import pytest
 
 from atppoints.bracket import (
     Bracket,
+    ROUND_OF,
     SEEDS_FOR_DRAW,
+    SUPPORTED_DRAWS,
+    TournamentResult,
     fill_unseeded,
     place_seeds,
     run_tournament,
     seed_slot_groups,
 )
 from atppoints.errors import DomainError
-from atppoints.points import Category
+from atppoints.model import win_probability
+from atppoints.points import Category, points_for, points_or_zero
 
 GS = Category.GRAND_SLAM
 M = Category.MASTERS_1000
@@ -43,6 +47,43 @@ def full_bracket(draw: int, rng: np.random.Generator) -> tuple[Bracket, list[str
     br = place_seeds(draw, players[:n_seeds], rng)
     br = fill_unseeded(br, players[n_seeds:], rng)
     return br, players
+
+
+def _reference_run_tournament(bracket, ratings, alpha, category, rng):
+    """The plain round-by-round loop: the oracle run_tournament must equal
+    exactly, in its result items, their order and the generator state."""
+    if not bracket.is_complete():
+        raise DomainError("bracket has unfilled slots")
+    if not 0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
+    for player in bracket.slots:
+        if not 0 < ratings[player] < math.inf:
+            raise DomainError(f"player {player!r} has non-positive or non-finite "
+                              f"rating {ratings[player]!r}")
+    draw = bracket.draw_size
+    alive = list(bracket.slots)
+    results = {}
+    uniforms = rng.random(draw - 1)
+    next_u = 0
+    size = draw
+    while size > 1:
+        tag = ROUND_OF[size]
+        loser_result = TournamentResult(tag, points_or_zero(category, tag, draw))
+        nxt = []
+        for k in range(0, size, 2):
+            a, b = alive[k], alive[k + 1]
+            p = win_probability(alpha, ratings[a] / ratings[b])
+            if uniforms[next_u] < p:
+                winner, loser = a, b
+            else:
+                winner, loser = b, a
+            next_u += 1
+            results[loser] = loser_result
+            nxt.append(winner)
+        alive = nxt
+        size //= 2
+    results[alive[0]] = TournamentResult("W", points_for(category, "W"))
+    return results
 
 
 class TestSeedSlots:
@@ -259,12 +300,99 @@ class TestRunTournament:
         with pytest.raises(DomainError, match=named):
             run_tournament(br, ratings, alpha, T250, rng)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("make", [lambda v: dict(enumerate(v)), list], ids=["dict", "list"])
+    def test_bad_rating_after_warm_memo_raises(self, bad, make):
+        # the memo holds this draw's probabilities, but the changed rating
+        # must still be validated, before any uniform is drawn
+        rng = np.random.default_rng(12)
+        players = list(range(32))
+        br = fill_unseeded(place_seeds(32, players[:8], rng), players[8:], rng)
+        ratings = make([100.0 + k for k in players])
+        for _ in range(3):
+            run_tournament(br, ratings, 0.8722, T250, rng)
+        ratings[br.slots[5]] = bad
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="rating"):
+            run_tournament(br, ratings, 0.8722, T250, rng)
+        assert rng.bit_generator.state == state
+
     def test_fixed_seed_reproduces(self):
         br, players = full_bracket(32, np.random.default_rng(10))
         ratings = {p: float(100 + k) for k, p in enumerate(players)}
         a = run_tournament(br, ratings, 0.9, T250, np.random.default_rng(123))
         b = run_tournament(br, ratings, 0.9, T250, np.random.default_rng(123))
         assert a == b
+
+
+def _random_field(draw: int, rng: np.random.Generator, names=str):
+    """A balloted draw of players ``names(0..draw-1)`` with spread-out ratings."""
+    players = [names(i) for i in range(draw)]
+    n_seeds = SEEDS_FOR_DRAW[draw]
+    br = fill_unseeded(place_seeds(draw, players[:n_seeds], rng), players[n_seeds:], rng)
+    ratings = dict(zip(players, rng.lognormal(6.0, 1.0, draw).tolist()))
+    return br, ratings
+
+
+def _calls_replayed(draw, alpha, rng):
+    br, ratings = _random_field(draw, rng)
+    return [(br, ratings, alpha)] * 30
+
+
+def _calls_fresh(draw, alpha, rng):
+    br, _ = _random_field(draw, rng)
+    return [(br, dict(zip(br.slots, rng.lognormal(6.0, 1.0, draw).tolist())), alpha)
+            for _ in range(30)]
+
+
+def _calls_alternating(draw, alpha, rng):
+    first, second = _random_field(draw, rng), _random_field(draw, rng)
+    return [(*field, alpha) for _ in range(15) for field in (first, second)]
+
+
+def _calls_renamed(draw, alpha, rng):
+    # equal slot ratings under other ids: the memo may hit, the ids must not leak
+    br, ratings = _random_field(draw, rng)
+    renamed = Bracket(draw, [f"x{p}" for p in br.slots])
+    renamed_ratings = {f"x{p}": r for p, r in ratings.items()}
+    return [call for _ in range(15) for call in ((br, ratings, alpha),
+                                                (renamed, renamed_ratings, alpha))]
+
+
+def _calls_alpha_switch(draw, alpha, rng):
+    br, ratings = _random_field(draw, rng)
+    return [(br, ratings, a) for _ in range(10) for a in (alpha, 0.8722 * 2, alpha)]
+
+
+def _calls_season_ids(draw, alpha, rng):
+    # int player ids indexing one list of ratings, many at the floor value,
+    # several draws of one week's pool
+    n = 300
+    ratings = np.maximum(rng.lognormal(5.0, 2.0, n) - 150.0, 1.0).tolist()
+    calls = []
+    for _ in range(10):
+        entrants = rng.permutation(n)[:draw].tolist()
+        n_seeds = SEEDS_FOR_DRAW[draw]
+        br = fill_unseeded(place_seeds(draw, entrants[:n_seeds], rng), entrants[n_seeds:], rng)
+        calls += [(br, ratings, alpha)] * 3
+    return calls
+
+
+@pytest.mark.parametrize("calls", [_calls_replayed, _calls_fresh, _calls_alternating,
+                                   _calls_renamed, _calls_alpha_switch, _calls_season_ids],
+                         ids=lambda f: f.__name__.removeprefix("_calls_"))
+@pytest.mark.parametrize("alpha", [0.0, 0.8722, 50.0])
+@pytest.mark.parametrize("draw", SUPPORTED_DRAWS)
+def test_run_tournament_equals_reference(draw, alpha, calls):
+    """Every call's items, their order and the generator state equal the
+    round-by-round reference, however calls share the probability memo."""
+    category = {32: T250, 64: M, 128: GS}[draw]
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    for br, ratings, a in calls(draw, alpha, np.random.default_rng(draw)):
+        got = run_tournament(br, ratings, a, category, rng)
+        want = _reference_run_tournament(br, ratings, a, category, ref_rng)
+        assert list(got.items()) == list(want.items())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.slow

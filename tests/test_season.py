@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import datetime
 import io
 from collections import namedtuple
 
@@ -18,7 +19,6 @@ from atppoints.season import (
     default_calendar,
     load_season_config,
     run_season,
-    week_date,
 )
 
 
@@ -44,6 +44,15 @@ def small_config(**overrides) -> SeasonConfig:
 
 
 PLAYERS = [f"P{i:03d}" for i in range(140)]
+
+#: Anchor date for the best-18 oracle; week 1 of season 1 maps to this Monday.
+SEASON_EPOCH = datetime.date(2000, 1, 3)
+
+
+def week_date(season: int, week: int) -> datetime.date:
+    absolute = (season - 1) * WEEKS_PER_SEASON + (week - 1)
+    return SEASON_EPOCH + datetime.timedelta(days=7 * absolute)
+
 
 Standing = namedtuple("Standing", "season week player points rank")
 
