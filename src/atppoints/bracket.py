@@ -102,6 +102,11 @@ def seed_slot_groups(draw_size: int, n_seeds: int) -> list[list[int]]:
     return groups
 
 
+@functools.cache
+def _seed_slot_groups(draw_size: int, n_seeds: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, seed_slot_groups(draw_size, n_seeds)))
+
+
 def place_seeds(
     draw_size: int,
     seeded_players: Sequence[PlayerId],
@@ -110,17 +115,14 @@ def place_seeds(
     """Assign seeds to slots; within each group the assignment is balloted."""
     if len(set(seeded_players)) != len(seeded_players):
         raise DomainError("seeded players must be distinct")
-    groups = seed_slot_groups(draw_size, len(seeded_players))
-    bracket = Bracket.empty(draw_size)
-    seed_no = 1
-    for slots in groups:
-        players = seeded_players[seed_no - 1 : seed_no - 1 + len(slots)]
-        order = rng.permutation(len(slots))
-        for player, k in zip(players, order):
+    bracket = Bracket.empty(draw_size)  # checks draw_size before the cache hashes it
+    bracket.seeds = list(enumerate(seeded_players, start=1))
+    start = 0
+    for slots in _seed_slot_groups(draw_size, len(seeded_players)):
+        group = seeded_players[start:start + len(slots)]
+        for player, k in zip(group, rng.permutation(len(slots))):
             bracket.slots[slots[k] - 1] = player
-            bracket.seeds.append((seed_no, player))
-            seed_no += 1
-    bracket.seeds.sort()
+        start += len(slots)
     return bracket
 
 

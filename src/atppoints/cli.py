@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage, 3 schema, 4 I/O, 5 domain.
 
 from __future__ import annotations
 
-import datetime
 import functools
 import sys
 from pathlib import Path
@@ -169,7 +168,7 @@ def fit(match_files, date_from, date_to, levels, include_qualifying,
     baseline = baseline_brier(observations)
 
     out_dir = _ensure_out(out)
-    manifest = build_manifest("fit", _flags(
+    manifest = build_manifest("fit", dict(
         date_from=date_from, date_to=date_to, levels=levels,
         include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
         schema=schema_path, search_lo=search_lo, search_hi=search_hi,
@@ -235,7 +234,7 @@ def evaluate(match_files, date_from, date_to, levels, include_qualifying,
         with open(out_dir / "evaluation.txt", "w", encoding="utf-8") as fp:
             fp.write(lines + "\n" + report.summary() + "\n")
         write_manifest(
-            build_manifest("evaluate", _flags(
+            build_manifest("evaluate", dict(
                 date_from=date_from, date_to=date_to, levels=levels,
                 include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
                 schema=schema_path, alpha=alpha, out=out), match_files),
@@ -303,7 +302,7 @@ def report(match_files, date_from, date_to, levels, include_qualifying,
         fp.write(ingest_report.summary() + "\n")
 
     write_manifest(
-        build_manifest("report", _flags(
+        build_manifest("report", dict(
             date_from=date_from, date_to=date_to, levels=levels,
             include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
             schema=schema_path, rankings=list(ranking_files), alpha=alpha,
@@ -336,7 +335,8 @@ def simulate(config_path, alpha, seed, n_players, n_seasons, burn_in,
              n_500_choices, n_250_choices, max_events_per_season,
              top30_mandatory, points_floor, calendar_path, out):
     """Run the season Monte Carlo and summarize rank-band points."""
-    config = load_season_config(config_path) if config_path else SeasonConfig()
+    config, config_calendar = (load_season_config(config_path) if config_path
+                               else (SeasonConfig(), None))
     overrides = {
         "alpha": alpha,
         "rng_seed": seed,
@@ -372,9 +372,10 @@ def simulate(config_path, alpha, seed, n_players, n_seasons, burn_in,
                 f"{band:<12} {expected_points(band):>9} {s['median']:>11.1f} "
                 f"{s['mean']:>11.1f} {s['min']:>11.1f} {s['max']:>11.1f}\n"
             )
-    inputs = [p for p in (config_path, calendar_path) if p]
+    # the config and the calendar the run used; --calendar replaces the config's
+    inputs = [p for p in (config_path, calendar_path or config_calendar) if p]
     write_manifest(
-        build_manifest("simulate", _flags(
+        build_manifest("simulate", dict(
             config=config_path, alpha=config.alpha, seed=config.rng_seed,
             players=config.n_players, seasons=config.n_seasons,
             burn_in=config.burn_in, n500=config.n_500_choices,
@@ -403,22 +404,13 @@ def ingest_dump(match_files, date_from, date_to, levels, include_qualifying,
     with open(out_dir / "observations.csv", "w", encoding="utf-8", newline="") as fp:
         dump_observations(observations, fp)
     write_manifest(
-        build_manifest("ingest-dump", _flags(
+        build_manifest("ingest-dump", dict(
             date_from=date_from, date_to=date_to, levels=levels,
             include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
             schema=schema_path, out=out), match_files),
         out_dir,
     )
     click.echo(report.summary())
-
-
-def _flags(**kwargs) -> dict:
-    out = {}
-    for key, value in kwargs.items():
-        if isinstance(value, datetime.datetime):
-            value = value.date().isoformat()
-        out[key] = value
-    return out
 
 
 if __name__ == "__main__":

@@ -58,6 +58,8 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, Path):
         return str(value)
+    if isinstance(value, datetime.datetime):  # the CLI's --from/--to: a day
+        return value.date().isoformat()
     if isinstance(value, datetime.date):
         return value.isoformat()
     return value

@@ -189,19 +189,13 @@ def rank_stats(
     for band in bands:
         pts = usable[needed.index(band)]
         ratio = pts / usable[needed.index(32)]
-        stats[band] = RankStats(
-            band=band,
-            n_dates=len(pts),
-            points_max=float(pts.max()),
-            points_mean=float(pts.mean()),
-            points_min=float(pts.min()),
-            points_std=float(pts.std()),
-            ratio_max=float(ratio.max()),
-            ratio_mean=float(ratio.mean()),
-            ratio_min=float(ratio.min()),
-            ratio_std=float(ratio.std()),
-        )
+        stats[band] = RankStats(band, len(pts), *_summary(pts), *_summary(ratio))
     return stats, dates[~complete].tolist()
+
+
+def _summary(values: np.ndarray) -> tuple[float, float, float, float]:
+    """Max, mean, min and population std: the order of RankStats' fields."""
+    return float(values.max()), float(values.mean()), float(values.min()), float(values.std())
 
 
 def write_rank_stats_csv(stats: Mapping[int, RankStats], fp: IO[str]) -> None:

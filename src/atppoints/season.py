@@ -16,10 +16,8 @@ priority.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -162,25 +160,34 @@ class SeasonReport:
 
     def rank_summary(self, rank: int) -> dict[str, float]:
         """Median/mean/min/max of end-of-season points at a rank, burn-in excluded."""
-        arr = np.array(
-            [float(self.points_at_rank(s, rank)) for s in self.measured_seasons()]
-        )
+        values = [float(self.points_at_rank(s, rank)) for s in self.measured_seasons()]
+        ordered, mid = sorted(values), len(values) // 2  # np.median imports numpy.ma
         return {
-            "median": float(np.median(arr)),
-            "mean": float(arr.mean()),
-            "min": float(arr.min()),
-            "max": float(arr.max()),
+            "median": (ordered[mid] + ordered[~mid]) / 2,  # one element twice if odd
+            "mean": float(np.mean(values)),
+            "min": min(values),
+            "max": max(values),
         }
 
     def write_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp)
-        writer.writerow(["season", "week", "player", "points", "rank"])
-        players = np.array(self.players, dtype=object)
-        ranks = range(1, len(self.players) + 1)
+        """The weekly standings, byte for byte as ``csv.writer`` writes them:
+        rank order within each week, csv-quoted ids, ``\\r\\n`` row ends.
+        Each week is one string joined from pieces made once (ids, tails)."""
+        fp.write("season,week,player,points,rank\r\n")
+        names = [_csv_field(str(player)) + "," for player in self.players]
+        tails = [f",{rank}\r\n" for rank in range(1, len(self.players) + 1)]
         for row, (ranked, points) in enumerate(zip(self.ranked_players, self.ranked_points)):
             season, week = divmod(row, WEEKS_PER_SEASON)
-            writer.writerows(zip(repeat(season + 1), repeat(week + 1),
-                                 players[ranked].tolist(), points.tolist(), ranks))
+            prefix = f"{season + 1},{week + 1},"
+            fp.write("".join([prefix + name + str(pts) + tail for name, pts, tail in zip(
+                map(names.__getitem__, ranked.tolist()), points.tolist(), tails)]))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a row of several, quoted where csv would."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
@@ -311,7 +318,8 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
                 outcome = run_tournament(br, ratings, config.alpha, ev.category, rng)
                 log = results[n_results:n_results + ev.draw_size]
                 n_results += ev.draw_size
-                log[:] = [(p, abs_week, idx, res.points) for p, res in outcome.items()]
+                log[:, 0], log[:, 1:3] = list(outcome), (abs_week, idx)
+                log[:, 3] = [res.points for res in outcome.values()]
                 window[log[:, 0], slot] = log[:, 3]
                 events_played[have] += 1
                 played |= have
@@ -346,10 +354,12 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
     return events
 
 
-def load_season_config(path: str | Path) -> SeasonConfig:
+def load_season_config(path: str | Path) -> tuple[SeasonConfig, Path | None]:
     """Parse a flat key=value config file (keys: the SeasonConfig fields);
-    unknown keys are rejected.  ``calendar`` is relative to the file."""
+    unknown keys are rejected.  ``calendar`` is relative to the file.
+    Returns the config and the calendar file it was read from, if any."""
     config = SeasonConfig()
+    calendar_path = None
     base = Path(path).parent
     kinds = {f.name: type(f.default) for f in fields(SeasonConfig)}
     for line_no, key, value in _read_key_values(path):
@@ -372,4 +382,4 @@ def load_season_config(path: str | Path) -> SeasonConfig:
                                   f"got {value!r}") from None
         else:
             raise DomainError(f"{where}: unknown config key {key!r}")
-    return config
+    return config, calendar_path

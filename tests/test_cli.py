@@ -396,6 +396,23 @@ class TestSimulate:
             assert result.exit_code == 0
         assert tree_bytes(out_a) == tree_bytes(out_b)
 
+    def test_manifest_records_calendar_read(self, runner, tmp_path):
+        # the config's calendar is an input; --calendar replaces it
+        config = write_small_sim_config(tmp_path)
+        calendar = tmp_path / "calendar.csv"
+        override = tmp_path / "override.csv"
+        override.write_text(calendar.read_text().replace("35,tour_250", "36,tour_250"))
+        inputs = {}
+        for name, extra in (("config", []), ("override", ["--calendar", str(override)])):
+            out = tmp_path / name
+            result = runner.invoke(main, ["simulate", "--config", str(config), "--seed", "3",
+                                          *extra, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            inputs[name] = manifest_of(out)["inputs"]
+        for name, read in (("config", calendar), ("override", override)):
+            assert inputs[name] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+                                    for path in (config, read)}
+
     @pytest.mark.parametrize("line", ["alpha=abc", "n_players=x", "burn_in=1.5"])
     def test_bad_config_value_is_domain_error(self, runner, tmp_path, line):
         config = tmp_path / "season.cfg"
@@ -511,16 +528,22 @@ def _value(draw, choices: tuple[list[str], list[str]]) -> str:
     return draw(st.sampled_from(valid if valid and draw(st.integers(0, 4)) else invalid))
 
 
-@st.composite
-def malformed_season_config(draw) -> bytes:
-    """A key=value season config with junk keys, lines missing ``=``, bad,
-    nan, inf and negative values and, sometimes, bytes that are not UTF-8."""
+def _key_value_file(draw, values: dict[str, tuple[list[str], list[str]]]) -> bytes:
+    """A key=value file over the keys of ``values``, one line in twenty
+    missing its ``=`` and, sometimes, bytes that are not UTF-8."""
     lines = []
     for _ in range(draw(st.integers(0, 6))):
-        key = draw(st.sampled_from(sorted(_CONFIG_VALUES)))
-        value = _value(draw, _CONFIG_VALUES[key])
+        key = draw(st.sampled_from(sorted(values)))
+        value = _value(draw, values[key])
         lines.append(f"{key}={value}" if draw(st.integers(0, 19)) else f"{key} {value}")
     return _maybe_not_utf8(draw, ("\n".join(lines) + "\n").encode())
+
+
+@st.composite
+def malformed_season_config(draw) -> bytes:
+    """A season config with junk keys, lines missing ``=`` and bad, nan,
+    inf and negative values."""
+    return _key_value_file(draw, _CONFIG_VALUES)
 
 
 @st.composite
@@ -550,6 +573,106 @@ class TestSeasonInputFuzz:
                 calendar_path.write_bytes(calendar)
                 args += ["--calendar", str(calendar_path)]
             result = CliRunner().invoke(main, args)
+            assert result.exit_code in (0, 2, 3, 4, 5), (result.output, result.exception)
+            assert "Traceback" not in result.output
+
+
+# archive columns under their default names; each value list offers valid
+# values first, so most rows parse and some reach the model
+_ARCHIVE_VALUES = {
+    "tourney_date": (["20150105", "2015-03-02", "20161231"], ["bad", "", "20151340"]),
+    "tourney_level": (["G", "M", "A", "A"], ["Q", "", "g"]),
+    "round": (["R32", "QF", "F", "R128"], ["Q1", "", "RR"]),
+    "winner_rank_points": (["2425", "1265", "773.5", "10"], ["0", "-40", "nan", "inf", "1e400",
+                                                          "1e-300", "abc", ""]),
+    "loser_rank_points": (["1800", "650", "31", "5000"], ["0", "-1", "nan", "-inf", "x", ""]),
+    "winner_rank": (["16", "32", "7"], ["x", "", "1e30", "-1"]),
+    "loser_rank": (["64", "100"], ["x", ""]),
+    "winner_id": (["1", "2", " 3 "], [""]),
+    "loser_id": (["4", "5"], [""]),
+    "tourney_id": (["2015-1", "2015-2"], [""]),
+    "score": (["6-4 6-4", "W/O", "RET"], [""]),
+    "category": (["tour_250", "tour_500", "grand_slam"], ["slam", ""]),
+}
+
+_SCHEMA_VALUES = {
+    **{key: (sorted(_ARCHIVE_VALUES), ["missing_col", ""])
+       for key in ("date", "level", "round", "winner_points", "loser_points", "winner_id",
+                   "winner_rank", "category", "tournament_id", "score")},
+    "draw_size": (["draw_size"], ["missing_col"]),
+    "points": ([], ["winner_rank_points"]),
+}
+
+_PARAMS_VALUES = {
+    "alpha": (["0.8722", "2", "1e-300"], ["0", "-1", "nan", "inf", "1e400", "abc", "", "None"]),
+    "fitted_e2": (["0.2", "", "None"], ["1.5", "-0.1", "nan", "x"]),
+    "n_matches": (["184", "", "None", "0"], ["-3", "1.5", "1e400", "x"]),
+    "dataset_fingerprint": (["abc123", ""], ["a=b"]),
+    "date_from": (["2015-01-01", ""], ["bad"]),
+    "bogus": ([], ["1"]),
+}
+
+
+@st.composite
+def malformed_archive(draw) -> bytes:
+    """A match archive with dropped or reordered columns, unparsable dates,
+    missing, zero, negative, nan, inf and overflowing points, ragged rows and,
+    sometimes, bytes that are not UTF-8."""
+    columns = draw(st.permutations(sorted(_ARCHIVE_VALUES)))
+    columns = columns[draw(st.sampled_from([0, 0, 0, 1, 4])):]
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 10))):
+        row = [_value(draw, _ARCHIVE_VALUES[c]) for c in columns]
+        lines.append(",".join(row[:draw(st.sampled_from([len(row)] * 5 + [2]))]))
+    return _maybe_not_utf8(draw, ("\n".join(lines) + "\n").encode())
+
+
+@st.composite
+def malformed_schema(draw) -> bytes:
+    """A schema file with unknown fields, remaps to absent or wrong columns
+    and lines missing ``=``."""
+    return _key_value_file(draw, _SCHEMA_VALUES)
+
+
+@st.composite
+def malformed_params(draw) -> bytes:
+    """A params file with unknown keys and bad, nan, inf, negative and
+    overflowing values; most name an alpha, so the later checks are reached."""
+    alpha = f"alpha={_value(draw, _PARAMS_VALUES['alpha'])}\n" if draw(st.integers(0, 4)) else ""
+    return alpha.encode() + _key_value_file(draw, _PARAMS_VALUES)
+
+
+class TestArchiveInputFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(archive=malformed_archive(),
+           schema=st.none() | malformed_schema(),
+           command=st.sampled_from(["fit", "ingest-dump"]))
+    @example(archive=b"tourney_date,tourney_level,round,winner_rank_points,loser_rank_points\n"
+                     b"20150105,A,R32,1e400,650\n20150105,A,R32,2425,-inf\n",
+             schema=None, command="fit")
+    @example(archive=b"tourney_date,tourney_level,round,winner_rank_points,loser_rank_points\n"
+                     b"20150105,A,R32,2425,650\n",
+             schema=b"date=missing_col\n", command="ingest-dump")
+    def test_archive_exit_code_no_traceback(self, archive, schema, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            archive_path = Path(tmp) / "matches.csv"
+            archive_path.write_bytes(archive)
+            args = [command, str(archive_path), "--out", str(Path(tmp) / "out")]
+            if schema is not None:
+                schema_path = Path(tmp) / "schema.cfg"
+                schema_path.write_bytes(schema)
+                args += ["--schema", str(schema_path)]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code in (0, 2, 3, 4, 5), (result.output, result.exception)
+            assert "Traceback" not in result.output
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=malformed_params())
+    def test_evaluate_params_exit_code_no_traceback(self, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            params_path = Path(tmp) / "params.txt"
+            params_path.write_bytes(params)
+            result = CliRunner().invoke(main, ["evaluate", MATCHES, "--params", str(params_path)])
             assert result.exit_code in (0, 2, 3, 4, 5), (result.output, result.exception)
             assert "Traceback" not in result.output
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import os
 from collections import namedtuple
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from atppoints.points import BEST_N, Category, SeasonResult, best_18_total
 from atppoints.season import (
     CalendarEvent,
     SeasonConfig,
+    SeasonReport,
     WEEKS_PER_SEASON,
     default_calendar,
     load_season_config,
@@ -64,6 +67,34 @@ def standings(report) -> list[Standing]:
     buf.seek(0)
     rows = list(csv.reader(buf))[1:]
     return [Standing(int(s), int(w), p, int(pts), int(r)) for s, w, p, pts, r in rows]
+
+
+def _reference_write_csv(report, fp) -> None:
+    """The csv.writer loop ``SeasonReport.write_csv`` must match byte for byte."""
+    writer = csv.writer(fp)
+    writer.writerow(["season", "week", "player", "points", "rank"])
+    players = np.array(report.players, dtype=object)
+    ranks = range(1, len(report.players) + 1)
+    for row, (ranked, points) in enumerate(zip(report.ranked_players, report.ranked_points)):
+        season, week = divmod(row, WEEKS_PER_SEASON)
+        writer.writerows(zip(repeat(season + 1), repeat(week + 1),
+                             players[ranked].tolist(), points.tolist(), ranks))
+
+
+#: Player ids csv must quote (or, for the empty id, must not), and some it
+#: leaves alone.
+AWKWARD_IDS = ["a,b", 'a"b', "a\nb", " a ", "", "é", "c\r", '"', "x,y\r\n\"z\""]
+
+
+def synthetic_report(players, n_seasons: int, burn_in: int = 0, seed: int = 0) -> SeasonReport:
+    """A report with random standings, for the writer and the summaries."""
+    rng = np.random.default_rng(seed)
+    n_weeks = n_seasons * WEEKS_PER_SEASON
+    ranked_players = rng.random((n_weeks, len(players))).argsort(axis=1)
+    ranked_points = -np.sort(-rng.integers(0, 5000, (n_weeks, len(players))), axis=1)
+    return SeasonReport(config=SeasonConfig(n_seasons=n_seasons, burn_in=burn_in),
+                        players=list(players), ranked_players=ranked_players,
+                        ranked_points=ranked_points, results=np.empty((0, 4), dtype=np.int64))
 
 
 def dated_results(report, player: int) -> list[SeasonResult]:
@@ -241,6 +272,42 @@ class TestRunSeason:
             report.points_at_rank(season, rank)
 
 
+class TestSeasonReport:
+    @pytest.mark.parametrize("make", [
+        lambda: run_season(small_config(), AWKWARD_IDS + PLAYERS[len(AWKWARD_IDS):]),
+        lambda: run_season(small_config(top30_mandatory=True, rng_seed=3), PLAYERS),
+        lambda: run_season(SeasonConfig(rng_seed=11), [f"P{i + 1:03d}" for i in range(200)]),
+        lambda: synthetic_report(AWKWARD_IDS, n_seasons=2, seed=1),
+        lambda: synthetic_report([""], n_seasons=1),
+        lambda: synthetic_report([], n_seasons=1),
+        lambda: synthetic_report([7, 1.5, True], n_seasons=1),
+    ], ids=["awkward-ids", "top30", "default-calendar", "synthetic-awkward", "one-empty-id",
+            "no-players", "non-str-ids"])
+    def test_write_csv_equals_reference(self, make):
+        report = make()
+        fast, reference = io.StringIO(newline=""), io.StringIO(newline="")
+        report.write_csv(fast)
+        _reference_write_csv(report, reference)
+        got, want = fast.getvalue(), reference.getvalue()
+        # assert a bool: pytest's diff of two megabyte strings takes minutes
+        same = got == want
+        at = len(os.path.commonprefix([got, want]))
+        lo = max(at - 30, 0)
+        assert same, f"differ at {at}: {got[lo:at + 30]!r} != {want[lo:at + 30]!r}"
+
+    @pytest.mark.parametrize("n_seasons, burn_in", [(1, 0), (4, 1), (4, 0), (6, 2), (7, 0)])
+    def test_rank_summary_median_equals_numpy(self, n_seasons, burn_in):
+        # odd and even counts of measured seasons; an even count averages two
+        players = [f"P{i}" for i in range(40)]
+        report = synthetic_report(players, n_seasons, burn_in, seed=n_seasons)
+        for rank in range(1, len(players) + 1):
+            measured = [report.points_at_rank(s, rank) for s in report.measured_seasons()]
+            assert len(measured) == n_seasons - burn_in
+            median = report.rank_summary(rank)["median"]
+            assert type(median) is float
+            assert median == float(np.median(measured))
+
+
 class TestSeasonConfig:
     def test_default_calendar_counts(self):
         from collections import Counter
@@ -278,7 +345,8 @@ class TestSeasonConfig:
             "max_events_per_season=20\n"
             "points_floor=2.0\n"
         )
-        config = load_season_config(path)
+        config, calendar_path = load_season_config(path)
+        assert calendar_path is None
         assert config.alpha == 0.9
         assert config.rng_seed == 42
         assert config.n_players == 150
@@ -305,7 +373,8 @@ class TestSeasonConfig:
         )
         cfg = tmp_path / "season.cfg"
         cfg.write_text(f"calendar={cal.name}\n")
-        config = load_season_config(cfg)
+        config, calendar_path = load_season_config(cfg)
+        assert calendar_path == cal
         assert config.calendar == [
             CalendarEvent(3, Category.GRAND_SLAM, 128),
             CalendarEvent(10, Category.TOUR_250, 32),
