@@ -98,6 +98,12 @@ def _load(match_files, date_from, date_to, levels, include_qualifying,
         date_from, date_to, levels, include_qualifying, drop_walkovers))
 
 
+def _inputs(match_files, *files) -> list:
+    """The files a run read, for the manifest: the archives, then each other
+    file given (rankings, --schema, --params)."""
+    return [*match_files, *filter(None, files)]
+
+
 def _ensure_out(out: str) -> Path:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,7 +178,7 @@ def fit(match_files, date_from, date_to, levels, include_qualifying,
         date_from=date_from, date_to=date_to, levels=levels,
         include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
         schema=schema_path, search_lo=search_lo, search_hi=search_hi,
-        tol=tol, out=out), match_files)
+        tol=tol, out=out), _inputs(match_files, schema_path))
     fingerprint = dataset_fingerprint([manifest.inputs[str(p)] for p in match_files])
     write_params_file(out_dir / "params.txt", params, fingerprint, date_from, date_to)
     with open(out_dir / "report.txt", "w", encoding="utf-8") as fp:
@@ -237,7 +243,8 @@ def evaluate(match_files, date_from, date_to, levels, include_qualifying,
             build_manifest("evaluate", dict(
                 date_from=date_from, date_to=date_to, levels=levels,
                 include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-                schema=schema_path, alpha=alpha, out=out), match_files),
+                schema=schema_path, alpha=alpha, out=out),
+                _inputs(match_files, schema_path, params_path)),
             out_dir,
         )
 
@@ -307,7 +314,7 @@ def report(match_files, date_from, date_to, levels, include_qualifying,
             include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
             schema=schema_path, rankings=list(ranking_files), alpha=alpha,
             ratio_bins=ratio_bins, prob_bins=prob_bins, out=out),
-            list(match_files) + list(ranking_files)),
+            _inputs(match_files, *ranking_files, schema_path, params_path)),
         out_dir,
     )
     click.echo(f"report written to {out_dir}")
@@ -407,7 +414,7 @@ def ingest_dump(match_files, date_from, date_to, levels, include_qualifying,
         build_manifest("ingest-dump", dict(
             date_from=date_from, date_to=date_to, levels=levels,
             include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-            schema=schema_path, out=out), match_files),
+            schema=schema_path, out=out), _inputs(match_files, schema_path)),
         out_dir,
     )
     click.echo(report.summary())

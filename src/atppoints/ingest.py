@@ -14,10 +14,12 @@ the rows whose date and rank parse and whose points are finite and positive.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
+import gc
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -186,32 +188,52 @@ _COLUMNS: dict[str, tuple[object, Callable[[str], object]]] = {
 
 def _read_fields(
     path: str | Path, schema: dict[str, str], names: Iterable[str], required: Iterable[str]
-) -> tuple[dict[str, Sequence[str]], list[int]]:
+) -> tuple[dict[str, Sequence[str]], int]:
     """Text of each named logical field, one entry per row of a CSV file, and
-    the file line each row ends on: blank lines hold no row, a short row or an
-    absent column reads "", and a repeated column name resolves to its last
-    column."""
-    rows, lines = [], []
+    the number of rows: blank lines hold no row, a short row or an absent
+    column reads "", and a repeated column name resolves to its last column.
+    ``_line_of_row`` finds the file line of a row when an error names it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fp:
+        with open(path, newline="", encoding="utf-8") as fp, _cycle_collector_paused():
             reader = csv.reader(fp)
             header = next(reader, [])
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
+            # the row lists die inside the pause; the columns (tuples) live on
+            by_index = list(zip_longest(*filter(None, reader), fillvalue=""))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     missing = [schema[f] for f in required if schema[f] not in header]
     if missing:
         raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-    by_index = list(zip_longest(*rows, fillvalue=""))
+    n_rows = len(by_index[0]) if by_index else 0
     index = {name: i for i, name in enumerate(header)}
     texts = {}
     for name in names:
         i = index.get(schema.get(name) or None, len(by_index))
-        texts[name] = by_index[i] if i < len(by_index) else [""] * len(rows)
-    return texts, lines
+        texts[name] = by_index[i] if i < len(by_index) else [""] * n_rows
+    return texts, n_rows
+
+
+@contextlib.contextmanager
+def _cycle_collector_paused() -> Iterator[None]:
+    """Pause the cycle collector: a CSV read makes a list per row, none of them
+    in a cycle, and the collector would walk them every 700 allocations."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _line_of_row(path: str | Path, row: int) -> int:
+    """The file line that row ``row`` (from 0, as ``_read_fields`` counts
+    rows) ends on, as ``csv.reader.line_num`` counts lines."""
+    with open(path, newline="", encoding="utf-8") as fp:
+        reader = csv.reader(fp)
+        next(reader, [])
+        next(islice(filter(None, reader), row, None))
+        return reader.line_num
 
 
 def load_raw_rows(
@@ -262,9 +284,10 @@ def select_matches(
         return int(np.count_nonzero(hit))
 
     by = report.out_of_range_breakdown
-    by["level"] = drop(~np.isin(table.level, list(levels)))
+    by["level"] = drop(~np.array(_each_distinct(levels.__contains__, table.level), dtype=bool))
     if not include_qualifying:
-        by["round"] = drop(np.isin(table.round, list(_QUALIFYING_ROUNDS)))
+        by["round"] = drop(np.array(
+            _each_distinct(_QUALIFYING_ROUNDS.__contains__, table.round), dtype=bool))
     if drop_walkovers:
         by["walkover"] = drop(np.array(_each_distinct(_is_walkover, table.score), dtype=bool))
     wp, lp = table.winner_points, table.loser_points
@@ -296,18 +319,28 @@ def load_matches(
 
 
 def dump_observations(table: MatchTable, fp) -> None:
-    """Write normalized matches as delimited text."""
-    writer = csv.writer(fp)
-    writer.writerow(["date", "level", "round", "winner_points", "loser_points"])
-    writer.writerows(zip(
-        np.datetime_as_string(table.date).tolist(), table.level.tolist(), table.round.tolist(),
-        map(_format_points, table.winner_points.tolist()),
-        map(_format_points, table.loser_points.tolist()),
-    ))
+    """Write normalized matches as ``csv.writer`` would: a header, then one
+    row per match, ``\\r\\n`` row ends, level and round csv-quoted where
+    needed, points as an int when integral and as ``repr`` otherwise."""
+    points = _each_distinct(_format_points, np.column_stack(
+        (table.winner_points, table.loser_points)).ravel().tolist())
+    fp.write("date,level,round,winner_points,loser_points\r\n")
+    fp.write("".join([f"{date},{level},{rnd},{won},{lost}\r\n" for date, level, rnd, won, lost
+                      in zip(np.datetime_as_string(table.date).tolist(),
+                             _each_distinct(_csv_field, table.level.tolist()),
+                             _each_distinct(_csv_field, table.round.tolist()),
+                             points[0::2], points[1::2])]))
 
 
 def _format_points(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a row of several, quoted where csv would."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # --- ranking snapshots ------------------------------------------------------
@@ -346,16 +379,17 @@ def load_rankings(
     A row is skipped when its date or rank does not parse or its points are
     not a finite positive number.  Ranks must be unique within a date: a
     duplicate raises SchemaError naming the file and line of its later copy.
+    Only that error reads lines: it reads the named file once more to find
+    the line (``_line_of_row``).
     """
     schema = schema or DEFAULT_RANKING_SCHEMA
     parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in _RANKING_COLUMNS.items()}
-    files, line_nos = [], []
+    sizes = []
     for path in paths:
-        texts, lines = _read_fields(path, schema, _RANKING_COLUMNS, _RANKING_COLUMNS)
+        texts, n_rows = _read_fields(path, schema, _RANKING_COLUMNS, _RANKING_COLUMNS)
         for name, (dtype, parse) in _RANKING_COLUMNS.items():
             parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
-        files += [path] * len(lines)
-        line_nos += lines
+        sizes.append(n_rows)
     date, rank, player, points = (np.concatenate(parts[name]) for name in _RANKING_COLUMNS)
     # a rank that is NaN or outside int64 did not parse; NaN points fail both tests
     keep = ~np.isnat(date) & (np.abs(rank) < 2.0**63) & np.isfinite(points) & (points > 0)
@@ -365,7 +399,10 @@ def load_rankings(
     same = (np.diff(table.rank[order]) == 0) & (np.diff(table.date[order]) == np.timedelta64(0))
     if same.any():
         later = order[1:][same].min()
-        row = np.flatnonzero(keep)[later]
-        raise SchemaError(f"{files[row]}:{line_nos[row]}: duplicate rank {table.rank[later]} "
+        row = int(np.flatnonzero(keep)[later])
+        ends = np.cumsum(sizes)
+        k = int(np.searchsorted(ends, row, side="right"))
+        line = _line_of_row(paths[k], row - int(ends[k] - sizes[k]))
+        raise SchemaError(f"{paths[k]}:{line}: duplicate rank {table.rank[later]} "
                           f"for date {table.date[later]}")
     return table

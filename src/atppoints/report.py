@@ -271,25 +271,24 @@ def participation_table(
                         np.where(table.level == "A", Category.TOUR_250.value, ""))
     keep = np.isin(category, [c.value for c in counted])
     # an event takes the category of its last counted row
-    _, event_of = np.unique(table.event[keep], return_inverse=True)
+    event_of, _ = _codes(table.event[keep])
     last = len(event_of) - 1 - np.unique(event_of[::-1], return_index=True)[1]
     event_category = category[keep][last]
     # one entry per side of each row, winner first
-    players, side_player = np.unique(
-        np.column_stack((table.winner_id, table.loser_id)).ravel(), return_inverse=True)
+    side_player, n_players = _codes(np.column_stack((table.winner_id, table.loser_id)).ravel())
     # each distinct (event, player) pair is one event played
-    width = max(len(players), 1)
+    width = max(n_players, 1)
     pairs = np.unique(np.repeat(event_of, 2) * width + side_player[np.repeat(keep, 2)])
     pair_event, pair_player = np.divmod(pairs, width)
     played = {c: np.bincount(pair_player[event_category[pair_event] == c.value],
-                             minlength=len(players)) for c in counted}
+                             minlength=n_players) for c in counted}
     # a player's rank is the one at their latest date, a later side breaking a tie
     side_date = np.repeat(table.date, 2)
     side_rank = np.column_stack((table.winner_rank, table.loser_rank)).ravel()
     ok = np.flatnonzero(~np.isnat(side_date) & ~np.isnan(side_rank))
     ok = ok[np.lexsort((side_date[ok], side_player[ok]))]
     latest = ok[np.diff(side_player[ok], append=-1) != 0]
-    rank = np.full(len(players), np.nan)
+    rank = np.full(n_players, np.nan)
     rank[side_player[latest]] = side_rank[latest]
 
     result = ParticipationTable(bands=tuple(bands))
@@ -302,6 +301,14 @@ def participation_table(
                 np.minimum(counts, _HIST_CAP), minlength=_HIST_CAP + 1).tolist()
             result.means[(band, c)] = int(counts.sum()) / len(counts) if len(counts) else 0.0
     return result
+
+
+def _codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """A dense integer code per value, in first-seen order (a dict, not a
+    string sort), and the number of distinct values."""
+    values = values.tolist()
+    index = dict(zip(dict.fromkeys(values), range(len(values))))
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values)), len(index)
 
 
 def write_participation_csv(table: ParticipationTable, fp: IO[str]) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
-from .ingest import _read_fields, _read_key_values
+from .ingest import _csv_field, _read_fields, _read_key_values
 from .points import BEST_N, Category
 
 WEEKS_PER_SEASON = 52
@@ -181,13 +181,6 @@ class SeasonReport:
             prefix = f"{season + 1},{week + 1},"
             fp.write("".join([prefix + name + str(pts) + tail for name, pts, tail in zip(
                 map(names.__getitem__, ranked.tolist()), points.tolist(), tails)]))
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one field of a row of several, quoted where csv would."""
-    if any(char in text for char in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:

@@ -687,3 +687,58 @@ class TestIngestDump:
         assert lines[0] == "date,level,round,winner_points,loser_points"
         assert len(lines) == 1 + 184  # golden kept count
         assert (out / "manifest.json").exists()
+
+    def test_golden_digests(self, runner, tmp_path):
+        # pinned output: a change to the archive reader or the writer must keep every byte
+        out = tmp_path / "dump"
+        result = runner.invoke(main, ["ingest-dump", MATCHES, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256((out / "observations.csv").read_bytes()).hexdigest() == (
+            "a3c21a8bab8d251d44fdebbc9c001fe2adc2ca7ceca274f11a99b542002417db")
+
+
+class TestManifestInputs:
+    """A --schema or --params file is an input: its sha256 is in the manifest."""
+
+    COMMANDS = {
+        "fit": ["fit", MATCHES],
+        "evaluate": ["evaluate", MATCHES, "--alpha", "0.8722"],
+        "report": ["report", MATCHES, "--alpha", "0.8722"],
+        "ingest-dump": ["ingest-dump", MATCHES],
+    }
+
+    def inputs_of(self, runner, out: Path, args: list[str]) -> dict:
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return manifest_of(out)["inputs"]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_schema_file_hashed(self, runner, tmp_path, command):
+        inputs = []
+        for k, text in enumerate(["round=round\n", "# the stock layout\nround=round\n"]):
+            schema = tmp_path / f"schema{k}.cfg"
+            schema.write_text(text)
+            got = self.inputs_of(runner, tmp_path / f"out{k}",
+                                 [*self.COMMANDS[command], "--schema", str(schema)])
+            assert got[str(schema)] == hashlib.sha256(text.encode()).hexdigest()
+            inputs.append(sorted(got.values()))
+        assert inputs[0] != inputs[1]
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_params_file_hashed(self, runner, tmp_path, command):
+        args = [a for a in self.COMMANDS[command] if a not in ("--alpha", "0.8722")]
+        inputs = []
+        for k, text in enumerate(["alpha=0.8722\n", "alpha=0.8722\nn_matches=184\n"]):
+            params = tmp_path / f"params{k}.txt"
+            params.write_text(text)
+            got = self.inputs_of(runner, tmp_path / f"out{k}", [*args, "--params", str(params)])
+            assert got[str(params)] == hashlib.sha256(text.encode()).hexdigest()
+            inputs.append(sorted(got.values()))
+        assert inputs[0] != inputs[1]
+
+    def test_fingerprint_over_match_files_only(self, runner, tmp_path):
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("round=round\n")
+        self.inputs_of(runner, tmp_path / "plain", self.COMMANDS["fit"])
+        self.inputs_of(runner, tmp_path / "schema", [*self.COMMANDS["fit"], "--schema", str(schema)])
+        assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "schema")

@@ -12,12 +12,14 @@ import pytest
 from atppoints.errors import SchemaError
 from atppoints.ingest import (
     DEFAULT_LEVELS,
+    _format_points,
     dump_observations,
     load_matches,
     load_rankings,
     load_raw_rows,
     load_schema,
 )
+from atppoints.model import MatchTable
 from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS
 
 # Counted once by an independent script over the bundled sample, frozen.
@@ -167,6 +169,48 @@ class TestLoadMatches:
         assert lines[0] == "date,level,round,winner_points,loser_points"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("make", [
+        lambda: load_matches([SAMPLE_MATCHES])[0],
+        lambda: awkward_table(),
+        lambda: awkward_table()[:1],
+        lambda: awkward_table()[:0],
+    ], ids=["sample", "awkward", "one-row", "empty"])
+    def test_dump_observations_equals_reference(self, make):
+        table = make()
+        got, want = io.StringIO(), io.StringIO()
+        dump_observations(table, got)
+        _reference_dump_observations(table, want)
+        # a bool, so that a failure does not diff long strings
+        assert (got.getvalue() == want.getvalue()) is True
+
+
+def _reference_dump_observations(table: MatchTable, fp) -> None:
+    """dump_observations through csv.writer, one row at a time."""
+    writer = csv.writer(fp)
+    writer.writerow(["date", "level", "round", "winner_points", "loser_points"])
+    writer.writerows(zip(
+        np.datetime_as_string(table.date).tolist(), table.level.tolist(), table.round.tolist(),
+        map(_format_points, table.winner_points.tolist()),
+        map(_format_points, table.loser_points.tolist()),
+    ))
+
+
+def awkward_table() -> MatchTable:
+    """Rounds and levels that csv must quote, and points of every form."""
+    texts = ["a,b", 'a"b', "a\rb", "a\nb", "\r\n", " a ", "a ", " ", "", '""', '"', "é",
+             "ünï,cödé", "R32", "tour"]
+    points = [0.5, 1234.25, 1 / 3, 0.1 + 0.2, 1e-300, 1e300, 2.0**63, 1e16 + 2,
+              123456789012345678.0, 7.0, 5e-324, 2.5e15 + 0.5, 4096.0, 1.0, 99.99]
+    n = len(texts)
+    text = np.array(texts, dtype=object)
+    return MatchTable(
+        date=np.datetime64("2009-12-31") + np.arange(n).astype("timedelta64[D]"),
+        winner_points=np.array(points), loser_points=np.array(points[::-1]),
+        level=text, round=text[::-1].copy(), score=text, event=text,
+        winner_id=text, loser_id=text, winner_rank=np.full(n, np.nan),
+        loser_rank=np.full(n, np.nan), category=np.full(n, "", dtype=object),
+    )
+
 
 class TestRawRows:
     def test_category_column_parsed(self):
@@ -230,6 +274,35 @@ class TestLoadRankings:
                           "20150105,6,CC,870\n20150105,5,BB,880\n")
         with pytest.raises(SchemaError, match=r"b\.csv:3: duplicate rank 5"):
             load_rankings([first, second])
+
+    @pytest.mark.parametrize("contents, named", [
+        (["ranking_date,rank,player,points\n20150105,5,AA,900\n\n\n20150105,5,BB,880\n"],
+         "f0.csv:5: duplicate rank 5"),
+        (["ranking_date,rank,player,points\r\n20150105,5,AA,900\r\n\r\n20150105,5,BB,880\r\n"],
+         "f0.csv:4: duplicate rank 5"),
+        (['ranking_date,rank,player,points\n20150105,4,"A\nA",900\n\n20150105,5,BB,880\n'
+          '20150105,5,CC,870\n'], "f0.csv:6: duplicate rank 5"),
+        (['ranking_date,rank,player,points\n20150105,5,AA,900\n20150105,5,"B\n\nB",880\n'],
+         "f0.csv:5: duplicate rank 5"),
+        (["ranking_date,rank,player,points\n20150105,5,AA,900\n20150105,6,BB,880\n",
+          "ranking_date,rank,player,points\n\n20160104,1,CC,990\n20150105,7,DD,850\n"
+          "\n20150105,6,EE,840\n",
+          "ranking_date,rank,player,points\n20150105,6,FF,830\n"],
+         "f1.csv:6: duplicate rank 6"),
+        (["ranking_date,rank,player,points\n20150105,5,AA,900\n",
+          "ranking_date,rank,player,points\n\n20150105,5,BB,880\n",
+          "ranking_date,rank,player,points\n20150105,5,CC,870\n"],
+         "f1.csv:3: duplicate rank 5"),
+    ], ids=["blank-lines-before", "crlf", "quoted-newline-before", "quoted-newline-in-row",
+            "second-of-three", "first-row-of-second"])
+    def test_duplicate_rank_line(self, tmp_path, contents, named):
+        # the line csv.reader.line_num gives: where the later copy's row ends
+        paths = []
+        for k, text in enumerate(contents):
+            paths.append(tmp_path / f"f{k}.csv")
+            paths[-1].write_bytes(text.encode())
+        with pytest.raises(SchemaError, match=named + " for date 2015-01-05"):
+            load_rankings(paths)
 
     def test_all_dates_when_unfiltered(self):
         table = load_rankings([SAMPLE_RANKINGS])

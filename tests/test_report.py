@@ -375,6 +375,40 @@ class TestScalarReference:
         assert result.means == means
         assert result.unresolved_events == unresolved
 
+    @pytest.mark.parametrize("rows", [
+        # event, winner, loser, winner rank, loser rank, category, level
+        [("10", "10", "9", 3, 12, "tour_500", "A"), ("9", "9", "10", 12, 3, "tour_250", "A"),
+         ("10", "", "2", 20, 7, "tour_500", "A"), ("", "2", "", 7, 20, "", "A"),
+         ("9", "10", "", 3, 20, "tour_500", "A")],
+        [("b", "z", "y", 60, 1, "", "A"), ("a", "y", "x", 1, 9, "tour_500", "G"),
+         ("b", "x", "z", 9, 60, "tour_250", "A"), ("c", "y", "z", 1, 60, "tour_250", "A"),
+         ("a", "w", "z", 15, 60, "masters_1000", "M")],
+        [("E10", "P10", "P9", 1, 2, "tour_250", "A"), ("E9", "P9", "P10", 2, 1, "", "A"),
+         ("E10", "P1", "P10", 5, 1, "", "A"), ("E1", "P10", "P1", 1, 5, "tour_500", "A"),
+         ("E9", "P1", "P9", 5, 2, "tour_500", "A"), ("", "", "P9", 30, 2, "tour_250", "A")],
+    ], ids=["numeric-ids", "reverse-sorted", "prefixed"])
+    def test_participation_first_seen_order(self, rows):
+        # first-seen order of the event and player ids is not their sorted order
+        event, winner, loser, wrank, lrank, category, level = (list(c) for c in zip(*rows))
+        sides = [p for pair in zip(winner, loser) for p in pair]
+        assert list(dict.fromkeys(event)) != sorted(set(event))
+        assert list(dict.fromkeys(sides)) != sorted(set(sides))
+        text = lambda values: np.array(values, dtype=object)  # noqa: E731
+        n = len(rows)
+        table = MatchTable(
+            date=np.datetime64("2015-01-05") + np.arange(n).astype("timedelta64[D]"),
+            winner_points=np.ones(n), loser_points=np.ones(n), level=text(level),
+            round=text(["F"] * n), score=text([""] * n), event=text(event),
+            winner_id=text(winner), loser_id=text(loser), winner_rank=np.array(wrank, float),
+            loser_rank=np.array(lrank, float), category=text(category),
+        )
+        for bands in ((8, 16, 30, 64), (1, 2, 5, 12, 60)):
+            result = participation_table(table, bands=bands)
+            histograms, means, unresolved = reference_participation(table, bands)
+            assert result.histograms == histograms
+            assert result.means == means
+            assert result.unresolved_events == unresolved
+
 
 class TestEmission:
     def test_curve_csv_layout(self):
