@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ class Bracket:
 
     draw_size: int
     slots: list[PlayerId | None]
-    seeds: list[tuple[int, PlayerId]] = field(default_factory=list)
 
     @classmethod
     def empty(cls, draw_size: int) -> "Bracket":
@@ -116,7 +115,6 @@ def place_seeds(
     if len(set(seeded_players)) != len(seeded_players):
         raise DomainError("seeded players must be distinct")
     bracket = Bracket.empty(draw_size)  # checks draw_size before the cache hashes it
-    bracket.seeds = list(enumerate(seeded_players, start=1))
     start = 0
     for slots in _seed_slot_groups(draw_size, len(seeded_players)):
         group = seeded_players[start:start + len(slots)]
@@ -140,7 +138,7 @@ def fill_unseeded(
     assigned = set(p for p in bracket.slots if p is not None)
     if assigned & set(players):
         raise DomainError("some players are already placed in the bracket")
-    filled = Bracket(bracket.draw_size, list(bracket.slots), list(bracket.seeds))
+    filled = Bracket(bracket.draw_size, list(bracket.slots))
     order = rng.permutation(len(players))
     for slot, k in zip(open_slots, order):
         filled.slots[slot - 1] = players[k]

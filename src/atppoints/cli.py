@@ -1,9 +1,13 @@
 """Command-line frontend: fit, predict, evaluate, report, simulate, ingest-dump.
 
 Every command that writes files drops a manifest.json beside its outputs
-recording the resolved flags, input hashes, seed, and tool version.  Data
-files are byte-reproducible for identical inputs and seeds; only the
-manifest timestamp differs between reruns.
+recording the flags, input hashes, seed, and tool version.  The manifest's
+``flags`` hold every option of the command as given, with ``alpha`` resolved
+from ``--params`` and, for ``simulate``, the final season-config values; the
+match files and ``--params`` are not flags but are hashed in ``inputs``.
+Each flag is declared once, in its ``click.option``.  Data files are
+byte-reproducible for identical inputs and seeds; only the manifest
+timestamp differs between reruns.
 
 Exit codes: 0 success, 2 usage, 3 schema, 4 I/O, 5 domain.
 """
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, model
 from .errors import DomainError, SchemaError
 from .ingest import (
     DEFAULT_LEVELS,
@@ -32,6 +36,8 @@ from .manifest import build_manifest, dataset_fingerprint, write_manifest
 from .model import ModelParams, baseline_brier, brier_score, fit_alpha, predict
 from .points import expected_points
 from .report import (
+    DEFAULT_PROB_BINS,
+    DEFAULT_RATIO_BINS,
     bin_by_ratio,
     calibration_curve,
     format_participation,
@@ -48,6 +54,12 @@ from .season import SeasonConfig, load_calendar_file, load_season_config, run_se
 EXIT_SCHEMA = 3
 EXIT_IO = 4
 EXIT_DOMAIN = 5
+
+#: simulate flag -> the SeasonConfig field it overrides
+SEASON_FLAGS = {"alpha": "alpha", "seed": "rng_seed", "players": "n_players",
+                "seasons": "n_seasons", "burn_in": "burn_in", "n500": "n_500_choices",
+                "n250": "n_250_choices", "max_events": "max_events_per_season",
+                "top30_mandatory": "top30_mandatory", "points_floor": "points_floor"}
 
 
 def handle_errors(fn):
@@ -79,29 +91,28 @@ def ingest_options(fn):
                       help="Keep qualifying-round matches.")(fn)
     fn = click.option("--drop-walkovers", is_flag=True,
                       help="Drop rows whose score marks a walkover.")(fn)
-    fn = click.option("--schema", "schema_path", type=click.Path(exists=True, dir_okay=False),
+    fn = click.option("--schema", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="key=value column-mapping file.")(fn)
     return fn
 
 
-def _scope(date_from, date_to, levels, include_qualifying, drop_walkovers) -> dict:
-    """select_matches keyword arguments from the ingest options."""
+def _scope(date_from, date_to, levels, include_qualifying, drop_walkovers, schema) -> dict:
+    """load_matches keyword arguments from the six ingest options."""
     dates = tuple(d.date() if d else None for d in (date_from, date_to))
     return dict(date_range=dates, levels=frozenset(levels.split(",")),
-                include_qualifying=include_qualifying, drop_walkovers=drop_walkovers)
+                include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
+                schema=load_schema(schema) if schema else None)
 
 
-def _load(match_files, date_from, date_to, levels, include_qualifying,
-          drop_walkovers, schema_path):
-    schema = load_schema(schema_path) if schema_path else None
-    return load_matches(match_files, schema=schema, **_scope(
-        date_from, date_to, levels, include_qualifying, drop_walkovers))
-
-
-def _inputs(match_files, *files) -> list:
-    """The files a run read, for the manifest: the archives, then each other
-    file given (rankings, --schema, --params)."""
-    return [*match_files, *filter(None, files)]
+def _manifest(command: str, files, resolved: dict | None = None, rng_seed: int | None = None):
+    """The run's manifest.  ``flags`` are the command's parameters as click
+    resolved them, minus the match files and --params (both hashed in
+    ``inputs``), with the ``resolved`` values on top; ``inputs`` hash each of
+    ``files`` that was given."""
+    flags = {key: value for key, value in click.get_current_context().params.items()
+             if key not in ("match_files", "params")}
+    return build_manifest(command, {**flags, **(resolved or {})},
+                          [path for path in files if path], seed=rng_seed)
 
 
 def _ensure_out(out: str) -> Path:
@@ -137,11 +148,11 @@ def read_params_file(path: str | Path) -> ModelParams:
                        n_matches=number("n_matches", int))
 
 
-def _resolve_alpha(alpha: float | None, params_path: str | None) -> float:
+def _resolve_alpha(alpha: float | None, params: str | None) -> float:
     if alpha is not None:
         return alpha
-    if params_path is not None:
-        return read_params_file(params_path).alpha
+    if params is not None:
+        return read_params_file(params).alpha
     raise click.UsageError("either --alpha or --params is required")
 
 
@@ -155,16 +166,14 @@ def main() -> None:
 @click.argument("match_files", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @ingest_options
-@click.option("--search-lo", default=0.01, show_default=True)
-@click.option("--search-hi", default=5.0, show_default=True)
-@click.option("--tol", default=1e-6, show_default=True)
+@click.option("--search-lo", default=model.DEFAULT_SEARCH_LO, show_default=True)
+@click.option("--search-hi", default=model.DEFAULT_SEARCH_HI, show_default=True)
+@click.option("--tol", default=model.DEFAULT_TOL, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
-def fit(match_files, date_from, date_to, levels, include_qualifying,
-        drop_walkovers, schema_path, search_lo, search_hi, tol, out):
+def fit(match_files, search_lo, search_hi, tol, out, **scope):
     """Fit the exponent alpha by minimizing the Brier score."""
-    observations, report = _load(match_files, date_from, date_to, levels,
-                                 include_qualifying, drop_walkovers, schema_path)
+    observations, report = load_matches(match_files, **_scope(**scope))
     if not observations:
         raise DomainError("no matches after filtering")
     params = fit_alpha(observations, search_lo=search_lo, search_hi=search_hi, tol=tol)
@@ -174,13 +183,10 @@ def fit(match_files, date_from, date_to, levels, include_qualifying,
     baseline = baseline_brier(observations)
 
     out_dir = _ensure_out(out)
-    manifest = build_manifest("fit", dict(
-        date_from=date_from, date_to=date_to, levels=levels,
-        include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-        schema=schema_path, search_lo=search_lo, search_hi=search_hi,
-        tol=tol, out=out), _inputs(match_files, schema_path))
+    manifest = _manifest("fit", [*match_files, scope["schema"]])
     fingerprint = dataset_fingerprint([manifest.inputs[str(p)] for p in match_files])
-    write_params_file(out_dir / "params.txt", params, fingerprint, date_from, date_to)
+    write_params_file(out_dir / "params.txt", params, fingerprint,
+                      scope["date_from"], scope["date_to"])
     with open(out_dir / "report.txt", "w", encoding="utf-8") as fp:
         fp.write(f"alpha        {params.alpha:.6f}\n")
         fp.write(f"e2           {params.fitted_e2:.6f}\n")
@@ -215,17 +221,14 @@ def predict_cmd(alpha, params_path, r_i, r_j):
                 type=click.Path(exists=True, dir_okay=False))
 @ingest_options
 @click.option("--alpha", type=float, default=None)
-@click.option("--params", "params_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
+@click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", default=None, type=click.Path(file_okay=False),
               help="Optional output directory for evaluation.txt.")
 @handle_errors
-def evaluate(match_files, date_from, date_to, levels, include_qualifying,
-             drop_walkovers, schema_path, alpha, params_path, out):
+def evaluate(match_files, alpha, params, out, **scope):
     """Brier score of a fitted model on a (held-out) date range."""
-    alpha = _resolve_alpha(alpha, params_path)
-    observations, report = _load(match_files, date_from, date_to, levels,
-                                 include_qualifying, drop_walkovers, schema_path)
+    alpha = _resolve_alpha(alpha, params)
+    observations, report = load_matches(match_files, **_scope(**scope))
     if not observations:
         raise DomainError("no matches after filtering")
     e2 = brier_score(alpha, observations)
@@ -239,38 +242,28 @@ def evaluate(match_files, date_from, date_to, levels, include_qualifying,
         out_dir = _ensure_out(out)
         with open(out_dir / "evaluation.txt", "w", encoding="utf-8") as fp:
             fp.write(lines + "\n" + report.summary() + "\n")
-        write_manifest(
-            build_manifest("evaluate", dict(
-                date_from=date_from, date_to=date_to, levels=levels,
-                include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-                schema=schema_path, alpha=alpha, out=out),
-                _inputs(match_files, schema_path, params_path)),
-            out_dir,
-        )
+        write_manifest(_manifest("evaluate", [*match_files, scope["schema"], params],
+                                 dict(alpha=alpha)), out_dir)
 
 
 @main.command()
 @click.argument("match_files", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @ingest_options
-@click.option("--rankings", "ranking_files", multiple=True,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--rankings", multiple=True, type=click.Path(exists=True, dir_okay=False),
               help="Ranking snapshot files for the rank-band tables.")
 @click.option("--alpha", type=float, default=None)
-@click.option("--params", "params_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
-@click.option("--ratio-bins", default=40, show_default=True)
-@click.option("--prob-bins", default=20, show_default=True)
+@click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--ratio-bins", default=DEFAULT_RATIO_BINS, show_default=True)
+@click.option("--prob-bins", default=DEFAULT_PROB_BINS, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
-def report(match_files, date_from, date_to, levels, include_qualifying,
-           drop_walkovers, schema_path, ranking_files, alpha, params_path,
-           ratio_bins, prob_bins, out):
+def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **scope):
     """Emit figures and tables: ratio curve, calibration, rank stats, participation."""
-    alpha = _resolve_alpha(alpha, params_path)
-    raw = load_raw_rows(match_files, load_schema(schema_path) if schema_path else None)
-    observations, ingest_report = select_matches(raw, **_scope(
-        date_from, date_to, levels, include_qualifying, drop_walkovers))
+    alpha = _resolve_alpha(alpha, params)
+    selection = _scope(**scope)
+    raw = load_raw_rows(match_files, selection.pop("schema"))
+    observations, ingest_report = select_matches(raw, **selection)
     if not observations:
         raise DomainError("no matches after filtering")
     out_dir = _ensure_out(out)
@@ -288,8 +281,8 @@ def report(match_files, date_from, date_to, levels, include_qualifying,
         write_curve_svg(calib, fp, "Outcome frequency vs predicted probability",
                         "predicted probability")
 
-    if ranking_files:
-        stats, skipped = rank_stats(load_rankings(ranking_files))
+    if rankings:
+        stats, skipped = rank_stats(load_rankings(rankings))
         with open(out_dir / "rank_stats.csv", "w", encoding="utf-8", newline="") as fp:
             write_rank_stats_csv(stats, fp)
         with open(out_dir / "rank_stats.txt", "w", encoding="utf-8") as fp:
@@ -308,70 +301,49 @@ def report(match_files, date_from, date_to, levels, include_qualifying,
     with open(out_dir / "ingest_report.txt", "w", encoding="utf-8") as fp:
         fp.write(ingest_report.summary() + "\n")
 
-    write_manifest(
-        build_manifest("report", dict(
-            date_from=date_from, date_to=date_to, levels=levels,
-            include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-            schema=schema_path, rankings=list(ranking_files), alpha=alpha,
-            ratio_bins=ratio_bins, prob_bins=prob_bins, out=out),
-            _inputs(match_files, *ranking_files, schema_path, params_path)),
-        out_dir,
-    )
+    write_manifest(_manifest("report", [*match_files, *rankings, scope["schema"], params],
+                             dict(alpha=alpha)), out_dir)
     click.echo(f"report written to {out_dir}")
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+@click.option("--config", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Flat key=value season config.")
 @click.option("--alpha", type=float, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--players", "n_players", type=int, default=None)
-@click.option("--seasons", "n_seasons", type=int, default=None)
+@click.option("--players", type=int, default=None)
+@click.option("--seasons", type=int, default=None)
 @click.option("--burn-in", type=int, default=None)
-@click.option("--n500", "n_500_choices", type=int, default=None)
-@click.option("--n250", "n_250_choices", type=int, default=None)
-@click.option("--max-events", "max_events_per_season", type=int, default=None)
-@click.option("--top30-mandatory/--no-top30-mandatory", "top30_mandatory",
+@click.option("--n500", type=int, default=None)
+@click.option("--n250", type=int, default=None)
+@click.option("--max-events", type=int, default=None)
+@click.option("--top30-mandatory/--no-top30-mandatory",
               default=None, help="Season-start top 30 enter majors and picks only.")
 @click.option("--points-floor", type=float, default=None)
-@click.option("--calendar", "calendar_path", type=click.Path(exists=True, dir_okay=False),
+@click.option("--calendar", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Calendar CSV (week, category, draw_size).")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
-def simulate(config_path, alpha, seed, n_players, n_seasons, burn_in,
-             n_500_choices, n_250_choices, max_events_per_season,
-             top30_mandatory, points_floor, calendar_path, out):
+def simulate(config, calendar, out, **overrides):
     """Run the season Monte Carlo and summarize rank-band points."""
-    config, config_calendar = (load_season_config(config_path) if config_path
+    season, config_calendar = (load_season_config(config) if config
                                else (SeasonConfig(), None))
-    overrides = {
-        "alpha": alpha,
-        "rng_seed": seed,
-        "n_players": n_players,
-        "n_seasons": n_seasons,
-        "burn_in": burn_in,
-        "n_500_choices": n_500_choices,
-        "n_250_choices": n_250_choices,
-        "max_events_per_season": max_events_per_season,
-        "top30_mandatory": top30_mandatory,
-        "points_floor": points_floor,
-    }
-    for key, value in overrides.items():
+    for flag, value in overrides.items():
         if value is not None:
-            setattr(config, key, value)
-    if calendar_path is not None:
-        config.calendar = load_calendar_file(calendar_path)
-    players = [f"P{i + 1:03d}" for i in range(config.n_players)]
-    result = run_season(config, players)
+            setattr(season, SEASON_FLAGS[flag], value)
+    if calendar is not None:
+        season.calendar = load_calendar_file(calendar)
+    players = [f"P{i + 1:03d}" for i in range(season.n_players)]
+    result = run_season(season, players)
 
     out_dir = _ensure_out(out)
     with open(out_dir / "seasons.csv", "w", encoding="utf-8", newline="") as fp:
         result.write_csv(fp)
     with open(out_dir / "summary.txt", "w", encoding="utf-8") as fp:
-        fp.write(f"seasons      {config.n_seasons} (burn-in {config.burn_in})\n")
-        fp.write(f"players      {config.n_players}\n")
-        fp.write(f"alpha        {config.alpha:.6f}\n")
-        fp.write(f"rng_seed     {config.rng_seed}\n\n")
+        fp.write(f"seasons      {season.n_seasons} (burn-in {season.burn_in})\n")
+        fp.write(f"players      {season.n_players}\n")
+        fp.write(f"alpha        {season.alpha:.6f}\n")
+        fp.write(f"rng_seed     {season.rng_seed}\n\n")
         fp.write("rank band    expected      median        mean         min         max\n")
         for band in (16, 32, 64):
             s = result.rank_summary(band)
@@ -380,19 +352,10 @@ def simulate(config_path, alpha, seed, n_players, n_seasons, burn_in,
                 f"{s['mean']:>11.1f} {s['min']:>11.1f} {s['max']:>11.1f}\n"
             )
     # the config and the calendar the run used; --calendar replaces the config's
-    inputs = [p for p in (config_path, calendar_path or config_calendar) if p]
-    write_manifest(
-        build_manifest("simulate", dict(
-            config=config_path, alpha=config.alpha, seed=config.rng_seed,
-            players=config.n_players, seasons=config.n_seasons,
-            burn_in=config.burn_in, n500=config.n_500_choices,
-            n250=config.n_250_choices, max_events=config.max_events_per_season,
-            top30_mandatory=config.top30_mandatory,
-            points_floor=config.points_floor, calendar=calendar_path,
-            out=out),
-            inputs, seed=config.rng_seed),
-        out_dir,
-    )
+    write_manifest(_manifest(
+        "simulate", [config, calendar or config_calendar],
+        {flag: getattr(season, field) for flag, field in SEASON_FLAGS.items()},
+        rng_seed=season.rng_seed), out_dir)
     click.echo(f"simulation written to {out_dir}")
 
 
@@ -402,21 +365,13 @@ def simulate(config_path, alpha, seed, n_players, n_seasons, burn_in,
 @ingest_options
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
-def ingest_dump(match_files, date_from, date_to, levels, include_qualifying,
-                drop_walkovers, schema_path, out):
+def ingest_dump(match_files, out, **scope):
     """Normalize archives into (date, level, round, winner_points, loser_points)."""
-    observations, report = _load(match_files, date_from, date_to, levels,
-                                 include_qualifying, drop_walkovers, schema_path)
+    observations, report = load_matches(match_files, **_scope(**scope))
     out_dir = _ensure_out(out)
     with open(out_dir / "observations.csv", "w", encoding="utf-8", newline="") as fp:
         dump_observations(observations, fp)
-    write_manifest(
-        build_manifest("ingest-dump", dict(
-            date_from=date_from, date_to=date_to, levels=levels,
-            include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-            schema=schema_path, out=out), _inputs(match_files, schema_path)),
-        out_dir,
-    )
+    write_manifest(_manifest("ingest-dump", [*match_files, scope["schema"]]), out_dir)
     click.echo(report.summary())
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -742,3 +743,70 @@ class TestManifestInputs:
         self.inputs_of(runner, tmp_path / "plain", self.COMMANDS["fit"])
         self.inputs_of(runner, tmp_path / "schema", [*self.COMMANDS["fit"], "--schema", str(schema)])
         assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "schema")
+
+
+class TestManifestFlags:
+    """Each command's manifest `flags`, `inputs` (paths, in file order) and
+    `seed`, pinned for runs in a directory holding every input file."""
+
+    INGEST = {"date_from": None, "date_to": None, "drop_walkovers": False,
+              "include_qualifying": False, "levels": "A,D,F,G,M,O", "schema": None}
+    SEASON = {"alpha": 0.8722, "burn_in": 0, "calendar": None, "config": None,
+              "max_events": 18, "n250": 3, "n500": 3, "players": 300,
+              "points_floor": 1.0, "seasons": 1, "seed": 0, "top30_mandatory": True}
+    CASES = {
+        "fit": (
+            ["fit", "matches.csv", "--from", "2014-03-01", "--to", "2015-06-30",
+             "--levels", "A,G,M", "--include-qualifying", "--drop-walkovers",
+             "--schema", "schema.cfg", "--search-lo", "0.05", "--tol", "1e-05"],
+            {"date_from": "2014-03-01", "date_to": "2015-06-30", "drop_walkovers": True,
+             "include_qualifying": True, "levels": "A,G,M", "schema": "schema.cfg",
+             "search_hi": 5.0, "search_lo": 0.05, "tol": 1e-05},
+            ["matches.csv", "schema.cfg"], None),
+        "evaluate": (
+            ["evaluate", "matches.csv", "--params", "params.txt", "--schema", "schema.cfg"],
+            {**INGEST, "alpha": 0.8722, "schema": "schema.cfg"},
+            ["matches.csv", "params.txt", "schema.cfg"], None),
+        "report": (
+            ["report", "matches.csv", "--rankings", "rankings.csv", "--params", "params.txt"],
+            {**INGEST, "alpha": 0.8722, "prob_bins": 20, "rankings": ["rankings.csv"],
+             "ratio_bins": 40},
+            ["matches.csv", "params.txt", "rankings.csv"], None),
+        "ingest-dump": (
+            ["ingest-dump", "matches.csv", "--levels", "G,M", "--from", "2014-06-01"],
+            {**INGEST, "date_from": "2014-06-01", "levels": "G,M"},
+            ["matches.csv"], None),
+        "simulate": (["simulate"], SEASON, [], 0),
+        "simulate-every-flag": (
+            ["simulate", "--config", "sim/season.cfg", "--alpha", "0.9", "--seed", "5",
+             "--players", "150", "--seasons", "3", "--burn-in", "1", "--n500", "4",
+             "--n250", "2", "--max-events", "16", "--no-top30-mandatory",
+             "--points-floor", "2.5"],
+            {"alpha": 0.9, "burn_in": 1, "calendar": None, "config": "sim/season.cfg",
+             "max_events": 16, "n250": 2, "n500": 4, "players": 150, "points_floor": 2.5,
+             "seasons": 3, "seed": 5, "top30_mandatory": False},
+            ["sim/calendar.csv", "sim/season.cfg"], 5),
+        "simulate-calendar": (
+            ["simulate", "--config", "sim/season.cfg", "--calendar", "override.csv"],
+            {**SEASON, "calendar": "override.csv", "config": "sim/season.cfg",
+             "players": 140, "seasons": 2},
+            ["override.csv", "sim/season.cfg"], 0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_manifest_pinned(self, runner, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(SAMPLE_MATCHES, "matches.csv")
+        shutil.copy(SAMPLE_RANKINGS, "rankings.csv")
+        Path("schema.cfg").write_text("round=round\n")
+        Path("params.txt").write_text("alpha=0.8722\n")
+        Path("sim").mkdir()
+        write_small_sim_config(Path("sim"))  # calendar=calendar.csv, relative to the config
+        shutil.copy("sim/calendar.csv", "override.csv")
+        args, flags, inputs, seed = self.CASES[case]
+        result = runner.invoke(main, [*args, "--out", "out"])
+        assert result.exit_code == 0, result.output
+        manifest = manifest_of(Path("out"))
+        assert manifest["flags"] == {**flags, "out": "out"}
+        assert list(manifest["inputs"]) == inputs
+        assert manifest["seed"] == seed
