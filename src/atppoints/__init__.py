@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import DomainError, SchemaError
 from .model import (
-    MatchObservation,
+    MatchTable,
     ModelParams,
     Prediction,
     baseline_brier,
@@ -31,7 +31,7 @@ __all__ = [
     "__version__",
     "DomainError",
     "SchemaError",
-    "MatchObservation",
+    "MatchTable",
     "ModelParams",
     "Prediction",
     "baseline_brier",

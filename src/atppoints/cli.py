@@ -184,7 +184,7 @@ def fit(match_files, search_lo, search_hi, tol, out, **scope):
 
     out_dir = _ensure_out(out)
     manifest = _manifest("fit", [*match_files, scope["schema"]])
-    fingerprint = dataset_fingerprint([manifest.inputs[str(p)] for p in match_files])
+    fingerprint = dataset_fingerprint([manifest["inputs"][str(p)] for p in match_files])
     write_params_file(out_dir / "params.txt", params, fingerprint,
                       scope["date_from"], scope["date_to"])
     with open(out_dir / "report.txt", "w", encoding="utf-8") as fp:

@@ -5,25 +5,12 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 
 MANIFEST_NAME = "manifest.json"
-
-
-@dataclass
-class RunManifest:
-    command: str
-    flags: dict
-    inputs: dict[str, str]  # path -> sha256
-    version: str = __version__
-    seed: int | None = None
-    created_at: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
 
 
 def sha256_file(path: str | Path) -> str:
@@ -39,18 +26,17 @@ def dataset_fingerprint(digests: Sequence[str]) -> str:
     return hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
 
 
-def build_manifest(
-    command: str,
-    flags: dict,
-    input_paths: Sequence[str | Path],
-    seed: int | None = None,
-) -> RunManifest:
-    return RunManifest(
-        command=command,
-        flags={k: _plain(v) for k, v in sorted(flags.items())},
-        inputs={str(p): sha256_file(p) for p in input_paths},
-        seed=seed,
-    )
+def build_manifest(command: str, flags: dict, input_paths: Sequence[str | Path],
+                   seed: int | None = None) -> dict:
+    """The manifest ``write_manifest`` dumps; ``inputs`` maps path -> sha256."""
+    return {
+        "command": command,
+        "flags": {k: _plain(v) for k, v in sorted(flags.items())},
+        "inputs": {str(p): sha256_file(p) for p in input_paths},
+        "version": __version__,
+        "seed": seed,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
 
 
 def _plain(value):
@@ -65,9 +51,9 @@ def _plain(value):
     return value
 
 
-def write_manifest(manifest: RunManifest, out_dir: str | Path) -> Path:
+def write_manifest(manifest: dict, out_dir: str | Path) -> Path:
     path = Path(out_dir) / MANIFEST_NAME
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(asdict(manifest), fp, indent=2, sort_keys=True)
+        json.dump(manifest, fp, indent=2, sort_keys=True)
         fp.write("\n")
     return path

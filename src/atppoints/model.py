@@ -9,9 +9,9 @@ single fitted exponent.  Fitting minimizes the Brier score (mean squared
 error between 0/1 outcomes and predicted probabilities) by golden-section
 search over a bracket.
 
-Matches travel as a ``MatchTable`` of numpy columns, one entry per match;
-``MatchObservation`` builds a single match by hand, and every function that
-takes matches accepts a table or a plain list of observations.
+Every function here takes its matches as one ``MatchTable`` of numpy
+columns, one entry per match: ``ingest.load_matches`` builds it from an
+archive, ``MatchTable.from_points`` by hand.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,31 +41,12 @@ class ModelParams:
     n_matches: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha!r}")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.fitted_e2 is not None and not 0.0 <= self.fitted_e2 <= 1.0:
             raise DomainError(f"fitted_e2 must lie in [0, 1], got {self.fitted_e2!r}")
         if self.n_matches is not None and self.n_matches < 0:
             raise DomainError(f"n_matches must be nonnegative, got {self.n_matches!r}")
-
-
-@dataclass(frozen=True)
-class MatchObservation:
-    """One completed match, oriented winner-first, for building data by hand.
-
-    Points must be positive and finite; ingestion drops (and counts) archive
-    rows where they are not.
-    """
-
-    winner_points: float
-    loser_points: float
-    date: datetime.date
-    level: str = "other"
-    round: str = "unknown"
-
-    def __post_init__(self) -> None:
-        _require_positive("winner_points", self.winner_points)
-        _require_positive("loser_points", self.loser_points)
 
 
 @dataclass(frozen=True)
@@ -98,24 +79,30 @@ class MatchTable:
         return MatchTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     @classmethod
-    def from_observations(cls, matches: Matches) -> MatchTable:
-        """The table of a list of observations; a table is returned as is."""
-        if isinstance(matches, MatchTable):
-            return matches
-        text = np.full(len(matches), "", dtype=object)
-        ranks = np.full(len(matches), np.nan)
+    def from_points(cls, winner_points: Sequence[float], loser_points: Sequence[float],
+                    date: datetime.date) -> MatchTable:
+        """Winner-first point pairs, every row on ``date`` with level "other",
+        round "unknown" and no ids, ranks or score.  Points must be positive
+        and finite; ingestion drops (and counts) archive rows where they are not.
+        """
+        winners = np.array(winner_points, dtype=np.float64)
+        losers = np.array(loser_points, dtype=np.float64)
+        if winners.ndim != 1 or winners.shape != losers.shape:
+            raise DomainError(f"winner_points and loser_points must be equal-length "
+                              f"sequences, got shapes {winners.shape} and {losers.shape}")
+        for name, column in (("winner_points", winners), ("loser_points", losers)):
+            bad = column[~(np.isfinite(column) & (column > 0))]
+            if len(bad):
+                _require_positive(name, float(bad[0]))
+        n = len(winners)
+        text = np.full(n, "", dtype=object)
+        ranks = np.full(n, np.nan)
         return cls(
-            date=np.array([m.date for m in matches], dtype="datetime64[D]"),
-            winner_points=np.array([m.winner_points for m in matches], dtype=np.float64),
-            loser_points=np.array([m.loser_points for m in matches], dtype=np.float64),
-            level=np.array([m.level for m in matches], dtype=object),
-            round=np.array([m.round for m in matches], dtype=object),
-            score=text, event=text, winner_id=text, loser_id=text, category=text,
-            winner_rank=ranks, loser_rank=ranks,
+            date=np.full(n, date, dtype="datetime64[D]"), winner_points=winners,
+            loser_points=losers, level=np.full(n, "other", dtype=object),
+            round=np.full(n, "unknown", dtype=object), score=text, event=text,
+            winner_id=text, loser_id=text, category=text, winner_rank=ranks, loser_rank=ranks,
         )
-
-
-Matches = Union[MatchTable, Sequence[MatchObservation]]
 
 
 @dataclass(frozen=True)
@@ -175,8 +162,8 @@ def _brier_from_log_ratios(alpha: float, log_ratios: np.ndarray) -> float:
     return float(np.mean(resid * resid))
 
 
-def brier_score(alpha: float, matches: Matches) -> float:
-    """Mean squared error of the model on winner-first observations.
+def brier_score(alpha: float, matches: MatchTable) -> float:
+    """Mean squared error of the model on a winner-first match table.
 
     Each match contributes (1 - p)**2 with p the predicted probability of
     the actual winner.  Scoring both orientations instead changes nothing:
@@ -186,13 +173,13 @@ def brier_score(alpha: float, matches: Matches) -> float:
     return _brier_from_log_ratios(alpha, _log_ratios(_nonempty(matches)))
 
 
-def brier_curve(matches: Matches, alphas: Iterable[float]) -> np.ndarray:
+def brier_curve(matches: MatchTable, alphas: Iterable[float]) -> np.ndarray:
     """Brier score evaluated at each alpha, sharing one pass over the data."""
     logs = _log_ratios(_nonempty(matches))
     return np.array([_brier_from_log_ratios(float(a), logs) for a in alphas])
 
 
-def baseline_brier(matches: Matches) -> float:
+def baseline_brier(matches: MatchTable) -> float:
     """Brier score of the hard predictor "the higher-point player wins".
 
     p = 1 when the winner had more points, 0 when fewer, 0.5 on a tie, so
@@ -205,15 +192,14 @@ def baseline_brier(matches: Matches) -> float:
     return (upsets + 0.25 * ties) / len(table)
 
 
-def _nonempty(matches: Matches) -> MatchTable:
-    table = MatchTable.from_observations(matches)
+def _nonempty(table: MatchTable) -> MatchTable:
     if len(table) == 0:
         raise DomainError("no matches")
     return table
 
 
 def fit_alpha(
-    matches: Matches,
+    matches: MatchTable,
     search_lo: float = DEFAULT_SEARCH_LO,
     search_hi: float = DEFAULT_SEARCH_HI,
     tol: float = DEFAULT_TOL,
@@ -225,9 +211,9 @@ def fit_alpha(
     cross-check against a dense grid scan.  Deterministic for fixed inputs.
     """
     table = _nonempty(matches)
-    if not (0 < search_lo < search_hi):
+    if not (0 < search_lo < search_hi < math.inf):
         raise DomainError(
-            f"invalid search bracket [{search_lo!r}, {search_hi!r}]: need 0 < lo < hi"
+            f"invalid search bracket [{search_lo!r}, {search_hi!r}]: need 0 < lo < hi < inf"
         )
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")

@@ -3,9 +3,9 @@ rank-band point statistics, and participation counts.
 
 Each curve emits both match orientations: a match at ratio r contributes a
 win at r and a loss at 1/r, which makes the ratio axis two-sided and the
-frequency curve symmetric around r = 1.  Matches arrive as a
-``MatchTable`` (or a list of observations) and ranking snapshots as an
-``ingest.RankingTable``; both are binned and tallied as whole columns.
+frequency curve symmetric around r = 1.  The match data arrives as one
+``model.MatchTable`` and ranking snapshots as an ``ingest.RankingTable``;
+both are binned and tallied as whole columns.
 Outputs are delimited text plus a self-contained SVG per figure so results
 are viewable with no extra toolchain.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ingest import RankingTable
-from .model import Matches, MatchTable, _nonempty, _require_positive, win_probability
+from .model import MatchTable, _nonempty, _require_positive, win_probability
 from .points import Category, expected_points, expected_ratio_to_32
 
 DEFAULT_RATIO_BINS = 40
@@ -84,7 +84,7 @@ def _oriented_ratios(table: MatchTable, alpha: float):
 
 
 def bin_by_ratio(
-    matches: Matches,
+    matches: MatchTable,
     alpha: float,
     n_bins: int = DEFAULT_RATIO_BINS,
     span: tuple[float, float] = DEFAULT_RATIO_SPAN,
@@ -112,7 +112,7 @@ def bin_by_ratio(
 
 
 def calibration_curve(
-    matches: Matches,
+    matches: MatchTable,
     alpha: float,
     n_bins: int = DEFAULT_PROB_BINS,
 ) -> BinnedCurve:

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atppoints.model import MatchObservation
+from atppoints.model import MatchTable
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "atppoints" / "data"
 
 SAMPLE_MATCHES = DATA_DIR / "sample_matches.csv"
 SAMPLE_RANKINGS = DATA_DIR / "sample_rankings.csv"
+DAY = datetime.date(2012, 6, 1)
 
 
 def synth_matches(
@@ -27,29 +28,35 @@ def synth_matches(
     n: int,
     seed: int,
     ratio_span: tuple[float, float] = (0.1, 10.0),
-) -> list[MatchObservation]:
-    """Matches drawn from the model: log-uniform ratio, Bernoulli outcome.
+) -> MatchTable:
+    """A table of matches drawn from the model: log-uniform ratio, Bernoulli outcome.
 
     Winner-first orientation: when the ratio-r player loses, the stored
-    observation has points swapped.
+    row has its points swapped.
     """
     rng = np.random.default_rng(seed)
     lo, hi = ratio_span
     log_ratios = rng.uniform(math.log(lo), math.log(hi), size=n)
     base = rng.uniform(500.0, 5000.0, size=n)
     uniforms = rng.random(n)
-    day = datetime.date(2012, 6, 1)
-    out = []
+    winners, losers = [], []
     for k in range(n):
         ratio = math.exp(log_ratios[k])
         r_i = base[k] * ratio
         r_j = base[k]
         p = ratio**alpha / (1.0 + ratio**alpha)
         if uniforms[k] < p:
-            out.append(MatchObservation(r_i, r_j, day))
+            winners.append(r_i)
+            losers.append(r_j)
         else:
-            out.append(MatchObservation(r_j, r_i, day))
-    return out
+            winners.append(r_j)
+            losers.append(r_i)
+    return MatchTable.from_points(winners, losers, DAY)
+
+
+def pairs(*points: tuple[float, float]) -> MatchTable:
+    """The table of hand-written (winner points, loser points) pairs, all on DAY."""
+    return MatchTable.from_points([w for w, _ in points], [lo for _, lo in points], DAY)
 
 
 @pytest.fixture(scope="session")

@@ -124,6 +124,16 @@ class TestFit:
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
 
+    @pytest.mark.parametrize("search_hi", ["1e308", "inf"])
+    def test_unbounded_search_hi_is_domain_error(self, runner, tmp_path, search_hi):
+        # with hi = 1e308 the golden-section midpoint overflows to alpha = inf
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit", MATCHES, "--search-hi", search_hi,
+                                      "--out", str(out)])
+        assert result.exit_code == 5, result.output
+        assert "Traceback" not in result.output
+        assert not (out / "params.txt").exists()
+
 
 class TestPredict:
     def test_even_points(self, runner):

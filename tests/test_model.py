@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from atppoints.errors import DomainError
 from atppoints.ingest import load_matches
 from atppoints.model import (
-    MatchObservation,
     MatchTable,
     ModelParams,
     _log_ratios,
@@ -24,10 +22,9 @@ from atppoints.model import (
     predict,
     win_probability,
 )
-from atppoints.report import _oriented_ratios
-from conftest import SAMPLE_MATCHES, synth_matches
+from atppoints.report import _oriented_ratios, bin_by_ratio
+from conftest import DAY, SAMPLE_MATCHES, pairs, synth_matches
 
-DAY = datetime.date(2012, 6, 1)
 
 # Evaluated once with 50-digit decimal arithmetic: 10^0.8722 / (1 + 10^0.8722).
 PREDICT_RATIO10_ALPHA08722 = 0.881667309685
@@ -36,10 +33,6 @@ PREDICT_RATIO10_ALPHA08722 = 0.881667309685
 # archive (default filters), frozen.
 SAMPLE_BRIER_AT_08722 = 0.1623998281338591
 SAMPLE_BASELINE = 0.1956521739130435
-
-
-def obs(w: float, lo: float) -> MatchObservation:
-    return MatchObservation(w, lo, DAY)
 
 
 class TestPredict:
@@ -128,11 +121,11 @@ class TestPredict:
 
 class TestBrierScore:
     def test_equal_points_pairs_score_quarter(self):
-        matches = [obs(500, 500), obs(1200, 1200)]
+        matches = pairs((500, 500), (1200, 1200))
         assert brier_score(1.3, matches) == pytest.approx(0.25, abs=1e-15)
 
     def test_huge_alpha_on_winner_always_ahead(self):
-        matches = [obs(1000 + 50 * k, 900 - 10 * k) for k in range(20)]
+        matches = pairs(*[(1000 + 50 * k, 900 - 10 * k) for k in range(20)])
         assert brier_score(200.0, matches) < 1e-6
 
     def test_sample_archive_golden(self):
@@ -143,15 +136,15 @@ class TestBrierScore:
 
     def test_empty_raises(self):
         with pytest.raises(DomainError, match="no matches"):
-            brier_score(1.0, [])
+            brier_score(1.0, pairs())
 
     def test_orientation_invariance(self):
         matches = synth_matches(0.9, 500, seed=11)
         winner_first = brier_score(0.8722, matches)
         # score each match in both orientations with plain arithmetic
         total = 0.0
-        for m in matches:
-            ratio = m.winner_points / m.loser_points
+        for w, lo in zip(matches.winner_points.tolist(), matches.loser_points.tolist()):
+            ratio = w / lo
             p = ratio**0.8722 / (1 + ratio**0.8722)
             q = (1 / ratio) ** 0.8722 / (1 + (1 / ratio) ** 0.8722)
             total += (1.0 - p) ** 2 + (0.0 - q) ** 2
@@ -172,13 +165,13 @@ class TestBrierScore:
 
 class TestBaseline:
     def test_all_winners_ahead_scores_zero(self):
-        assert baseline_brier([obs(900, 100), obs(500, 400)]) == 0.0
+        assert baseline_brier(pairs((900, 100), (500, 400))) == 0.0
 
     def test_single_upset_scores_one(self):
-        assert baseline_brier([obs(100, 900)]) == 1.0
+        assert baseline_brier(pairs((100, 900))) == 1.0
 
     def test_tie_scores_quarter(self):
-        assert baseline_brier([obs(700, 700)]) == 0.25
+        assert baseline_brier(pairs((700, 700))) == 0.25
 
     def test_sample_archive_golden(self):
         matches, _ = load_matches([SAMPLE_MATCHES])
@@ -186,7 +179,7 @@ class TestBaseline:
 
     def test_empty_raises(self):
         with pytest.raises(DomainError, match="no matches"):
-            baseline_brier([])
+            baseline_brier(pairs())
 
 
 class TestFitAlpha:
@@ -218,12 +211,13 @@ class TestFitAlpha:
 
     def test_empty_raises(self):
         with pytest.raises(DomainError, match="no matches"):
-            fit_alpha([])
+            fit_alpha(pairs())
 
-    @pytest.mark.parametrize("lo,hi,tol", [(0, 5, 1e-6), (2, 1, 1e-6), (0.1, 5, 0)])
+    @pytest.mark.parametrize("lo,hi,tol",
+                             [(0, 5, 1e-6), (2, 1, 1e-6), (0.1, 5, 0), (0.1, math.inf, 1e-6)])
     def test_invalid_bracket_raises(self, lo, hi, tol):
         with pytest.raises(DomainError):
-            fit_alpha([obs(100, 50)], search_lo=lo, search_hi=hi, tol=tol)
+            fit_alpha(pairs((100, 50)), search_lo=lo, search_hi=hi, tol=tol)
 
 
 class TestModelParams:
@@ -231,22 +225,36 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(alpha=0.0)
 
+    def test_rejects_infinite_alpha(self):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            ModelParams(alpha=math.inf)
+
     def test_rejects_out_of_range_e2(self):
         with pytest.raises(DomainError):
             ModelParams(alpha=1.0, fitted_e2=1.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_observation_rejects_non_finite_points(self, bad):
-        with pytest.raises(DomainError):
-            MatchObservation(bad, 100.0, DAY)
-        with pytest.raises(DomainError):
-            MatchObservation(100.0, bad, DAY)
+        with pytest.raises(DomainError, match="winner_points"):
+            pairs((bad, 100.0))
+        with pytest.raises(DomainError, match="loser_points"):
+            pairs((100.0, bad))
 
     def test_observation_rejects_zero_points(self):
-        with pytest.raises(DomainError):
-            MatchObservation(0.0, 100.0, DAY)
-        with pytest.raises(DomainError):
-            MatchObservation(100.0, 0.0, DAY)
+        with pytest.raises(DomainError, match="winner_points"):
+            pairs((0.0, 100.0))
+        with pytest.raises(DomainError, match="loser_points"):
+            pairs((100.0, 0.0))
+
+    def test_from_points_rejects_unequal_lengths(self):
+        with pytest.raises(DomainError, match="equal-length"):
+            MatchTable.from_points([100.0, 200.0], [50.0], DAY)
+
+    def test_empty_table_has_no_matches(self):
+        empty = pairs()
+        for run in (fit_alpha, lambda t: brier_score(1.0, t), lambda t: bin_by_ratio(t, 1.0)):
+            with pytest.raises(DomainError, match="no matches"):
+                run(empty)
 
 
 def _sample_table() -> MatchTable:
@@ -254,7 +262,7 @@ def _sample_table() -> MatchTable:
 
 
 def _synth_table() -> MatchTable:
-    return MatchTable.from_observations(synth_matches(0.87, 3000, seed=17))
+    return synth_matches(0.87, 3000, seed=17)
 
 
 def _integer_table() -> MatchTable:
@@ -262,9 +270,7 @@ def _integer_table() -> MatchTable:
     # numpy 2.4), each paired both ways with small integers
     odd = [9170, 19143, 94869, 102327, 136085, 136837, 141614, 147674]
     small = range(1, 41)
-    return MatchTable.from_observations(
-        [MatchObservation(w, lo, DAY) for k in odd for j in small for w, lo in ((k, j), (j, k))]
-    )
+    return pairs(*[pair for k in odd for j in small for pair in ((k, j), (j, k))])
 
 
 @pytest.mark.parametrize("make", [_sample_table, _synth_table, _integer_table],
@@ -304,10 +310,3 @@ class TestScalarReference:
             elif w == lo:
                 total += 0.25
         assert baseline_brier(table) == total / len(table)
-
-    def test_list_and_table_agree(self, make):
-        table = make()
-        matches = [MatchObservation(w, lo, DAY) for w, lo in
-                   zip(table.winner_points.tolist(), table.loser_points.tolist())]
-        assert fit_alpha(matches) == fit_alpha(table)
-        assert baseline_brier(matches) == baseline_brier(table)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from atppoints.errors import DomainError
 from atppoints.ingest import RankingTable, load_rankings, load_raw_rows
-from atppoints.model import MatchObservation, MatchTable
+from atppoints.model import MatchTable
 from atppoints.points import Category
 from atppoints.report import (
     bin_by_ratio,
@@ -28,18 +28,12 @@ from atppoints.report import (
     write_participation_csv,
     write_rank_stats_csv,
 )
-from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, synth_matches
-
-DAY = datetime.date(2014, 6, 2)
-
-
-def obs(w: float, lo: float) -> MatchObservation:
-    return MatchObservation(w, lo, DAY)
+from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, pairs, synth_matches
 
 
 class TestBinByRatio:
     def test_single_even_match_lands_centered(self):
-        curve = bin_by_ratio([obs(800, 800)], alpha=0.9)
+        curve = bin_by_ratio(pairs((800, 800)), alpha=0.9)
         populated = np.nonzero(curve.counts)[0]
         assert len(populated) == 1
         bin_idx = int(populated[0])
@@ -48,7 +42,7 @@ class TestBinByRatio:
         assert curve.edges[bin_idx] <= 1.0 <= curve.edges[bin_idx + 1]
 
     def test_log_spacing_over_requested_span(self):
-        curve = bin_by_ratio([obs(800, 700)], alpha=1.0, n_bins=40, span=(0.1, 10.0))
+        curve = bin_by_ratio(pairs((800, 700)), alpha=1.0, n_bins=40, span=(0.1, 10.0))
         assert curve.edges[0] == pytest.approx(0.1)
         assert curve.edges[-1] == pytest.approx(10.0)
         ratios = curve.edges[1:] / curve.edges[:-1]
@@ -63,7 +57,7 @@ class TestBinByRatio:
         assert np.all(curve.freq[populated] <= 1.0)
 
     def test_out_of_span_ratios_clamp_into_end_bins(self):
-        curve = bin_by_ratio([obs(50000, 10)], alpha=1.0, n_bins=10, span=(0.1, 10.0))
+        curve = bin_by_ratio(pairs((50000, 10)), alpha=1.0, n_bins=10, span=(0.1, 10.0))
         assert curve.counts[0] == 1 and curve.counts[-1] == 1
 
     def test_empirical_tracks_model_on_synthetic(self):
@@ -97,7 +91,7 @@ class TestBinByRatio:
 
     def test_empty_raises(self):
         with pytest.raises(DomainError, match="no matches"):
-            bin_by_ratio([], alpha=1.0)
+            bin_by_ratio(pairs(), alpha=1.0)
 
     @given(
         points=st.lists(
@@ -108,14 +102,14 @@ class TestBinByRatio:
         n_bins=st.integers(2, 60),
     )
     def test_count_conservation_property(self, points, n_bins):
-        matches = [obs(w, lo) for w, lo in points]
+        matches = pairs(*points)
         curve = bin_by_ratio(matches, alpha=0.8722, n_bins=n_bins)
         assert int(curve.counts.sum()) == 2 * len(matches)
 
 
 class TestCalibrationCurve:
     def test_even_matches_single_bin_at_half(self):
-        curve = calibration_curve([obs(900, 900), obs(20, 20)], alpha=1.1)
+        curve = calibration_curve(pairs((900, 900), (20, 20)), alpha=1.1)
         populated = np.nonzero(curve.counts)[0]
         assert len(populated) == 1
         k = int(populated[0])
@@ -135,7 +129,7 @@ class TestCalibrationCurve:
         assert checked >= 5
 
     def test_deterministic_data_tops_out(self):
-        matches = [obs(1000 + k, 500) for k in range(200)]
+        matches = pairs(*[(1000 + k, 500) for k in range(200)])
         curve = calibration_curve(matches, alpha=50.0)
         assert curve.freq[-1] == pytest.approx(1.0)
         assert curve.freq[0] == pytest.approx(0.0)
@@ -221,7 +215,7 @@ class TestRankStats:
 
 class TestParticipation:
     def test_empty_rows_zero_histograms(self):
-        table = participation_table(MatchTable.from_observations([]))
+        table = participation_table(pairs())
         for band in table.bands:
             for category in (Category.TOUR_500, Category.TOUR_250):
                 assert table.histograms[(band, category)] == [0] * 7
