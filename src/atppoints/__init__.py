@@ -1,58 +1,42 @@
 """Ranking-point ratio model for tour-level tennis: fitting, evaluation,
-point attribution, seeded-draw simulation, and reporting."""
+point attribution, seeded-draw simulation, and reporting.
+
+The public names below are loaded on first access (PEP 562): ``import
+atppoints`` loads no submodule and no numpy, and ``atppoints.fit_alpha``
+imports ``atppoints.model`` when it is first looked up.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, SchemaError
-from .model import (
-    MatchTable,
-    ModelParams,
-    Prediction,
-    baseline_brier,
-    brier_curve,
-    brier_score,
-    fit_alpha,
-    predict,
-    win_probability,
-)
-from .points import (
-    Category,
-    PointTable,
-    SeasonResult,
-    best_18_total,
-    expected_points,
-    expected_ratio_to_32,
-    points_for,
-)
-from .bracket import Bracket, fill_unseeded, place_seeds, run_tournament
-from .season import CalendarEvent, SeasonConfig, SeasonReport, run_season
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": ("DomainError", "SchemaError"),
+        "model": ("MatchTable", "ModelParams", "Prediction", "baseline_brier", "brier_curve",
+                  "brier_score", "fit_alpha", "predict", "win_probability"),
+        "points": ("Category", "PointTable", "expected_points", "expected_ratio_to_32",
+                   "points_for"),
+        "bracket": ("Bracket", "fill_unseeded", "place_seeds", "run_tournament"),
+        "season": ("CalendarEvent", "SeasonConfig", "SeasonReport", "run_season"),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "__version__",
-    "DomainError",
-    "SchemaError",
-    "MatchTable",
-    "ModelParams",
-    "Prediction",
-    "baseline_brier",
-    "brier_curve",
-    "brier_score",
-    "fit_alpha",
-    "predict",
-    "win_probability",
-    "Category",
-    "PointTable",
-    "SeasonResult",
-    "best_18_total",
-    "expected_points",
-    "expected_ratio_to_32",
-    "points_for",
-    "Bracket",
-    "fill_unseeded",
-    "place_seeds",
-    "run_tournament",
-    "CalendarEvent",
-    "SeasonConfig",
-    "SeasonReport",
-    "run_season",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

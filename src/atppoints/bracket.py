@@ -46,12 +46,6 @@ class Bracket:
             raise DomainError(f"unsupported draw size {draw_size!r}; expected one of {SUPPORTED_DRAWS}")
         return cls(draw_size=draw_size, slots=[None] * draw_size)
 
-    def player_at(self, slot: int) -> PlayerId | None:
-        return self.slots[slot - 1]
-
-    def slot_of(self, player: PlayerId) -> int:
-        return self.slots.index(player) + 1
-
     def open_slots(self) -> list[int]:
         return [k + 1 for k, p in enumerate(self.slots) if p is None]
 

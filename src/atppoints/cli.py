@@ -9,47 +9,61 @@ Each flag is declared once, in its ``click.option``.  Data files are
 byte-reproducible for identical inputs and seeds; only the manifest
 timestamp differs between reruns.
 
+Start-up: importing this module loads click and no numpy, so ``--version``,
+``--help`` and usage errors stay cheap.  The library names the commands call
+(``LIBRARY``) are bound as globals of this module when the first command
+body runs, or when one is first looked up as an attribute.  Binding keeps a
+name that is already set, so a function put in its place beforehand (say, a
+timing wrapper) is the one the commands call.
+
 Exit codes: 0 success, 2 usage, 3 schema, 4 I/O, 5 domain.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import sys
 from pathlib import Path
 
 import click
 
-from . import __version__, model
+from . import __version__
+from .defaults import (DEFAULT_LEVELS, DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS,
+                       DEFAULT_SEARCH_HI, DEFAULT_SEARCH_LO, DEFAULT_TOL)
 from .errors import DomainError, SchemaError
-from .ingest import (
-    DEFAULT_LEVELS,
-    _read_key_values,
-    dump_observations,
-    load_matches,
-    load_raw_rows,
-    load_rankings,
-    load_schema,
-    select_matches,
-)
-from .manifest import build_manifest, dataset_fingerprint, write_manifest
-from .model import ModelParams, baseline_brier, brier_score, fit_alpha, predict
-from .points import expected_points
-from .report import (
-    DEFAULT_PROB_BINS,
-    DEFAULT_RATIO_BINS,
-    bin_by_ratio,
-    calibration_curve,
-    format_participation,
-    format_rank_stats,
-    participation_table,
-    rank_stats,
-    write_curve_csv,
-    write_curve_svg,
-    write_participation_csv,
-    write_rank_stats_csv,
-)
-from .season import SeasonConfig, load_calendar_file, load_season_config, run_season
+
+#: library module -> the names the commands call from it
+LIBRARY = {
+    "ingest": ("_read_key_values", "dump_observations", "load_matches", "load_raw_rows",
+               "load_rankings", "load_schema", "select_matches"),
+    "manifest": ("build_manifest", "dataset_fingerprint", "write_manifest"),
+    "model": ("ModelParams", "baseline_brier", "brier_score", "fit_alpha", "predict"),
+    "points": ("expected_points",),
+    "report": ("bin_by_ratio", "calibration_curve", "format_participation",
+               "format_rank_stats", "participation_table", "rank_stats", "write_curve_csv",
+               "write_curve_svg", "write_participation_csv", "write_rank_stats_csv"),
+    "season": ("SeasonConfig", "load_calendar_file", "load_season_config", "run_season"),
+}
+
+
+def _bind() -> None:
+    """Import the library and bind its ``LIBRARY`` names here, keeping any
+    name that is already set."""
+    scope = globals()
+    for module, names in LIBRARY.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            scope.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    # only the library names: the import system probes others (``__path__``)
+    if not any(name in names for names in LIBRARY.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind()
+    return globals()[name]
+
 
 EXIT_SCHEMA = 3
 EXIT_IO = 4
@@ -65,6 +79,7 @@ SEASON_FLAGS = {"alpha": "alpha", "seed": "rng_seed", "players": "n_players",
 def handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        _bind()
         try:
             return fn(*args, **kwargs)
         except SchemaError as exc:
@@ -166,9 +181,9 @@ def main() -> None:
 @click.argument("match_files", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @ingest_options
-@click.option("--search-lo", default=model.DEFAULT_SEARCH_LO, show_default=True)
-@click.option("--search-hi", default=model.DEFAULT_SEARCH_HI, show_default=True)
-@click.option("--tol", default=model.DEFAULT_TOL, show_default=True)
+@click.option("--search-lo", default=DEFAULT_SEARCH_LO, show_default=True)
+@click.option("--search-hi", default=DEFAULT_SEARCH_HI, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def fit(match_files, search_lo, search_hi, tol, out, **scope):

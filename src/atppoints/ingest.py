@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_LEVELS
 from .errors import SchemaError
 from .model import MatchTable
 from .points import Category
@@ -52,9 +53,6 @@ DEFAULT_SCHEMA: dict[str, str] = {
 }
 
 _REQUIRED_FIELDS = ("date", "level", "round", "winner_points", "loser_points")
-
-#: Level letters kept by default: tour-level plus Davis Cup and Olympics.
-DEFAULT_LEVELS = frozenset({"G", "M", "A", "F", "D", "O"})
 
 _QUALIFYING_ROUNDS = frozenset({"Q1", "Q2", "Q3", "Q4"})
 

@@ -23,11 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_SEARCH_HI, DEFAULT_SEARCH_LO, DEFAULT_TOL
 from .errors import DomainError
-
-DEFAULT_SEARCH_LO = 0.01
-DEFAULT_SEARCH_HI = 5.0
-DEFAULT_TOL = 1e-6
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -1,18 +1,17 @@
-"""ATP point-attribution tables, the best-18 ranking rule, and ideal schedules.
+"""ATP point-attribution tables, the best-18 count, and ideal schedules.
 
 Winner points double per category step (250, 500, 1000, 2000) and each win
 within a category multiplies points by 2 or 5/3.  A player's ranking points
-are the sum of their 18 best results in the trailing 52 weeks.
+are the sum of their 18 best results in the trailing 52 weeks; ``season``
+applies that rule week by week.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import nlargest
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 from .errors import DomainError
 
@@ -118,32 +117,8 @@ def dump_tables(fp: IO[str]) -> None:
                 writer.writerow([category.value, tag, "" if base is None else base, draw, value])
 
 
-# --- best-18 ranking rule -------------------------------------------------
-
-WINDOW_DAYS = 364  # 52 weeks exactly
+#: Results that count toward a ranking: the best 18 of the trailing 52 weeks.
 BEST_N = 18
-
-
-@dataclass(frozen=True)
-class SeasonResult:
-    category: Category
-    round_reached: str
-    points: int
-    date: datetime.date
-
-
-def best_18_total(results: Iterable[SeasonResult], as_of: datetime.date) -> int:
-    """Sum of the 18 largest results in the 52 weeks ending at ``as_of``.
-
-    The window is (as_of - 364 days, as_of]: inclusive of as_of, exact
-    364-day arithmetic.  Fewer than 18 in-window results sum plainly.
-    """
-    in_window = [
-        r.points for r in results if 0 <= (as_of - r.date).days < WINDOW_DAYS
-    ]
-    if len(in_window) <= BEST_N:
-        return sum(in_window)
-    return sum(nlargest(BEST_N, in_window))
 
 
 # --- ideal-player expected points -----------------------------------------

@@ -20,14 +20,13 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS
 from .errors import DomainError
 from .ingest import RankingTable
 from .model import MatchTable, _nonempty, _require_positive, win_probability
 from .points import Category, expected_points, expected_ratio_to_32
 
-DEFAULT_RATIO_BINS = 40
 DEFAULT_RATIO_SPAN = (0.01, 100.0)
-DEFAULT_PROB_BINS = 20
 
 
 @dataclass

@@ -1,20 +1,26 @@
-"""Shared fixtures and the synthetic-data oracle.
+"""Shared fixtures, the synthetic-data oracle, and the best-18 oracle.
 
 The generator below is the independent oracle for fit-recovery and
 calibration tests: it draws outcomes from the textbook formula with its own
-arithmetic and never calls the package's prediction path.
+arithmetic and never calls the package's prediction path.  ``best_18_total``
+is the date-based oracle of the season's array route to the best-18 rule.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
+from dataclasses import dataclass
+from heapq import nlargest
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
 
+from atppoints.bracket import Bracket
 from atppoints.model import MatchTable
+from atppoints.points import BEST_N, Category
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "atppoints" / "data"
 
@@ -57,6 +63,43 @@ def synth_matches(
 def pairs(*points: tuple[float, float]) -> MatchTable:
     """The table of hand-written (winner points, loser points) pairs, all on DAY."""
     return MatchTable.from_points([w for w, _ in points], [lo for _, lo in points], DAY)
+
+
+# --- the date-based best-18 oracle --------------------------------------------
+
+WINDOW_DAYS = 364  # 52 weeks exactly
+
+
+@dataclass(frozen=True)
+class SeasonResult:
+    category: Category
+    round_reached: str
+    points: int
+    date: datetime.date
+
+
+def best_18_total(results: Iterable[SeasonResult], as_of: datetime.date) -> int:
+    """Sum of the 18 largest results in the 52 weeks ending at ``as_of``.
+
+    The window is (as_of - 364 days, as_of]: inclusive of as_of, exact
+    364-day arithmetic.  Fewer than 18 in-window results sum plainly.
+    """
+    in_window = [
+        r.points for r in results if 0 <= (as_of - r.date).days < WINDOW_DAYS
+    ]
+    if len(in_window) <= BEST_N:
+        return sum(in_window)
+    return sum(nlargest(BEST_N, in_window))
+
+
+# --- bracket lookups by 1-based slot ------------------------------------------
+
+def player_at(bracket: Bracket, slot: int):
+    return bracket.slots[slot - 1]
+
+
+def slot_of(bracket: Bracket, player) -> int:
+    return bracket.slots.index(player) + 1
 
 
 @pytest.fixture(scope="session")

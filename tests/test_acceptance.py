@@ -27,7 +27,7 @@ from atppoints.model import baseline_brier, fit_alpha, predict
 from atppoints.points import Category, expected_points, points_for
 from atppoints.report import calibration_curve
 from atppoints.season import SeasonConfig, run_season
-from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, synth_matches
+from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, slot_of, synth_matches
 
 ARCHIVE_ENV = "ATPPOINTS_ARCHIVE"
 
@@ -142,7 +142,7 @@ def test_criterion_4_seeding_invariants():
     for seed in range(4000):
         rng = np.random.default_rng(seed)
         bracket = place_seeds(32, list("ABCDEFGH"), rng)
-        placements.add(tuple(bracket.slot_of(s) for s in "ABCDEFGH"))
+        placements.add(tuple(slot_of(bracket, s) for s in "ABCDEFGH"))
     assert len(placements) == 48  # 2 ballots for seeds 3-4 x 4! for 5-8
     violations = 0
     for slots in placements:

@@ -21,6 +21,7 @@ from atppoints.bracket import (
 from atppoints.errors import DomainError
 from atppoints.model import win_probability
 from atppoints.points import Category, points_for, points_or_zero
+from conftest import player_at, slot_of
 
 GS = Category.GRAND_SLAM
 M = Category.MASTERS_1000
@@ -122,14 +123,14 @@ class TestPlaceSeeds:
     def test_top_two_fixed(self):
         rng = np.random.default_rng(1)
         br = place_seeds(32, list("ABCDEFGH"), rng)
-        assert br.player_at(1) == "A"
-        assert br.player_at(32) == "B"
+        assert player_at(br, 1) == "A"
+        assert player_at(br, 32) == "B"
 
     def test_seeds_three_four_on_their_slots(self):
         rng = np.random.default_rng(2)
         br = place_seeds(32, list("ABCDEFGH"), rng)
-        assert {br.slot_of("C"), br.slot_of("D")} == {9, 24}
-        assert {br.slot_of(s) for s in "EFGH"} == {8, 16, 17, 25}
+        assert {slot_of(br, "C"), slot_of(br, "D")} == {9, 24}
+        assert {slot_of(br, s) for s in "EFGH"} == {8, 16, 17, 25}
 
     def test_exactly_48_distinct_ballots(self):
         # 2 arrangements for seeds 3-4 times 4! for seeds 5-8
@@ -137,7 +138,7 @@ class TestPlaceSeeds:
         for seed in range(4000):
             rng = np.random.default_rng(seed)
             br = place_seeds(32, list("ABCDEFGH"), rng)
-            outcomes.add(tuple(br.slot_of(s) for s in "CDEFGH"))
+            outcomes.add(tuple(slot_of(br, s) for s in "CDEFGH"))
         assert len(outcomes) == 48
 
     def test_exhaustive_protection_invariants(self):
@@ -146,7 +147,7 @@ class TestPlaceSeeds:
         for seed in range(4000):
             rng = np.random.default_rng(seed)
             br = place_seeds(32, list("ABCDEFGH"), rng)
-            outcomes.add(tuple(br.slot_of(s) for s in "ABCDEFGH"))
+            outcomes.add(tuple(slot_of(br, s) for s in "ABCDEFGH"))
         assert len(outcomes) == 48
         for slots in outcomes:
             assert meet_size(slots[0], slots[1], 32) == 2
@@ -163,7 +164,7 @@ class TestPlaceSeeds:
             rng = np.random.default_rng(seed)
             players = [f"s{i}" for i in range(n_seeds)]
             br = place_seeds(draw, players, rng)
-            slots = [br.slot_of(p) for p in players]
+            slots = [slot_of(br, p) for p in players]
             assert meet_size(slots[0], slots[1], draw) == 2
             for i in range(4):
                 for j in range(i + 1, 4):

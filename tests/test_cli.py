@@ -18,6 +18,7 @@ from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS
 
 MATCHES = str(SAMPLE_MATCHES)
 RANKINGS = str(SAMPLE_RANKINGS)
+GOLDEN_HELP = Path(__file__).with_name("golden_help.txt")
 
 
 @pytest.fixture()
@@ -35,6 +36,27 @@ def tree_bytes(out_dir: Path, exclude: tuple[str, ...] = ("manifest.json",)) -> 
 
 def manifest_of(out_dir: Path) -> dict:
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+def golden_help() -> dict[str, str]:
+    """``atppoints [COMMAND] --help`` -> its pinned text, at 80 columns."""
+    sections = GOLDEN_HELP.read_text(encoding="utf-8").split("==> atppoints ")[1:]
+    return dict(section.split(" <==\n", 1) for section in sections)
+
+
+class TestHelp:
+    # the pinned text shows every option default, so a moved default or a
+    # reworded option shows here
+    @pytest.mark.parametrize("command", ["", *main.commands])
+    def test_help_text_is_pinned(self, runner, command):
+        args = [*command.split(), "--help"]
+        result = runner.invoke(main, args, prog_name="atppoints", terminal_width=80)
+        assert result.exit_code == 0
+        assert result.output == golden_help()[" ".join(args)]
+
+    def test_every_command_is_pinned(self):
+        assert set(golden_help()) == {" ".join([*c.split(), "--help"])
+                                      for c in ["", *main.commands]}
 
 
 class TestFit:

@@ -14,14 +14,13 @@ from atppoints.points import (
     BEST_N,
     Category,
     EVENTS_PER_YEAR,
-    SeasonResult,
-    best_18_total,
     dump_tables,
     expected_points,
     expected_ratio_to_32,
     points_for,
     points_or_zero,
 )
+from conftest import SeasonResult, best_18_total
 
 GS = Category.GRAND_SLAM
 M = Category.MASTERS_1000

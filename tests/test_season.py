@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from atppoints.errors import DomainError
-from atppoints.points import BEST_N, Category, SeasonResult, best_18_total
+from atppoints.points import BEST_N, Category
 from atppoints.season import (
     CalendarEvent,
     SeasonConfig,
@@ -23,6 +23,7 @@ from atppoints.season import (
     load_season_config,
     run_season,
 )
+from conftest import SeasonResult, best_18_total
 
 
 def small_calendar() -> list[CalendarEvent]:

@@ -1,0 +1,106 @@
+"""Start-up contract: what a fresh interpreter loads on the cheap paths.
+
+``import atppoints``, ``--version``, ``--help`` and usage errors load click
+and none of the library or numpy; the library loads when a command body
+runs.  Each check runs in a fresh interpreter, since this one has loaded
+everything already.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import atppoints
+from conftest import SAMPLE_MATCHES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LIBRARY = ("bracket", "ingest", "manifest", "model", "points", "report", "season")
+HEAVY = ("numpy", *(f"atppoints.{name}" for name in LIBRARY))
+
+
+def run_fresh(code: str) -> str:
+    """The last stdout line of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def loaded_after(statement: str, modules=HEAVY) -> set[str]:
+    """The ones of ``modules`` that ``statement`` loads."""
+    return set(json.loads(run_fresh(
+        f"import json, sys\n{statement}\n"
+        f"print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))")))
+
+
+def cli_call(args: list[str], exit_code: int) -> str:
+    return ("from atppoints.cli import main\n"
+            "try:\n"
+            f"    main({args!r}, prog_name='atppoints')\n"
+            "except SystemExit as exc:\n"
+            f"    assert exc.code == {exit_code}, exc.code")
+
+
+@pytest.mark.parametrize("statement", [
+    "import atppoints",
+    "import atppoints.cli",
+    cli_call(["--version"], 0),
+    cli_call(["--help"], 0),
+    cli_call(["fit", "--help"], 0),
+    cli_call(["fit"], 2),
+    cli_call(["predict", "--alpha", "x", "1", "2"], 2),
+], ids=["import", "import-cli", "version", "help", "fit-help", "fit-usage", "predict-usage"])
+def test_cheap_paths_load_no_library(statement):
+    assert loaded_after(statement) == set()
+
+
+def test_bracket_loads_no_season_ingest_report_or_cli():
+    assert loaded_after("import atppoints.bracket", [
+        "atppoints.season", "atppoints.ingest", "atppoints.report", "atppoints.manifest",
+        "atppoints.cli"]) == set()
+
+
+def test_patch_before_first_command_is_kept(tmp_path):
+    # the traced benchmark replaces atppoints.cli names by getattr/setattr
+    # before any command runs; the command must call the replacement
+    out = tmp_path / "fit"
+    calls = run_fresh(
+        "import atppoints.cli as cli\n"
+        "calls = []\n"
+        "real = getattr(cli, 'fit_alpha')\n"
+        "setattr(cli, 'fit_alpha', lambda *a, **k: calls.append(1) or real(*a, **k))\n"
+        + cli_call(["fit", str(SAMPLE_MATCHES), "--out", str(out)], 0) + "\n"
+        "print(len(calls))")
+    assert calls == "1"
+    assert (out / "params.txt").exists()
+
+
+class TestExports:
+    def test_names_are_the_submodules_objects(self):
+        assert set(atppoints.__all__) == {"__version__", *atppoints._EXPORTS}
+        for name, module in atppoints._EXPORTS.items():
+            assert getattr(atppoints, name) is getattr(
+                importlib.import_module(f"atppoints.{module}"), name), name
+
+    def test_dir_lists_every_export(self):
+        assert set(atppoints.__all__) <= set(dir(atppoints))
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from atppoints import *", namespace)
+        assert set(atppoints.__all__) <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            getattr(atppoints, "nope")
+        assert not hasattr(atppoints, "SeasonResult")
+        assert not hasattr(atppoints, "best_18_total")
