@@ -21,11 +21,10 @@ from .errors import DomainError
 from .model import win_probability
 from .points import Category, points_for, points_or_zero
 
-SUPPORTED_DRAWS = (32, 64, 128)
-SUPPORTED_SEED_COUNTS = (8, 16, 32)
-
 #: Conventional seed count for each supported draw size.
 SEEDS_FOR_DRAW = {32: 8, 64: 16, 128: 32}
+SUPPORTED_DRAWS = tuple(SEEDS_FOR_DRAW)
+SUPPORTED_SEED_COUNTS = tuple(SEEDS_FOR_DRAW.values())
 
 #: Round tag keyed by number of players still in.
 ROUND_OF = {2: "F", 4: "SF", 8: "QF", 16: "R16", 32: "R32", 64: "R64", 128: "R128"}
@@ -35,22 +34,20 @@ PlayerId = Hashable
 
 @dataclass
 class Bracket:
-    """A draw: ``slots[k]`` holds the player at 1-based slot k+1, or None."""
+    """A draw, ``Bracket(slots)``: ``slots[k]`` holds the player at 1-based
+    slot k+1, or None while the slot is open; the draw size is ``len(slots)``."""
 
-    draw_size: int
     slots: list[PlayerId | None]
+
+    @property
+    def draw_size(self) -> int:
+        return len(self.slots)
 
     @classmethod
     def empty(cls, draw_size: int) -> "Bracket":
         if draw_size not in SUPPORTED_DRAWS:
             raise DomainError(f"unsupported draw size {draw_size!r}; expected one of {SUPPORTED_DRAWS}")
-        return cls(draw_size=draw_size, slots=[None] * draw_size)
-
-    def open_slots(self) -> list[int]:
-        return [k + 1 for k, p in enumerate(self.slots) if p is None]
-
-    def is_complete(self) -> bool:
-        return all(p is not None for p in self.slots)
+        return cls([None] * draw_size)
 
 
 def seed_slot_groups(draw_size: int, n_seeds: int) -> list[list[int]]:
@@ -124,7 +121,7 @@ def fill_unseeded(
     rng: np.random.Generator,
 ) -> Bracket:
     """Ballot the unseeded players onto the open slots, returning a new bracket."""
-    open_slots = bracket.open_slots()
+    open_slots = [k for k, p in enumerate(bracket.slots) if p is None]
     if len(open_slots) != len(players):
         raise DomainError(
             f"{len(players)} unseeded players for {len(open_slots)} open slots"
@@ -132,10 +129,10 @@ def fill_unseeded(
     assigned = set(p for p in bracket.slots if p is not None)
     if assigned & set(players):
         raise DomainError("some players are already placed in the bracket")
-    filled = Bracket(bracket.draw_size, list(bracket.slots))
+    filled = Bracket(list(bracket.slots))
     order = rng.permutation(len(players))
     for slot, k in zip(open_slots, order):
-        filled.slots[slot - 1] = players[k]
+        filled.slots[slot] = players[k]
     return filled
 
 
@@ -173,10 +170,14 @@ def run_tournament(
     rating ratio, drawn with one uniform per match in bracket order.  Players
     are listed in order of exit; blank point-table cells award 0.  A one-entry
     memo keeps the slot-pair probabilities of the last alpha and ratings played.
+    The bracket must hold distinct players in every slot of a supported draw.
     """
     global _memo
-    if not bracket.is_complete():
-        raise DomainError("bracket has unfilled slots")
+    draw = len(bracket.slots)
+    players = set(bracket.slots)
+    if None in players or len(players) != draw or draw not in SEEDS_FOR_DRAW:
+        raise DomainError(f"bracket has unfilled slots, a repeated player or a size not in "
+                          f"{SUPPORTED_DRAWS}: {draw} slots hold {len(players)} distinct values")
     if not 0 <= alpha < math.inf:
         raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
     values = list(map(ratings.__getitem__, bracket.slots))
@@ -190,7 +191,6 @@ def run_tournament(
         probs = {}
         _memo = (alpha, values, probs)
 
-    draw = bracket.draw_size
     alive = list(range(draw))  # slot indices; each match appends its winner
     exits: list[int] = []
     pairs = iter(alive)

@@ -39,7 +39,7 @@ LIBRARY = {
                "load_rankings", "load_schema", "select_matches"),
     "manifest": ("build_manifest", "dataset_fingerprint", "write_manifest"),
     "model": ("ModelParams", "baseline_brier", "brier_score", "fit_alpha", "predict"),
-    "points": ("expected_points",),
+    "points": ("RANK_BANDS", "expected_points"),
     "report": ("bin_by_ratio", "calibration_curve", "format_participation",
                "format_rank_stats", "participation_table", "rank_stats", "write_curve_csv",
                "write_curve_svg", "write_participation_csv", "write_rank_stats_csv"),
@@ -360,7 +360,7 @@ def simulate(config, calendar, out, **overrides):
         fp.write(f"alpha        {season.alpha:.6f}\n")
         fp.write(f"rng_seed     {season.rng_seed}\n\n")
         fp.write("rank band    expected      median        mean         min         max\n")
-        for band in (16, 32, 64):
+        for band in RANK_BANDS:
             s = result.rank_summary(band)
             fp.write(
                 f"{band:<12} {expected_points(band):>9} {s['median']:>11.1f} "

@@ -100,18 +100,21 @@ class IngestReport:
     """Row accounting for one select_matches call.
 
     kept + dropped_zero_points + dropped_missing + dropped_out_of_range
-    equals the number of data rows read.  dropped_out_of_range covers every
-    scope filter (date range, level, qualifying rounds, walkovers); the
-    breakdown records which one fired.
+    equals the number of data rows read.  dropped_out_of_range is the sum of
+    the breakdown, which counts the rows each scope filter (level, qualifying
+    rounds, walkovers, date range) dropped.
     """
 
     kept: int = 0
     dropped_zero_points: int = 0
     dropped_missing: int = 0
-    dropped_out_of_range: int = 0
     out_of_range_breakdown: dict[str, int] = field(
         default_factory=lambda: {"level": 0, "round": 0, "walkover": 0, "date": 0}
     )
+
+    @property
+    def dropped_out_of_range(self) -> int:
+        return sum(self.out_of_range_breakdown.values())
 
     @property
     def total_rows(self) -> int:
@@ -234,6 +237,24 @@ def _line_of_row(path: str | Path, row: int) -> int:
         return reader.line_num
 
 
+def _load_columns(
+    paths: Sequence[str | Path],
+    schema: dict[str, str],
+    columns: dict[str, tuple[object, Callable[[str], object]]],
+    required: Iterable[str],
+) -> tuple[dict[str, np.ndarray], list[int]]:
+    """Each of ``columns`` parsed from every file and joined in file-argument
+    and row order, and the number of rows of each file."""
+    parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in columns.items()}
+    sizes = []
+    for path in paths:
+        texts, n_rows = _read_fields(path, schema, columns, required)
+        for name, (dtype, parse) in columns.items():
+            parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
+        sizes.append(n_rows)
+    return {name: np.concatenate(arrays) for name, arrays in parts.items()}, sizes
+
+
 def load_raw_rows(
     paths: Sequence[str | Path],
     schema: dict[str, str] | None = None,
@@ -243,13 +264,7 @@ def load_raw_rows(
     Every row is kept, parsed or not; ``select_matches`` decides which rows
     the model sees.  ``draw_size`` is a valid schema key but is not read.
     """
-    schema = schema or DEFAULT_SCHEMA
-    parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in _COLUMNS.items()}
-    for path in paths:
-        texts, _ = _read_fields(path, schema, _COLUMNS, _REQUIRED_FIELDS)
-        for name, (dtype, parse) in _COLUMNS.items():
-            parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
-    columns = {name: np.concatenate(arrays) for name, arrays in parts.items()}
+    columns, _ = _load_columns(paths, schema or DEFAULT_SCHEMA, _COLUMNS, _REQUIRED_FIELDS)
     event_id, event_name = columns.pop("tournament_id"), columns.pop("tournament_name")
     return MatchTable(event=np.where(event_id != "", event_id, event_name), **columns)
 
@@ -294,7 +309,6 @@ def select_matches(
     first, last = (np.datetime64(d or "NaT", "D") for d in date_range or (None, None))
     by["date"] = drop((table.date < first) | (table.date > last))
     report.dropped_zero_points = drop((wp <= 0) | (lp <= 0))
-    report.dropped_out_of_range = sum(by.values())
     report.kept = int(np.count_nonzero(left))
 
     kept = table[left]
@@ -343,7 +357,8 @@ def _csv_field(text: str) -> str:
 
 # --- ranking snapshots ------------------------------------------------------
 
-DEFAULT_RANKING_SCHEMA: dict[str, str] = {
+#: Ranking field -> column name in the snapshot files.
+RANKING_SCHEMA: dict[str, str] = {
     "date": "ranking_date",
     "rank": "rank",
     "player": "player",
@@ -368,11 +383,8 @@ class RankingTable:
     points: np.ndarray  # float64
 
 
-def load_rankings(
-    paths: Sequence[str | Path],
-    schema: dict[str, str] | None = None,
-) -> RankingTable:
-    """Load ranking snapshot files into one table.
+def load_rankings(paths: Sequence[str | Path]) -> RankingTable:
+    """Load ranking snapshot files (the ``RANKING_SCHEMA`` columns) into one table.
 
     A row is skipped when its date or rank does not parse or its points are
     not a finite positive number.  Ranks must be unique within a date: a
@@ -380,15 +392,8 @@ def load_rankings(
     Only that error reads lines: it reads the named file once more to find
     the line (``_line_of_row``).
     """
-    schema = schema or DEFAULT_RANKING_SCHEMA
-    parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in _RANKING_COLUMNS.items()}
-    sizes = []
-    for path in paths:
-        texts, n_rows = _read_fields(path, schema, _RANKING_COLUMNS, _RANKING_COLUMNS)
-        for name, (dtype, parse) in _RANKING_COLUMNS.items():
-            parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
-        sizes.append(n_rows)
-    date, rank, player, points = (np.concatenate(parts[name]) for name in _RANKING_COLUMNS)
+    columns, sizes = _load_columns(paths, RANKING_SCHEMA, _RANKING_COLUMNS, _RANKING_COLUMNS)
+    date, rank, player, points = columns.values()
     # a rank that is NaN or outside int64 did not parse; NaN points fail both tests
     keep = ~np.isnat(date) & (np.abs(rank) < 2.0**63) & np.isfinite(points) & (points > 0)
     table = RankingTable(date[keep], rank[keep].astype(np.int64), player[keep], points[keep])

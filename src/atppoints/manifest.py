@@ -40,14 +40,11 @@ def build_manifest(command: str, flags: dict, input_paths: Sequence[str | Path],
 
 
 def _plain(value):
+    """A flag value as JSON: click gives paths as ``str`` and days as ``datetime``."""
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
-    if isinstance(value, Path):
-        return str(value)
     if isinstance(value, datetime.datetime):  # the CLI's --from/--to: a day
         return value.date().isoformat()
-    if isinstance(value, datetime.date):
-        return value.isoformat()
     return value
 
 

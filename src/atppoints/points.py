@@ -23,21 +23,13 @@ class Category(str, Enum):
     TOUR_250 = "tour_250"
 
 
-#: Tour events per year in each category.
-EVENTS_PER_YEAR: dict[Category, int] = {
-    Category.GRAND_SLAM: 4,
-    Category.MASTERS_1000: 9,
-    Category.TOUR_500: 13,
-    Category.TOUR_250: 40,
-}
-
 #: Round tags from champion down to first round, plus qualifying.
 ROUND_TAGS = ("W", "F", "SF", "QF", "R16", "R32", "R64", "R128", "Q")
 
 
 @dataclass(frozen=True)
 class PointTable:
-    """Round-to-points mapping for one category.
+    """Round-to-points mapping for one category (its key in ``TABLES``).
 
     ``alternates`` holds draw-size-dependent values, keyed (round, draw_size).
     Which draw sizes take which alternate is a configuration choice here, not
@@ -45,30 +37,25 @@ class PointTable:
     and 250s) take the parenthesized value.
     """
 
-    category: Category
     points_by_round: Mapping[str, int]
     alternates: Mapping[tuple[str, int], int] = field(default_factory=dict)
 
 
 TABLES: dict[Category, PointTable] = {
     Category.GRAND_SLAM: PointTable(
-        Category.GRAND_SLAM,
         {"W": 2000, "F": 1200, "SF": 720, "QF": 360, "R16": 180,
          "R32": 90, "R64": 45, "R128": 10, "Q": 25},
     ),
     Category.MASTERS_1000: PointTable(
-        Category.MASTERS_1000,
         {"W": 1000, "F": 600, "SF": 360, "QF": 180, "R16": 90,
          "R32": 45, "R64": 10, "Q": 16},
         alternates={("R64", 96): 25, ("R128", 96): 10},
     ),
     Category.TOUR_500: PointTable(
-        Category.TOUR_500,
         {"W": 500, "F": 300, "SF": 180, "QF": 90, "R16": 45, "Q": 20},
         alternates={("R32", 48): 20},
     ),
     Category.TOUR_250: PointTable(
-        Category.TOUR_250,
         {"W": 250, "F": 150, "SF": 90, "QF": 45, "R16": 20, "Q": 12},
         alternates={("R32", 48): 5},
     ),
@@ -88,7 +75,7 @@ def points_for(category: Category, round_tag: str, draw_size: int | None = None)
             return alt
     value = table.points_by_round.get(round_tag)
     if value is None:
-        raise DomainError(f"round {round_tag!r} not awarded in category {table.category.value}")
+        raise DomainError(f"round {round_tag!r} not awarded in category {Category(category).value}")
     return value
 
 

@@ -16,7 +16,7 @@ import csv
 import datetime
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -24,9 +24,10 @@ from .defaults import DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS
 from .errors import DomainError
 from .ingest import RankingTable
 from .model import MatchTable, _nonempty, _require_positive, win_probability
-from .points import Category, expected_points, expected_ratio_to_32
+from .points import RANK_BANDS, Category, expected_points, expected_ratio_to_32
 
-DEFAULT_RATIO_SPAN = (0.01, 100.0)
+#: Point-ratio range of ``bin_by_ratio``'s log-spaced bins.
+RATIO_SPAN = (0.01, 100.0)
 
 
 @dataclass
@@ -86,9 +87,9 @@ def bin_by_ratio(
     matches: MatchTable,
     alpha: float,
     n_bins: int = DEFAULT_RATIO_BINS,
-    span: tuple[float, float] = DEFAULT_RATIO_SPAN,
 ) -> BinnedCurve:
-    """Win frequency binned over the point ratio, log-spaced bins.
+    """Win frequency binned over the point ratio, log-spaced bins over
+    ``RATIO_SPAN``.
 
     Both orientations are emitted, so bin counts sum to twice the match
     count; ratios outside the span are clamped into the end bins.
@@ -96,10 +97,7 @@ def bin_by_ratio(
     matches = _nonempty(matches)
     if n_bins < 2:
         raise DomainError(f"n_bins must be at least 2, got {n_bins!r}")
-    lo, hi = span
-    if not (0 < lo < hi):
-        raise DomainError(f"invalid ratio span {span!r}")
-    edges = np.geomspace(lo, hi, n_bins + 1)
+    edges = np.geomspace(*RATIO_SPAN, n_bins + 1)
     ratios, outcomes, predicted = _oriented_ratios(matches, alpha)
     counts, freq, mean_pred = _bin_oriented(ratios, outcomes, predicted, edges)
     centers = np.sqrt(edges[:-1] * edges[1:])
@@ -153,7 +151,6 @@ def _num(value: float) -> str:
 class RankStats:
     """Point statistics for one rank band across snapshot dates."""
 
-    band: int
     n_dates: int
     points_max: float
     points_mean: float
@@ -165,30 +162,26 @@ class RankStats:
     ratio_std: float
 
 
-def rank_stats(
-    table: RankingTable,
-    bands: Sequence[int] = (16, 32, 64),
-) -> tuple[dict[int, RankStats], list[datetime.date]]:
-    """Per-band max/mean/min/std of points and of the ratio to rank 32.
+def rank_stats(table: RankingTable) -> tuple[dict[int, RankStats], list[datetime.date]]:
+    """Max/mean/min/std of points and of the ratio to rank 32, per rank band
+    of ``points.RANK_BANDS`` (16, 32, 64).
 
-    Snapshot dates missing any requested band (or rank 32) are skipped and
-    returned in date order.  Std is the population standard deviation.
+    Snapshot dates missing any band are skipped and returned in date order.
+    Std is the population standard deviation.
     """
-    needed = sorted(set(bands) | {32})
-    rows = np.isin(table.rank, needed)
+    rows = np.isin(table.rank, RANK_BANDS)
     dates, date_of = np.unique(table.date[rows], return_inverse=True)
     # band x date points; a row per band keeps each band's values contiguous
-    grid = np.full((len(needed), len(dates)), np.nan)
-    grid[np.searchsorted(needed, table.rank[rows]), date_of] = table.points[rows]
+    grid = np.full((len(RANK_BANDS), len(dates)), np.nan)
+    grid[np.searchsorted(RANK_BANDS, table.rank[rows]), date_of] = table.points[rows]
     complete = ~np.isnan(grid).any(axis=0)
     if not complete.any():
         raise DomainError("no snapshot date contains every requested rank band")
     usable = grid[:, complete]
     stats: dict[int, RankStats] = {}
-    for band in bands:
-        pts = usable[needed.index(band)]
-        ratio = pts / usable[needed.index(32)]
-        stats[band] = RankStats(band, len(pts), *_summary(pts), *_summary(ratio))
+    for band, pts in zip(RANK_BANDS, usable):
+        ratio = pts / usable[RANK_BANDS.index(32)]
+        stats[band] = RankStats(len(pts), *_summary(pts), *_summary(ratio))
     return stats, dates[~complete].tolist()
 
 
@@ -238,25 +231,24 @@ def format_rank_stats(stats: Mapping[int, RankStats]) -> str:
 
 # --- participation counts ------------------------------------------------------
 
+#: Top-N rank bands of the participation table.
 PARTICIPATION_BANDS = (8, 16, 30, 64)
 _HIST_CAP = 6  # histogram cells 0..5 plus "6 or more"
 
 
 @dataclass
 class ParticipationTable:
-    """500/250 participation histograms per top-N band."""
+    """500/250 participation histograms per top-N band of
+    ``PARTICIPATION_BANDS``."""
 
-    bands: tuple[int, ...]
     histograms: dict[tuple[int, Category], list[int]] = field(default_factory=dict)
     means: dict[tuple[int, Category], float] = field(default_factory=dict)
     unresolved_events: int = 0
 
 
-def participation_table(
-    table: MatchTable,
-    bands: Sequence[int] = PARTICIPATION_BANDS,
-) -> ParticipationTable:
-    """Count 500 and 250 events played per player, bucketed by rank band.
+def participation_table(table: MatchTable) -> ParticipationTable:
+    """Count 500 and 250 events played per player, bucketed by the top-N
+    bands of ``PARTICIPATION_BANDS`` (8, 16, 30, 64).
 
     ``table`` is the raw archive table (``ingest.load_raw_rows``).  A player
     "played" a tournament if they appear in any of its rows.  Band
@@ -290,9 +282,9 @@ def participation_table(
     rank = np.full(n_players, np.nan)
     rank[side_player[latest]] = side_rank[latest]
 
-    result = ParticipationTable(bands=tuple(bands))
+    result = ParticipationTable()
     result.unresolved_events = int(np.count_nonzero(~resolved[keep][last]))
-    for band in bands:
+    for band in PARTICIPATION_BANDS:
         members = rank <= band
         for c in counted:
             counts = played[c][members]
@@ -314,7 +306,7 @@ def write_participation_csv(table: ParticipationTable, fp: IO[str]) -> None:
     writer = csv.writer(fp)
     writer.writerow(["band", "category"] + [str(k) for k in range(_HIST_CAP)]
                     + [f"{_HIST_CAP}_or_more", "mean"])
-    for band in table.bands:
+    for band in PARTICIPATION_BANDS:
         for category in (Category.TOUR_500, Category.TOUR_250):
             hist = table.histograms[(band, category)]
             writer.writerow([band, category.value] + hist
@@ -325,7 +317,7 @@ def format_participation(table: ParticipationTable) -> str:
     header = ("band  category   " + "".join(f"{k:>5}" for k in range(_HIST_CAP))
               + f"{'6+':>5}   mean")
     lines = [header]
-    for band in table.bands:
+    for band in PARTICIPATION_BANDS:
         for category in (Category.TOUR_500, Category.TOUR_250):
             hist = table.histograms[(band, category)]
             mean = table.means[(band, category)]

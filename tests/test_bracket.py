@@ -53,7 +53,7 @@ def full_bracket(draw: int, rng: np.random.Generator) -> tuple[Bracket, list[str
 def _reference_run_tournament(bracket, ratings, alpha, category, rng):
     """The plain round-by-round loop: the oracle run_tournament must equal
     exactly, in its result items, their order and the generator state."""
-    if not bracket.is_complete():
+    if None in bracket.slots:
         raise DomainError("bracket has unfilled slots")
     if not 0 <= alpha < math.inf:
         raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
@@ -61,7 +61,7 @@ def _reference_run_tournament(bracket, ratings, alpha, category, rng):
         if not 0 < ratings[player] < math.inf:
             raise DomainError(f"player {player!r} has non-positive or non-finite "
                               f"rating {ratings[player]!r}")
-    draw = bracket.draw_size
+    draw = len(bracket.slots)
     alive = list(bracket.slots)
     results = {}
     uniforms = rng.random(draw - 1)
@@ -193,7 +193,7 @@ class TestFillUnseeded:
         br = place_seeds(32, list("ABCDEFGH"), rng)
         rest = [f"u{i}" for i in range(24)]
         filled = fill_unseeded(br, rest, rng)
-        assert filled.is_complete()
+        assert None not in filled.slots
         assert sorted(filled.slots, key=str) == sorted(list("ABCDEFGH") + rest, key=str)
 
     def test_deterministic_for_fixed_seed(self):
@@ -226,6 +226,25 @@ class TestRunTournament:
         br = place_seeds(32, list("ABCDEFGH"), np.random.default_rng(0))
         with pytest.raises(DomainError, match="unfilled"):
             run_tournament(br, {}, 1.0, T250, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("slots", [
+        [f"p{i}" for i in range(10)],
+        [f"p{i}" for i in range(256)],
+        ["p0"] * 32,
+    ], ids=["size10", "size256", "one-id"])
+    def test_every_player_must_be_played(self, slots):
+        # unchecked, an unsupported size plays only a power of two of its
+        # slots and a repeated id keeps one result: players vanish silently
+        ratings = dict.fromkeys(slots, 100.0)
+        with pytest.raises(DomainError, match="repeated player"):
+            run_tournament(Bracket(slots), ratings, 1.0, T250, np.random.default_rng(0))
+
+    def test_repeated_player_in_balloted_draw_raises(self):
+        br, players = full_bracket(32, np.random.default_rng(0))
+        br.slots[br.slots.index(players[20])] = players[7]
+        with pytest.raises(DomainError, match="repeated player"):
+            run_tournament(br, dict.fromkeys(players, 100.0), 1.0, T250,
+                           np.random.default_rng(0))
 
     def test_deterministic_limit_highest_points_wins(self):
         # with seeds placed by rating, an exponent this large saturates every
@@ -354,7 +373,7 @@ def _calls_alternating(draw, alpha, rng):
 def _calls_renamed(draw, alpha, rng):
     # equal slot ratings under other ids: the memo may hit, the ids must not leak
     br, ratings = _random_field(draw, rng)
-    renamed = Bracket(draw, [f"x{p}" for p in br.slots])
+    renamed = Bracket([f"x{p}" for p in br.slots])
     renamed_ratings = {f"x{p}": r for p, r in ratings.items()}
     return [call for _ in range(15) for call in ((br, ratings, alpha),
                                                 (renamed, renamed_ratings, alpha))]

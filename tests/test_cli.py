@@ -74,15 +74,18 @@ class TestFit:
         assert manifest["command"] == "fit"
         assert MATCHES in manifest["inputs"]
 
-    def test_fit_empty_date_range_fails_cleanly(self, runner, tmp_path):
-        out = tmp_path / "fit"
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["evaluate", "--alpha", "0.87"], ["report", "--alpha", "0.87"],
+    ], ids=["fit", "evaluate", "report"])
+    def test_fit_empty_date_range_fails_cleanly(self, runner, tmp_path, command):
+        out = tmp_path / "out"
         result = runner.invoke(main, [
-            "fit", MATCHES, "--from", "1990-01-01", "--to", "1990-12-31",
+            *command, MATCHES, "--from", "1990-01-01", "--to", "1990-12-31",
             "--out", str(out),
         ])
         assert result.exit_code == 5
         assert "no matches" in result.output
-        assert not (out / "params.txt").exists()
+        assert not out.exists()
 
     def test_fit_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["fit", "missing.csv", "--out", str(tmp_path)])
@@ -500,16 +503,22 @@ class TestSimulate:
         ("week,category,draw_size\n3,slam,128\n", 5, "'slam'"),
         ("week,category\n3,grand_slam\n", 3, "draw_size"),
         ("week,category,draw_size\nx,grand_slam,128\n", 5, "'x'"),
-    ], ids=["draw96", "category", "no-draw-size", "week"])
+        # 32 players fill each week's draw, but the top 30 may enter only
+        # their picked 250s, so week 1 runs short
+        ("week,category,draw_size\n" + "".join(f"{w},tour_250,32\n" for w in range(1, 8)),
+         5, "week 1: only 15 entrants for a 32-draw event"),
+    ], ids=["draw96", "category", "no-draw-size", "week", "short-draw"])
     def test_bad_calendar_exit_code(self, runner, tmp_path, content, code, named):
         calendar = tmp_path / "cal.csv"
         calendar.write_text(content)
         result = runner.invoke(main, [
-            "simulate", "--calendar", str(calendar), "--out", str(tmp_path / "sim"),
+            "simulate", "--players", "32", "--calendar", str(calendar),
+            "--out", str(tmp_path / "sim"),
         ])
         assert result.exit_code == code, result.output
         assert named in result.output
         assert "Traceback" not in result.output
+        assert not (tmp_path / "sim").exists()
 
     def test_non_utf8_config_is_schema_error(self, runner, tmp_path):
         config = tmp_path / "season.cfg"

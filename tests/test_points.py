@@ -13,7 +13,6 @@ from atppoints.errors import DomainError
 from atppoints.points import (
     BEST_N,
     Category,
-    EVENTS_PER_YEAR,
     dump_tables,
     expected_points,
     expected_ratio_to_32,
@@ -95,12 +94,6 @@ class TestPointTable:
             values = [points_for(category, t) for t in ladder]
             assert values == sorted(values, reverse=True)
             assert len(set(values)) == len(values)
-
-    def test_events_per_year_counts(self):
-        assert EVENTS_PER_YEAR[GS] == 4
-        assert EVENTS_PER_YEAR[M] == 9
-        assert EVENTS_PER_YEAR[T500] == 13
-        assert EVENTS_PER_YEAR[T250] == 40
 
     def test_dump_tables_covers_all_cells(self):
         buf = io.StringIO()

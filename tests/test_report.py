@@ -17,6 +17,7 @@ from atppoints.ingest import RankingTable, load_rankings, load_raw_rows
 from atppoints.model import MatchTable
 from atppoints.points import Category
 from atppoints.report import (
+    PARTICIPATION_BANDS,
     bin_by_ratio,
     calibration_curve,
     format_participation,
@@ -42,9 +43,9 @@ class TestBinByRatio:
         assert curve.edges[bin_idx] <= 1.0 <= curve.edges[bin_idx + 1]
 
     def test_log_spacing_over_requested_span(self):
-        curve = bin_by_ratio(pairs((800, 700)), alpha=1.0, n_bins=40, span=(0.1, 10.0))
-        assert curve.edges[0] == pytest.approx(0.1)
-        assert curve.edges[-1] == pytest.approx(10.0)
+        curve = bin_by_ratio(pairs((800, 700)), alpha=1.0, n_bins=40)
+        assert curve.edges[0] == pytest.approx(0.01)
+        assert curve.edges[-1] == pytest.approx(100.0)
         ratios = curve.edges[1:] / curve.edges[:-1]
         assert np.allclose(ratios, ratios[0])
 
@@ -57,7 +58,7 @@ class TestBinByRatio:
         assert np.all(curve.freq[populated] <= 1.0)
 
     def test_out_of_span_ratios_clamp_into_end_bins(self):
-        curve = bin_by_ratio(pairs((50000, 10)), alpha=1.0, n_bins=10, span=(0.1, 10.0))
+        curve = bin_by_ratio(pairs((50000, 10)), alpha=1.0, n_bins=10)
         assert curve.counts[0] == 1 and curve.counts[-1] == 1
 
     def test_empirical_tracks_model_on_synthetic(self):
@@ -216,7 +217,7 @@ class TestRankStats:
 class TestParticipation:
     def test_empty_rows_zero_histograms(self):
         table = participation_table(pairs())
-        for band in table.bands:
+        for band in PARTICIPATION_BANDS:
             for category in (Category.TOUR_500, Category.TOUR_250):
                 assert table.histograms[(band, category)] == [0] * 7
                 assert table.means[(band, category)] == 0.0
@@ -240,7 +241,7 @@ class TestParticipation:
             + row("E4", "tour_250", "C", 40, "Y", 80)
         )
         rows = load_raw_rows([path])
-        table = participation_table(rows, bands=(8, 16, 30, 64))
+        table = participation_table(rows)
         # hand count: top 8 = {A}: 500-count 2, 250-count 1
         assert table.histograms[(8, Category.TOUR_500)][2] == 1
         assert table.means[(8, Category.TOUR_500)] == 2.0
@@ -350,9 +351,8 @@ class TestScalarReference:
             player=np.full(keep.sum(), "p", dtype=object),
             points=rng.uniform(1.0, 5000.0, keep.sum()),
         )
-        bands = ((16, 32, 64), (64,), (16, 32))[seed % 3]
-        expected, expected_skipped = reference_rank_stats(table, bands)
-        stats, skipped = rank_stats(table, bands)
+        expected, expected_skipped = reference_rank_stats(table, (16, 32, 64))
+        stats, skipped = rank_stats(table)
         got = {b: (s.n_dates, s.points_max, s.points_mean, s.points_min, s.points_std,
                    s.ratio_max, s.ratio_mean, s.ratio_min, s.ratio_std)
                for b, s in stats.items()}
@@ -362,9 +362,8 @@ class TestScalarReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_participation_matches_loop(self, seed):
         table = random_archive(seed)
-        bands = ((8, 16, 30, 64), (1, 2, 200), (50,))[seed % 3]
-        result = participation_table(table, bands=bands)
-        histograms, means, unresolved = reference_participation(table, bands)
+        result = participation_table(table)
+        histograms, means, unresolved = reference_participation(table, (8, 16, 30, 64))
         assert result.histograms == histograms
         assert result.means == means
         assert result.unresolved_events == unresolved
@@ -396,12 +395,11 @@ class TestScalarReference:
             winner_id=text(winner), loser_id=text(loser), winner_rank=np.array(wrank, float),
             loser_rank=np.array(lrank, float), category=text(category),
         )
-        for bands in ((8, 16, 30, 64), (1, 2, 5, 12, 60)):
-            result = participation_table(table, bands=bands)
-            histograms, means, unresolved = reference_participation(table, bands)
-            assert result.histograms == histograms
-            assert result.means == means
-            assert result.unresolved_events == unresolved
+        result = participation_table(table)
+        histograms, means, unresolved = reference_participation(table, (8, 16, 30, 64))
+        assert result.histograms == histograms
+        assert result.means == means
+        assert result.unresolved_events == unresolved
 
 
 class TestEmission:
