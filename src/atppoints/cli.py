@@ -281,15 +281,18 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     observations, ingest_report = select_matches(raw, **selection)
     if not observations:
         raise DomainError("no matches after filtering")
-    out_dir = _ensure_out(out)
-
+    # every table is built before the output directory is made, so a bad
+    # value or ranking file leaves no partial output behind
     ratio_curve = bin_by_ratio(observations, alpha, n_bins=ratio_bins)
+    calib = calibration_curve(observations, alpha, n_bins=prob_bins)
+    stats, skipped = rank_stats(load_rankings(rankings)) if rankings else (None, None)
+    table = participation_table(raw)
+
+    out_dir = _ensure_out(out)
     with open(out_dir / "ratio_curve.csv", "w", encoding="utf-8", newline="") as fp:
         write_curve_csv(ratio_curve, fp)
     with open(out_dir / "ratio_curve.svg", "w", encoding="utf-8") as fp:
         write_curve_svg(ratio_curve, fp, "Win frequency vs point ratio", "point ratio")
-
-    calib = calibration_curve(observations, alpha, n_bins=prob_bins)
     with open(out_dir / "calibration.csv", "w", encoding="utf-8", newline="") as fp:
         write_curve_csv(calib, fp)
     with open(out_dir / "calibration.svg", "w", encoding="utf-8") as fp:
@@ -297,7 +300,6 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
                         "predicted probability")
 
     if rankings:
-        stats, skipped = rank_stats(load_rankings(rankings))
         with open(out_dir / "rank_stats.csv", "w", encoding="utf-8", newline="") as fp:
             write_rank_stats_csv(stats, fp)
         with open(out_dir / "rank_stats.txt", "w", encoding="utf-8") as fp:
@@ -307,7 +309,6 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     else:
         click.echo("no ranking files given: rank-band tables skipped", err=True)
 
-    table = participation_table(raw)
     with open(out_dir / "participation.csv", "w", encoding="utf-8", newline="") as fp:
         write_participation_csv(table, fp)
     with open(out_dir / "participation.txt", "w", encoding="utf-8") as fp:
@@ -350,6 +351,7 @@ def simulate(config, calendar, out, **overrides):
         season.calendar = load_calendar_file(calendar)
     players = [f"P{i + 1:03d}" for i in range(season.n_players)]
     result = run_season(season, players)
+    bands = {band: result.rank_summary(band) for band in RANK_BANDS}  # before any output
 
     out_dir = _ensure_out(out)
     with open(out_dir / "seasons.csv", "w", encoding="utf-8", newline="") as fp:
@@ -360,8 +362,7 @@ def simulate(config, calendar, out, **overrides):
         fp.write(f"alpha        {season.alpha:.6f}\n")
         fp.write(f"rng_seed     {season.rng_seed}\n\n")
         fp.write("rank band    expected      median        mean         min         max\n")
-        for band in RANK_BANDS:
-            s = result.rank_summary(band)
+        for band, s in bands.items():
             fp.write(
                 f"{band:<12} {expected_points(band):>9} {s['median']:>11.1f} "
                 f"{s['mean']:>11.1f} {s['min']:>11.1f} {s['max']:>11.1f}\n"

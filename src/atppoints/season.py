@@ -9,9 +9,11 @@ the ideal-schedule totals (2430 / 1260 / 650).
 Entry policy (the tour rulebook leaves this to the player, so the simulator
 needs a deterministic one): season-start top-30 players enter all four Grand
 Slams and the first eight Masters, plus a fixed number of 500 and 250 events
-chosen greedily to avoid each other, and rest otherwise.  Everyone else
-enters the most prestigious event with an open slot each week, by ranking
-priority.
+chosen greedily to avoid each other, and rest otherwise; that plan depends
+only on the calendar and the rank slot, so one plan serves every season.
+Everyone else enters the most prestigious event with an open slot each
+week, by ranking priority, and a 500 or 250 takes players under the
+appetite cap first.
 """
 
 from __future__ import annotations
@@ -188,32 +190,38 @@ def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
     return np.lexsort((tiebreak, -points))
 
 
-def _pick_optional_events(
-    config: SeasonConfig,
-    top30: np.ndarray,
-    committed: np.ndarray,
-) -> None:
-    """Greedy optional-event choice: players take the events with the weakest
-    committed field so far, in rank order, skipping the weeks they already
-    play; ties go to the earlier week, then the earlier calendar entry.
-    Each pick is marked in ``committed`` (event x player)."""
+def _entry_plan(config: SeasonConfig, n_top: int) -> np.ndarray:
+    """The season-start top ``n_top``'s commitments, event x rank slot.
+
+    Each slot commits to every Grand Slam and the first eight Masters, then
+    picks its optional 500s and 250s greedily: slots in rank order take the
+    events with the weakest committed field so far, skipping the weeks they
+    already play; ties go to the earlier week, then the earlier calendar
+    entry.  The plan reads only the calendar and the choice counts, so the
+    k-th ranked player commits to the same events every season, whoever
+    that player is."""
     calendar = config.calendar
     weeks = np.array([ev.week for ev in calendar])
-    field_size = committed.sum(axis=1)
+    plan = np.zeros((len(calendar), n_top), dtype=bool)
+    plan[[ev.category == Category.GRAND_SLAM for ev in calendar]] = True
+    masters = np.flatnonzero([ev.category == Category.MASTERS_1000 for ev in calendar])
+    plan[masters[:MANDATORY_MASTERS]] = True
+    field_size = plan.sum(axis=1)
     choices = [
         (np.flatnonzero([ev.category == category for ev in calendar]), wanted)
         for category, wanted in ((Category.TOUR_500, config.n_500_choices),
                                  (Category.TOUR_250, config.n_250_choices))
     ]
-    for player in top30:
+    for slot in range(n_top):
         busy = np.zeros(WEEKS_PER_SEASON + 1, dtype=bool)
-        busy[weeks[committed[:, player]]] = True
+        busy[weeks[plan[:, slot]]] = True
         for events, wanted in choices:
             free = events[~busy[weeks[events]]]
             picks = free[np.lexsort((free, weeks[free], field_size[free]))[:wanted]]
-            committed[picks, player] = True
+            plan[picks, slot] = True
             busy[weeks[picks]] = True
             field_size[picks] += 1
+    return plan
 
 
 def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
@@ -224,6 +232,10 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
     summaries discard.  Deterministic for a fixed rng_seed: each season cycle
     consumes its own child RNG stream, and all ranking ties are broken by
     seeded draws so players start exchangeable.
+
+    An event that cannot fill its draw raises ``DomainError`` naming the
+    week and the pool; each event enters as many players in every season,
+    so a pool too small for the calendar fails in season 1.
     """
     config.validate()
     players = list(players)
@@ -231,17 +243,10 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
         raise DomainError("player ids must be distinct")
     n = len(players)
     calendar = config.calendar
-    weekly_need: dict[int, int] = {}
-    for ev in calendar:
-        weekly_need[ev.week] = weekly_need.get(ev.week, 0) + ev.draw_size
-    worst = max(weekly_need.values())
-    if n < worst:
-        raise DomainError(
-            f"player pool of {n} cannot fill a week requiring {worst} entrants"
-        )
 
     season_streams = np.random.SeedSequence(config.rng_seed).spawn(config.n_seasons)
-    results = np.empty((config.n_seasons * sum(weekly_need.values()), 4), dtype=np.int64)
+    results = np.empty((config.n_seasons * sum(ev.draw_size for ev in calendar), 4),
+                       dtype=np.int64)
     n_results = 0
     # Each player's result in each of the last 52 weeks, in column
     # abs_week % 52 (a player plays at most one event a week); the best-18
@@ -256,26 +261,17 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
     for idx in sorted(range(len(calendar)),
                       key=lambda i: (_PRESTIGE[calendar[i].category], i)):
         events_by_week.setdefault(calendar[idx].week, []).append(idx)
-    masters_order = [
-        idx for idx, ev in enumerate(calendar)
-        if ev.category == Category.MASTERS_1000
-    ]
-    mandatory_events = [
-        idx for idx, ev in enumerate(calendar)
-        if ev.category == Category.GRAND_SLAM
-    ] + masters_order[:MANDATORY_MASTERS]
+    n_top = min(TOP_N_MANDATORY, n) if config.top30_mandatory else 0
+    plan = _entry_plan(config, n_top)
 
     for season in range(1, config.n_seasons + 1):
         rng = np.random.Generator(np.random.PCG64(season_streams[season - 1]))
         order = _ranked_order(points, rng.random(n))
-
         committed = np.zeros((len(calendar), n), dtype=bool)  # event x player
+        committed[:, order[:n_top]] = plan
+        # the top 30 enter only their plan, so no free player is committed
         restricted = np.zeros(n, dtype=bool)
-        if config.top30_mandatory:
-            top30 = order[: min(TOP_N_MANDATORY, n)]
-            committed[np.ix_(mandatory_events, top30)] = True
-            _pick_optional_events(config, top30, committed)
-            restricted[top30] = True
+        restricted[order[:n_top]] = True
 
         events_played = np.zeros(n, dtype=np.int64)
         for week in range(1, WEEKS_PER_SEASON + 1):
@@ -287,23 +283,18 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
             for idx in events_by_week.get(week, ()):
                 ev = calendar[idx]
                 have = committed[idx] & ~played
-                # first pass honors the appetite cap for small events; the
-                # second ignores it so a draw short of entrants still fills
-                # (nobody skips a Grand Slam or Masters over fatigue either).
-                # Only restricted players have busy weeks.
-                for honor_cap in (True, False):
-                    need = ev.draw_size - np.count_nonzero(have)
-                    if need == 0:
-                        break
-                    eligible = ~(played | have | restricted)
-                    if honor_cap and _PRESTIGE[ev.category] >= 2:
-                        eligible &= events_played < config.max_events_per_season
-                    have[order[eligible[order]][:need]] = True
+                free = order[~(played | restricted)[order]]
+                if _PRESTIGE[ev.category] >= 2:
+                    # a 500 or 250 takes players under the appetite cap
+                    # first (nobody skips a Grand Slam or Masters over it)
+                    capped = events_played[free] >= config.max_events_per_season
+                    free = free[np.argsort(capped, kind="stable")]
+                have[free[:ev.draw_size - np.count_nonzero(have)]] = True
                 entrants = order[have[order]].tolist()  # in rank order
                 if len(entrants) < ev.draw_size:
                     raise DomainError(
                         f"week {week}: only {len(entrants)} entrants for a "
-                        f"{ev.draw_size}-draw event"
+                        f"{ev.draw_size}-draw event from a player pool of {n}"
                     )
                 n_seeds = SEEDS_FOR_DRAW[ev.draw_size]
                 br = place_seeds(ev.draw_size, entrants[:n_seeds], rng)

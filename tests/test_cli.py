@@ -538,6 +538,43 @@ class TestSimulate:
         ])
         assert result.exit_code == 5
         assert "pool" in result.output
+        assert not out.exists()
+
+
+_BANDS_16_32 = "ranking_date,rank,player,points\n20150105,16,a,2425\n20150105,32,b,1265\n"
+
+
+class TestFailedRunWritesNothing:
+    # each run fails after its inputs load; none may leave an output directory
+    @pytest.mark.parametrize("args, files, code, named", [
+        (["report", MATCHES, "--alpha", "nan"], {}, 5, ["alpha"]),
+        (["report", MATCHES, "--alpha", "0.8722", "--ratio-bins", "1"], {}, 5, ["n_bins"]),
+        (["report", MATCHES, "--alpha", "0.8722", "--rankings", "r.csv"],
+         {"r.csv": _BANDS_16_32 + "20150105,32,c,1200\n20150105,64,d,773\n"},
+         3, ["duplicate rank 32"]),
+        (["report", MATCHES, "--alpha", "0.8722", "--rankings", "r.csv"],
+         {"r.csv": _BANDS_16_32}, 5, ["rank band"]),
+        # 50 players fill every week, but hold no rank 64 for the summary
+        (["simulate", "--players", "50", "--no-top30-mandatory", "--calendar", "cal.csv"],
+         {"cal.csv": "week,category,draw_size\n"
+                     + "".join(f"{w},tour_250,32\n" for w in range(1, 53))},
+         5, ["season 1, rank 64"]),
+        # the default calendar's week 1 needs 96 entrants, and the top 30
+        # enter only their planned events
+        (["simulate", "--players", "100"], {}, 5, ["week 1", "player pool of 100"]),
+    ], ids=["alpha-nan", "ratio-bins-1", "duplicate-rank", "no-rank-64", "no-rank-64-sim",
+            "short-pool"])
+    def test_exit_code_and_no_output_dir(self, runner, tmp_path, monkeypatch,
+                                         args, files, code, named):
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            Path(name).write_text(content)
+        result = runner.invoke(main, [*args, "--out", "out"])
+        assert result.exit_code == code, result.output
+        for text in named:
+            assert text in result.output
+        assert "Traceback" not in result.output
+        assert not Path("out").exists()
 
 
 # each key's valid values come first; n_players stays at most 400 and
