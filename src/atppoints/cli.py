@@ -277,7 +277,7 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     """Emit figures and tables: ratio curve, calibration, rank stats, participation."""
     alpha = _resolve_alpha(alpha, params)
     selection = _scope(**scope)
-    raw = load_raw_rows(match_files, selection.pop("schema"))
+    raw = load_raw_rows(match_files, selection.pop("schema"), participation=True)
     observations, ingest_report = select_matches(raw, **selection)
     if not observations:
         raise DomainError("no matches after filtering")
@@ -349,6 +349,11 @@ def simulate(config, calendar, out, **overrides):
             setattr(season, SEASON_FLAGS[flag], value)
     if calendar is not None:
         season.calendar = load_calendar_file(calendar)
+    season.validate()
+    deepest = max(RANK_BANDS)
+    if season.n_players < deepest:  # the summary reads every band's final standing
+        raise DomainError(f"no final standing for season {season.burn_in + 1}, rank {deepest} "
+                          f"from a player pool of {season.n_players}")
     players = [f"P{i + 1:03d}" for i in range(season.n_players)]
     result = run_season(season, players)
     bands = {band: result.rank_summary(band) for band in RANK_BANDS}  # before any output

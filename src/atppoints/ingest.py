@@ -19,7 +19,8 @@ import csv
 import datetime
 import gc
 from dataclasses import dataclass, field, replace
-from itertools import islice, zip_longest
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .defaults import DEFAULT_LEVELS
 from .errors import SchemaError
-from .model import MatchTable
+from .model import MatchTable, Participation
 from .points import Category
 
 #: Logical field -> column name in the archive files.
@@ -52,8 +53,6 @@ DEFAULT_SCHEMA: dict[str, str] = {
     "category": "category",
 }
 
-_REQUIRED_FIELDS = ("date", "level", "round", "winner_points", "loser_points")
-
 _QUALIFYING_ROUNDS = frozenset({"Q1", "Q2", "Q3", "Q4"})
 
 #: Level letter -> normalized tag on the selected matches.
@@ -67,11 +66,15 @@ LEVEL_TAGS = {
 }
 
 
+#: Every input file is UTF-8; a leading byte-order mark is not part of its text.
+_ENCODING = "utf-8-sig"
+
+
 def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, key, value) from a flat key=value file, skipping
     blank and ``#`` lines; any other line without ``=`` is a SchemaError."""
     try:
-        with open(path, encoding="utf-8") as fp:
+        with open(path, encoding=_ENCODING) as fp:
             lines = fp.readlines()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -187,31 +190,57 @@ _COLUMNS: dict[str, tuple[object, Callable[[str], object]]] = {
 }
 
 
-def _read_fields(
-    path: str | Path, schema: dict[str, str], names: Iterable[str], required: Iterable[str]
-) -> tuple[dict[str, Sequence[str]], int]:
-    """Text of each named logical field, one entry per row of a CSV file, and
-    the number of rows: blank lines hold no row, a short row or an absent
-    column reads "", and a repeated column name resolves to its last column.
+#: Rows of a CSV file held as lists at once: a read's transient memory is
+#: bounded by this, not by the size of the file.
+_CHUNK_ROWS = 1024
+
+
+def _read_chunks(
+    path: str | Path, schema: dict[str, str], names: Iterable[str],
+    required: Iterable[str | tuple[str, ...]],
+) -> Iterator[list[Sequence[str]]]:
+    """The text of each named logical field, in ``names`` order, for up to
+    ``_CHUNK_ROWS`` rows of a CSV file at a time: blank lines hold no row, a
+    short row or an absent column reads "", and a repeated column name
+    resolves to its last column.  The header must hold each ``required``
+    field (a tuple: one of its fields) before any row is read.
     ``_line_of_row`` finds the file line of a row when an error names it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fp, _cycle_collector_paused():
+        with open(path, newline="", encoding=_ENCODING) as fp:
             reader = csv.reader(fp)
             header = next(reader, [])
-            # the row lists die inside the pause; the columns (tuples) live on
-            by_index = list(zip_longest(*filter(None, reader), fillvalue=""))
+            missing = [" or ".join(schema[f] for f in group) for group in
+                       ((f,) if isinstance(f, str) else f for f in required)
+                       if all(schema[f] not in header for f in group)]
+            if missing:
+                raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+            index = {name: i for i, name in enumerate(header)}
+            at = [index.get(schema.get(name) or None) for name in names]
+            present = [i for i in at if i is not None]
+            rows = filter(None, reader)
+            while True:
+                # the row lists die inside the pause, before the caller parses
+                with _cycle_collector_paused():
+                    read, n_rows = _columns_of(rows, present)
+                if not n_rows:
+                    return
+                read = iter(read)
+                yield [("",) * n_rows if i is None else next(read) for i in at]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    missing = [schema[f] for f in required if schema[f] not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-    n_rows = len(by_index[0]) if by_index else 0
-    index = {name: i for i, name in enumerate(header)}
-    texts = {}
-    for name in names:
-        i = index.get(schema.get(name) or None, len(by_index))
-        texts[name] = by_index[i] if i < len(by_index) else [""] * n_rows
-    return texts, n_rows
+
+
+def _columns_of(rows: Iterator[list[str]], at: list[int]) -> tuple[list[tuple[str, ...]], int]:
+    """Columns ``at`` of the next ``_CHUNK_ROWS`` rows, and the number of rows."""
+    chunk = list(islice(rows, _CHUNK_ROWS))
+    if not chunk or not at:
+        return [], len(chunk)
+    width = max(at) + 1
+    if min(map(len, chunk)) < width:
+        chunk = [row + [""] * (width - len(row)) for row in chunk]
+    pick = itemgetter(*at)
+    return (list(zip(*map(pick, chunk))) if len(at) > 1 else [tuple(map(pick, chunk))],
+            len(chunk))
 
 
 @contextlib.contextmanager
@@ -228,9 +257,9 @@ def _cycle_collector_paused() -> Iterator[None]:
 
 
 def _line_of_row(path: str | Path, row: int) -> int:
-    """The file line that row ``row`` (from 0, as ``_read_fields`` counts
+    """The file line that row ``row`` (from 0, as ``_read_chunks`` counts
     rows) ends on, as ``csv.reader.line_num`` counts lines."""
-    with open(path, newline="", encoding="utf-8") as fp:
+    with open(path, newline="", encoding=_ENCODING) as fp:
         reader = csv.reader(fp)
         next(reader, [])
         next(islice(filter(None, reader), row, None))
@@ -241,32 +270,60 @@ def _load_columns(
     paths: Sequence[str | Path],
     schema: dict[str, str],
     columns: dict[str, tuple[object, Callable[[str], object]]],
-    required: Iterable[str],
+    required: Iterable[str | tuple[str, ...]],
 ) -> tuple[dict[str, np.ndarray], list[int]]:
     """Each of ``columns`` parsed from every file and joined in file-argument
-    and row order, and the number of rows of each file."""
-    parts = {name: [np.empty(0, dtype)] for name, (dtype, _) in columns.items()}
+    and row order, and the number of rows of each file.  A column's parsed
+    values gather in one list across chunks and files, and each distinct
+    text is parsed once per call."""
+    memos: dict[str, dict] = {name: {} for name in columns}
+    values: dict[str, list] = {name: [] for name in columns}
     sizes = []
     for path in paths:
-        texts, n_rows = _read_fields(path, schema, columns, required)
-        for name, (dtype, parse) in columns.items():
-            parts[name].append(np.array(_each_distinct(parse, texts[name]), dtype=dtype))
-        sizes.append(n_rows)
-    return {name: np.concatenate(arrays) for name, arrays in parts.items()}, sizes
+        sizes.append(0)
+        for texts in _read_chunks(path, schema, columns, required):
+            for (name, (_, parse)), text in zip(columns.items(), texts):
+                memo = memos[name]
+                memo.update((new, parse(new)) for new in set(text).difference(memo))
+                values[name] += map(memo.__getitem__, text)
+            sizes[-1] += len(text)
+    # each list goes as soon as its column is built
+    return {name: np.array(values.pop(name), dtype) for name, (dtype, _) in columns.items()}, sizes
+
+
+#: The logical fields of a MatchTable's own columns and of its participation
+#: block, and those of each that a file must have (a tuple: one of them).
+_MODEL_FIELDS = ("date", "level", "round", "score", "winner_points", "loser_points")
+_REQUIRED_FIELDS = ("date", "level", "round", "winner_points", "loser_points")
+_PARTICIPATION_FIELDS = ("tournament_id", "tournament_name", "winner_id", "loser_id",
+                         "winner_rank", "loser_rank", "category")
+_REQUIRED_PARTICIPATION = (("tournament_id", "tournament_name"), "winner_id", "loser_id",
+                           "winner_rank", "loser_rank")
 
 
 def load_raw_rows(
     paths: Sequence[str | Path],
     schema: dict[str, str] | None = None,
+    participation: bool = False,
 ) -> MatchTable:
     """Parse archive files into one table, in file-argument and row order.
 
     Every row is kept, parsed or not; ``select_matches`` decides which rows
-    the model sees.  ``draw_size`` is a valid schema key but is not read.
+    the model sees.  Only the fields of the table's own columns are parsed,
+    and those of its ``participation`` block when asked for; the fields a
+    part needs must each have a column (``category`` need not).
+    ``draw_size`` is a valid schema key but is not read.
     """
-    columns, _ = _load_columns(paths, schema or DEFAULT_SCHEMA, _COLUMNS, _REQUIRED_FIELDS)
-    event_id, event_name = columns.pop("tournament_id"), columns.pop("tournament_name")
-    return MatchTable(event=np.where(event_id != "", event_id, event_name), **columns)
+    fields = _MODEL_FIELDS + (_PARTICIPATION_FIELDS if participation else ())
+    required = _REQUIRED_FIELDS + (_REQUIRED_PARTICIPATION if participation else ())
+    columns, _ = _load_columns(paths, schema or DEFAULT_SCHEMA,
+                               {name: _COLUMNS[name] for name in fields}, required)
+    block = None
+    if participation:
+        event_id, event_name = columns.pop("tournament_id"), columns.pop("tournament_name")
+        block = Participation(event=np.where(event_id != "", event_id, event_name),
+                              **{name: columns.pop(name) for name in _PARTICIPATION_FIELDS[2:]})
+    return MatchTable(**columns, participation=block)
 
 
 def _is_walkover(score: str) -> bool:
@@ -286,7 +343,8 @@ def select_matches(
     Filter precedence per row: level, qualifying round, walkover (when the
     flag is set), missing or non-finite date/points, date range, zero
     points.  A row is counted by the first filter that drops it.  Kept rows
-    stay in input order.
+    stay in input order, without a participation block: participation
+    counts every raw row, so only the raw table's block is read.
     """
     report = IngestReport()
     left = np.ones(len(table), dtype=bool)
@@ -311,7 +369,7 @@ def select_matches(
     report.dropped_zero_points = drop((wp <= 0) | (lp <= 0))
     report.kept = int(np.count_nonzero(left))
 
-    kept = table[left]
+    kept = replace(table, participation=None)[left]
     tags = _each_distinct(lambda letter: LEVEL_TAGS.get(letter, "other"), kept.level)
     rounds = np.where(kept.round == "", "unknown", kept.round)
     return replace(kept, level=np.array(tags, dtype=object), round=rounds), report

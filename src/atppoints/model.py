@@ -47,11 +47,29 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
+class Participation:
+    """Who played each match, in which event and at what rank: the archive
+    columns that only ``report.participation_table`` reads, one entry per
+    match of the ``MatchTable`` that holds them."""
+
+    event: np.ndarray           # object (str): tournament id, else tournament name
+    winner_id: np.ndarray       # object (str)
+    loser_id: np.ndarray        # object (str)
+    winner_rank: np.ndarray     # float64
+    loser_rank: np.ndarray      # float64
+    category: np.ndarray        # object: Category value or ""
+
+    def __getitem__(self, rows) -> Participation:
+        return Participation(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+
+@dataclass(frozen=True)
 class MatchTable:
     """Equal-length numpy columns, one entry per match; index by mask or slice.
 
     ``ingest.load_raw_rows`` keeps every archive row (NaT, NaN or "" where a
-    field is absent or does not parse; ``level`` is the archive's letter).
+    field is absent or does not parse; ``level`` is the archive's letter),
+    with the ``participation`` block when asked for it.
     ``ingest.select_matches`` keeps the rows the model sees: finite positive
     points, ``level`` as its tag, an empty round as "unknown".
     """
@@ -59,28 +77,26 @@ class MatchTable:
     date: np.ndarray            # datetime64[D]
     winner_points: np.ndarray   # float64
     loser_points: np.ndarray    # float64
-    level: np.ndarray           # object (str), as are the text columns below
+    level: np.ndarray           # object (str), as are round and score
     round: np.ndarray
     score: np.ndarray
-    event: np.ndarray           # tournament id, else tournament name
-    winner_id: np.ndarray
-    loser_id: np.ndarray
-    winner_rank: np.ndarray     # float64
-    loser_rank: np.ndarray      # float64
-    category: np.ndarray        # Category value or ""
+    participation: Participation | None = None
 
     def __len__(self) -> int:
         return len(self.date)
 
     def __getitem__(self, rows) -> MatchTable:
-        return MatchTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return MatchTable(**{name: None if column is None else column[rows]
+                             for name, column in columns.items()})
 
     @classmethod
     def from_points(cls, winner_points: Sequence[float], loser_points: Sequence[float],
                     date: datetime.date) -> MatchTable:
         """Winner-first point pairs, every row on ``date`` with level "other",
-        round "unknown" and no ids, ranks or score.  Points must be positive
-        and finite; ingestion drops (and counts) archive rows where they are not.
+        round "unknown", no score and no participation block.  Points must be
+        positive and finite; ingestion drops (and counts) archive rows where
+        they are not.
         """
         winners = np.array(winner_points, dtype=np.float64)
         losers = np.array(loser_points, dtype=np.float64)
@@ -92,13 +108,10 @@ class MatchTable:
             if len(bad):
                 _require_positive(name, float(bad[0]))
         n = len(winners)
-        text = np.full(n, "", dtype=object)
-        ranks = np.full(n, np.nan)
         return cls(
             date=np.full(n, date, dtype="datetime64[D]"), winner_points=winners,
             loser_points=losers, level=np.full(n, "other", dtype=object),
-            round=np.full(n, "unknown", dtype=object), score=text, event=text,
-            winner_id=text, loser_id=text, category=text, winner_rank=ranks, loser_rank=ranks,
+            round=np.full(n, "unknown", dtype=object), score=np.full(n, "", dtype=object),
         )
 
 

@@ -250,23 +250,25 @@ def participation_table(table: MatchTable) -> ParticipationTable:
     """Count 500 and 250 events played per player, bucketed by the top-N
     bands of ``PARTICIPATION_BANDS`` (8, 16, 30, 64).
 
-    ``table`` is the raw archive table (``ingest.load_raw_rows``).  A player
-    "played" a tournament if they appear in any of its rows.  Band
-    membership uses each player's rank at their latest dated match.  Events
-    whose category cannot be resolved (stock archives tag both series "A")
-    count as 250s and are tallied in ``unresolved_events``.
+    ``table`` is the raw archive table with its participation block
+    (``ingest.load_raw_rows(..., participation=True)``).  A player "played"
+    a tournament if they appear in any of its rows.  Band membership uses
+    each player's rank at their latest dated match.  Events whose category
+    cannot be resolved (stock archives tag both series "A") count as 250s
+    and are tallied in ``unresolved_events``.
     """
+    block = table.participation
     counted = (Category.TOUR_500, Category.TOUR_250)
-    resolved = table.category != ""
-    category = np.where(resolved, table.category,
+    resolved = block.category != ""
+    category = np.where(resolved, block.category,
                         np.where(table.level == "A", Category.TOUR_250.value, ""))
     keep = np.isin(category, [c.value for c in counted])
     # an event takes the category of its last counted row
-    event_of, _ = _codes(table.event[keep])
+    event_of, _ = _codes(block.event[keep])
     last = len(event_of) - 1 - np.unique(event_of[::-1], return_index=True)[1]
     event_category = category[keep][last]
     # one entry per side of each row, winner first
-    side_player, n_players = _codes(np.column_stack((table.winner_id, table.loser_id)).ravel())
+    side_player, n_players = _codes(np.column_stack((block.winner_id, block.loser_id)).ravel())
     # each distinct (event, player) pair is one event played
     width = max(n_players, 1)
     pairs = np.unique(np.repeat(event_of, 2) * width + side_player[np.repeat(keep, 2)])
@@ -275,7 +277,7 @@ def participation_table(table: MatchTable) -> ParticipationTable:
                              minlength=n_players) for c in counted}
     # a player's rank is the one at their latest date, a later side breaking a tie
     side_date = np.repeat(table.date, 2)
-    side_rank = np.column_stack((table.winner_rank, table.loser_rank)).ravel()
+    side_rank = np.column_stack((block.winner_rank, block.loser_rank)).ravel()
     ok = np.flatnonzero(~np.isnat(side_date) & ~np.isnan(side_rank))
     ok = ok[np.lexsort((side_date[ok], side_player[ok]))]
     latest = ok[np.diff(side_player[ok], append=-1) != 0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
-from .ingest import _csv_field, _read_fields, _read_key_values
+from .ingest import _csv_field, _load_columns, _read_key_values
 from .points import BEST_N, Category
 
 WEEKS_PER_SEASON = 52
@@ -327,7 +327,8 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
     integer, or an unknown category, is a DomainError.
     """
     names = ("week", "category", "draw_size")
-    texts, _ = _read_fields(path, {name: name for name in names}, names, names)
+    texts, _ = _load_columns([path], {name: name for name in names},
+                             dict.fromkeys(names, (object, str)), names)
     events = []
     for week, category, draw_size in zip(*texts.values()):
         try:

@@ -65,6 +65,23 @@ def pairs(*points: tuple[float, float]) -> MatchTable:
     return MatchTable.from_points([w for w, _ in points], [lo for _, lo in points], DAY)
 
 
+def tables_equal(a, b) -> bool:
+    """Two MatchTables or RankingTables hold the same columns, NaN and NaT
+    equal to themselves, and the same participation block or none."""
+    def columns(table) -> dict:
+        found = dict(vars(table))
+        block = found.pop("participation", None)
+        if block is not None:
+            found.update({f"participation.{k}": v for k, v in vars(block).items()})
+        return found
+
+    def same(x, y) -> bool:
+        return x.dtype == y.dtype and np.array_equal(x, y, equal_nan=x.dtype.kind in "fmM")
+
+    ours, theirs = columns(a), columns(b)
+    return ours.keys() == theirs.keys() and all(same(ours[k], theirs[k]) for k in ours)
+
+
 # --- the date-based best-18 oracle --------------------------------------------
 
 WINDOW_DAYS = 364  # 52 weeks exactly

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import csv
+import gc
 import hashlib
 import json
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import atppoints.ingest
 from atppoints.cli import main
-from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS
+from atppoints.errors import SchemaError
+from atppoints.ingest import load_rankings, load_raw_rows, load_schema
+from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal
 
 MATCHES = str(SAMPLE_MATCHES)
 RANKINGS = str(SAMPLE_RANKINGS)
@@ -329,6 +335,71 @@ class TestReport:
         assert "Traceback" not in result.output
 
 
+class TestInputColumns:
+    """A leading byte-order mark is not part of a file's text, and report
+    needs the columns its participation table reads."""
+
+    def report_files(self, runner, out: Path, matches, rankings=RANKINGS, *extra):
+        result = runner.invoke(main, ["report", str(matches), "--rankings", str(rankings),
+                                      "--alpha", "0.8722", *extra, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return tree_bytes(out)
+
+    def test_bom_csv_reads_as_without(self, runner, tmp_path):
+        matches, rankings = tmp_path / "matches.csv", tmp_path / "rankings.csv"
+        matches.write_bytes(b"\xef\xbb\xbf" + SAMPLE_MATCHES.read_bytes())
+        rankings.write_bytes(b"\xef\xbb\xbf" + SAMPLE_RANKINGS.read_bytes())
+        plain = self.report_files(runner, tmp_path / "plain", MATCHES)
+        assert self.report_files(runner, tmp_path / "bom", matches, rankings) == plain
+
+    def test_bom_key_value_file_reads_as_without(self, runner, tmp_path):
+        schema, params = tmp_path / "schema.cfg", tmp_path / "params.txt"
+        schema.write_bytes(b"\xef\xbb\xbftournament_id=tourney_id\n")
+        params.write_bytes(b"\xef\xbb\xbfalpha=0.8722\n")
+        plain = self.report_files(runner, tmp_path / "plain", MATCHES)
+        result = runner.invoke(main, ["report", MATCHES, "--rankings", RANKINGS, "--params",
+                                      str(params), "--schema", str(schema),
+                                      "--out", str(tmp_path / "bom")])
+        assert result.exit_code == 0, result.output
+        assert tree_bytes(tmp_path / "bom") == plain
+
+    @pytest.mark.parametrize("dropped, named", [
+        (["winner_id", "loser_id", "winner_rank", "loser_rank"],
+         "winner_id, loser_id, winner_rank, loser_rank"),
+        (["loser_rank"], "loser_rank"),
+        (["tourney_id", "tourney_name"], "tourney_id or tourney_name"),
+    ], ids=["ids-and-ranks", "loser-rank", "event"])
+    def test_report_needs_participation_columns(self, runner, tmp_path, dropped, named):
+        matches = tmp_path / "matches.csv"
+        write_without(matches, dropped)
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["report", str(matches), "--alpha", "0.8722",
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"{matches}: missing required columns: {named}\n" in result.output
+        assert not out.exists()
+        for command in (["fit"], ["ingest-dump"], ["evaluate", "--alpha", "0.8722"]):
+            done = runner.invoke(main, [*command, str(matches), "--out", str(tmp_path / "x")])
+            assert done.exit_code == 0, done.output
+
+    @pytest.mark.parametrize("dropped", [["category"], ["tourney_id"], ["tourney_name"]])
+    def test_report_without_optional_participation_column(self, runner, tmp_path, dropped):
+        matches = tmp_path / "matches.csv"
+        write_without(matches, dropped)
+        self.report_files(runner, tmp_path / "report", matches)
+
+
+def write_without(path: Path, columns: list[str]) -> None:
+    """The bundled sample archive without ``columns``."""
+    with open(SAMPLE_MATCHES, newline="", encoding="utf-8") as fp:
+        rows = list(csv.DictReader(fp))
+    kept = [name for name in rows[0] if name not in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        writer = csv.DictWriter(fp, kept, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 _RANKING_COLUMNS = ["ranking_date", "rank", "player", "points"]
 
 
@@ -503,16 +574,16 @@ class TestSimulate:
         ("week,category,draw_size\n3,slam,128\n", 5, "'slam'"),
         ("week,category\n3,grand_slam\n", 3, "draw_size"),
         ("week,category,draw_size\nx,grand_slam,128\n", 5, "'x'"),
-        # 32 players fill each week's draw, but the top 30 may enter only
+        # 64 players fill each week's draw, but the top 30 may enter only
         # their picked 250s, so week 1 runs short
-        ("week,category,draw_size\n" + "".join(f"{w},tour_250,32\n" for w in range(1, 8)),
-         5, "week 1: only 15 entrants for a 32-draw event"),
+        ("week,category,draw_size\n" + "".join(f"{w},tour_250,64\n" for w in range(1, 8)),
+         5, "week 1: only 47 entrants for a 64-draw event"),
     ], ids=["draw96", "category", "no-draw-size", "week", "short-draw"])
     def test_bad_calendar_exit_code(self, runner, tmp_path, content, code, named):
         calendar = tmp_path / "cal.csv"
         calendar.write_text(content)
         result = runner.invoke(main, [
-            "simulate", "--players", "32", "--calendar", str(calendar),
+            "simulate", "--players", "64", "--calendar", str(calendar),
             "--out", str(tmp_path / "sim"),
         ])
         assert result.exit_code == code, result.output
@@ -539,6 +610,33 @@ class TestSimulate:
         assert result.exit_code == 5
         assert "pool" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("players, burn_in", [(50, 0), (63, 2), (0, 0)])
+    def test_pool_short_of_rank_64_fails_before_run(self, runner, tmp_path, monkeypatch,
+                                                     players, burn_in):
+        import atppoints.cli
+
+        def never(*args):
+            raise AssertionError("run_season called")
+
+        monkeypatch.setattr(atppoints.cli, "run_season", never)
+        calendar = tmp_path / "cal.csv"
+        calendar.write_text("week,category,draw_size\n"
+                            + "".join(f"{w},tour_250,32\n" for w in range(1, 53)))
+        result = runner.invoke(main, [
+            "simulate", "--players", str(players), "--no-top30-mandatory", "--seasons", "24",
+            "--burn-in", str(burn_in), "--calendar", str(calendar), "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 5, result.output
+        assert (f"no final standing for season {burn_in + 1}, rank 64 from a player pool "
+                f"of {players}") in result.output
+        assert not (tmp_path / "sim").exists()
+
+    def test_bad_config_reported_before_short_pool(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--players", "50", "--points-floor", "0",
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 5, result.output
+        assert "points_floor must be positive and finite" in result.output
 
 
 _BANDS_16_32 = "ranking_date,rank,player,points\n20150105,16,a,2425\n20150105,32,b,1265\n"
@@ -754,6 +852,56 @@ class TestArchiveInputFuzz:
             result = CliRunner().invoke(main, ["evaluate", MATCHES, "--params", str(params_path)])
             assert result.exit_code in (0, 2, 3, 4, 5), (result.output, result.exception)
             assert "Traceback" not in result.output
+
+
+def _load_outcome(load, path: Path, **kwargs):
+    """``load([path])``, or the text of the SchemaError it raises."""
+    try:
+        return load([path], **kwargs)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _same_outcome(whole, chunked) -> bool:
+    if isinstance(whole, str) or isinstance(chunked, str):
+        return whole == chunked
+    return tables_equal(whole, chunked)
+
+
+class TestChunkedReadFuzz:
+    """The fuzzed inputs load alike whole and 3 rows at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(archive=malformed_archive(), schema=st.none() | malformed_schema(),
+           participation=st.booleans())
+    def test_archive_loads_alike(self, archive, schema, participation):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "matches.csv"
+            path.write_bytes(archive)
+            columns = None
+            if schema is not None:
+                (Path(tmp) / "schema.cfg").write_bytes(schema)
+                columns = _load_outcome(lambda paths: load_schema(paths[0]),
+                                        Path(tmp) / "schema.cfg")
+            kwargs = dict(schema=columns if isinstance(columns, dict) else None,
+                          participation=participation)
+            whole = _load_outcome(load_raw_rows, path, **kwargs)
+            with mock.patch.object(atppoints.ingest, "_CHUNK_ROWS", 3):
+                chunked = _load_outcome(load_raw_rows, path, **kwargs)
+            assert _same_outcome(whole, chunked)
+            assert gc.isenabled()
+
+    @settings(max_examples=40, deadline=None)
+    @given(content=malformed_rankings())
+    def test_rankings_load_alike(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rankings.csv"
+            path.write_bytes(content)
+            whole = _load_outcome(load_rankings, path)
+            with mock.patch.object(atppoints.ingest, "_CHUNK_ROWS", 3):
+                chunked = _load_outcome(load_rankings, path)
+            assert _same_outcome(whole, chunked)
+            assert gc.isenabled()
 
 
 class TestIngestDump:

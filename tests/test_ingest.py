@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import datetime
+import gc
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import atppoints.ingest
 from atppoints.errors import SchemaError
 from atppoints.ingest import (
     DEFAULT_LEVELS,
@@ -20,7 +23,8 @@ from atppoints.ingest import (
     load_schema,
 )
 from atppoints.model import MatchTable
-from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS
+from atppoints.season import default_calendar, load_calendar_file
+from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal
 
 # Counted once by an independent script over the bundled sample, frozen.
 GOLDEN = dict(kept=184, zero=2, missing=1, filtered=3, total=190)
@@ -206,25 +210,23 @@ def awkward_table() -> MatchTable:
     return MatchTable(
         date=np.datetime64("2009-12-31") + np.arange(n).astype("timedelta64[D]"),
         winner_points=np.array(points), loser_points=np.array(points[::-1]),
-        level=text, round=text[::-1].copy(), score=text, event=text,
-        winner_id=text, loser_id=text, winner_rank=np.full(n, np.nan),
-        loser_rank=np.full(n, np.nan), category=np.full(n, "", dtype=object),
+        level=text, round=text[::-1].copy(), score=text,
     )
 
 
 class TestRawRows:
     def test_category_column_parsed(self):
-        rows = load_raw_rows([SAMPLE_MATCHES])
-        categories = set(rows.category) - {""}
+        rows = load_raw_rows([SAMPLE_MATCHES], participation=True)
+        categories = set(rows.participation.category) - {""}
         assert len(categories) >= 3
 
     def test_row_order_matches_file(self):
-        rows = load_raw_rows([SAMPLE_MATCHES])
+        rows = load_raw_rows([SAMPLE_MATCHES], participation=True)
         with open(SAMPLE_MATCHES, newline="") as fp:
             lines = list(csv.DictReader(fp))
         # one table entry per data line (the first on line 2), in file order
         assert len(rows) == len(lines)
-        assert rows.event.tolist() == [r["tourney_id"] for r in lines]
+        assert rows.participation.event.tolist() == [r["tourney_id"] for r in lines]
         assert rows.score.tolist() == [r["score"] for r in lines]
 
 
@@ -338,3 +340,94 @@ class TestLoadRankings:
         assert table.player.tolist() == ["AA", "BB", "KK"]
         assert table.points.tolist() == [900.0, 880.5, 700.0]
         assert set(table.date.tolist()) == {datetime.date(2015, 1, 5)}
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Reads of 3 rows at a time, so that a small file spans many chunks."""
+    monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", 3)
+
+
+def _ranking_lines(n: int) -> list[str]:
+    return [f"201501{5 + k // 64:02d},{k % 64 + 1},p{k},{5000 - k}" for k in range(n)]
+
+
+class TestChunkedReads:
+    """A file read a few rows at a time loads as it does in one chunk."""
+
+    @pytest.mark.parametrize("participation", [False, True], ids=["model", "all"])
+    def test_raw_rows_equal_one_chunk(self, monkeypatch, participation):
+        paths = [SAMPLE_MATCHES, SAMPLE_MATCHES]
+        whole = load_raw_rows(paths, participation=participation)
+        monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", 3)
+        assert tables_equal(load_raw_rows(paths, participation=participation), whole)
+
+    def test_rankings_equal_one_chunk(self, monkeypatch):
+        whole = load_rankings([SAMPLE_RANKINGS])
+        monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", 3)
+        assert tables_equal(load_rankings([SAMPLE_RANKINGS]), whole)
+
+    def test_calendar_equal_one_chunk(self, monkeypatch, tmp_path):
+        path = tmp_path / "calendar.csv"
+        path.write_text("week,category,draw_size\n" + "".join(
+            f"{ev.week},{ev.category.value},{ev.draw_size}\n" for ev in default_calendar()))
+        whole = load_calendar_file(path)
+        monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", 3)
+        assert load_calendar_file(path) == whole == default_calendar()
+
+    def test_projected_columns_equal_full_read(self, small_chunks):
+        full = load_raw_rows([SAMPLE_MATCHES], participation=True)
+        model = load_raw_rows([SAMPLE_MATCHES])
+        assert model.participation is None
+        assert tables_equal(model, replace(full, participation=None))
+
+    @pytest.mark.parametrize("blank_lines", [0, 1, 5])
+    def test_duplicate_rank_in_later_chunk(self, small_chunks, tmp_path, blank_lines):
+        lines = _ranking_lines(20)
+        lines[4:4] = [""] * blank_lines
+        lines.append("20150105,7,dup,10")  # a copy of rank 7, on the last line
+        path = tmp_path / "r.csv"
+        path.write_text("ranking_date,rank,player,points\n" + "\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"r\.csv:{len(lines) + 1}: duplicate rank 7 "):
+            load_rankings([path])
+        assert gc.isenabled()
+
+    def test_duplicate_rank_in_later_file(self, small_chunks, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
+        header = "ranking_date,rank,player,points\n"
+        paths[0].write_text(header + "\n".join(_ranking_lines(10)) + "\n")
+        paths[1].write_text(header + "20160104,1,x,900\n\n20160104,2,y,800\n")
+        paths[2].write_text(header + "20160104,3,z,700\n" * 2 + "20150105,9,w,5\n")
+        with pytest.raises(SchemaError, match=r"c\.csv:3: duplicate rank 3 for date 2016-01-04"):
+            load_rankings(paths)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("load", [load_rankings, load_raw_rows])
+    def test_bad_byte_in_later_chunk(self, small_chunks, tmp_path, load):
+        # past the first 8 KiB that the text reader decodes with the header
+        path = tmp_path / "late.csv"
+        body = "\n".join(_ranking_lines(600)).encode()
+        path.write_bytes(b"ranking_date,rank,player,points,tourney_date,tourney_level,round,"
+                         b"winner_rank_points,loser_rank_points\n" + body + b"\n\xff\n")
+        assert len(body) > 8192
+        with pytest.raises(SchemaError, match=rf"{path.name}: not UTF-8 text"):
+            load([path])
+        assert gc.isenabled()
+
+    def test_missing_column_checked_before_rows(self, small_chunks, tmp_path):
+        path = tmp_path / "bad.csv"
+        body = "\n".join(_ranking_lines(600)).encode()
+        path.write_bytes(b"ranking_date,rank,player\n" + body + b"\n\xff\n")
+        with pytest.raises(SchemaError, match="missing required columns: points"):
+            load_rankings([path])
+        assert gc.isenabled()
+
+    def test_collector_runs_between_chunks(self, small_chunks, monkeypatch):
+        # the pause covers reading a chunk, not the caller's work on it
+        seen = []
+        dtype, parse = atppoints.ingest._COLUMNS["score"]
+        monkeypatch.setitem(atppoints.ingest._COLUMNS, "score",
+                            (dtype, lambda text: seen.append(gc.isenabled()) or parse(text)))
+        load_raw_rows([SAMPLE_MATCHES])
+        assert seen and all(seen)
+        assert gc.isenabled()

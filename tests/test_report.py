@@ -6,6 +6,7 @@ import datetime
 import io
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from atppoints.errors import DomainError
 from atppoints.ingest import RankingTable, load_rankings, load_raw_rows
-from atppoints.model import MatchTable
+from atppoints.model import MatchTable, Participation
 from atppoints.points import Category
 from atppoints.report import (
     PARTICIPATION_BANDS,
@@ -216,7 +217,10 @@ class TestRankStats:
 
 class TestParticipation:
     def test_empty_rows_zero_histograms(self):
-        table = participation_table(pairs())
+        text, rank = np.empty(0, dtype=object), np.empty(0)
+        table = participation_table(replace(pairs(), participation=Participation(
+            event=text, winner_id=text, loser_id=text, winner_rank=rank, loser_rank=rank,
+            category=text)))
         for band in PARTICIPATION_BANDS:
             for category in (Category.TOUR_500, Category.TOUR_250):
                 assert table.histograms[(band, category)] == [0] * 7
@@ -240,7 +244,7 @@ class TestParticipation:
             + row("E3", "tour_250", "A", 3, "C", 40)
             + row("E4", "tour_250", "C", 40, "Y", 80)
         )
-        rows = load_raw_rows([path])
+        rows = load_raw_rows([path], participation=True)
         table = participation_table(rows)
         # hand count: top 8 = {A}: 500-count 2, 250-count 1
         assert table.histograms[(8, Category.TOUR_500)][2] == 1
@@ -253,7 +257,7 @@ class TestParticipation:
         assert table.histograms[(64, Category.TOUR_250)][2] == 1
 
     def test_sample_archive_runs(self):
-        rows = load_raw_rows([SAMPLE_MATCHES])
+        rows = load_raw_rows([SAMPLE_MATCHES], participation=True)
         table = participation_table(rows)
         # every real sample event carries an explicit category; only the
         # qualifier stub (level A, no category column value) is unresolved
@@ -289,13 +293,14 @@ def reference_participation(table, bands):
     """participation_table by per-row and per-player loops."""
     counted = (Category.TOUR_500.value, Category.TOUR_250.value)
     event_category, event_resolved, entrants = {}, {}, {}
+    block = table.participation
     for k in range(len(table)):
-        category = table.category[k] or ("tour_250" if table.level[k] == "A" else "")
+        category = block.category[k] or ("tour_250" if table.level[k] == "A" else "")
         if category in counted:
-            event = table.event[k]
+            event = block.event[k]
             event_category[event] = category  # the last counted row decides
-            event_resolved[event] = table.category[k] != ""
-            entrants.setdefault(event, set()).update((table.winner_id[k], table.loser_id[k]))
+            event_resolved[event] = block.category[k] != ""
+            entrants.setdefault(event, set()).update((block.winner_id[k], block.loser_id[k]))
     played = {c: {} for c in counted}
     for event, players in entrants.items():
         for player in players:
@@ -304,8 +309,8 @@ def reference_participation(table, bands):
     rank_of, seen_on = {}, {}
     for k in range(len(table)):
         date = table.date[k]
-        for player, rank in ((table.winner_id[k], table.winner_rank[k]),
-                             (table.loser_id[k], table.loser_rank[k])):
+        for player, rank in ((block.winner_id[k], block.winner_rank[k]),
+                             (block.loser_id[k], block.loser_rank[k])):
             if not np.isnat(date) and not math.isnan(rank) and not date < seen_on.get(player, date):
                 rank_of[player], seen_on[player] = rank, date
     histograms, means = {}, {}
@@ -332,10 +337,12 @@ def random_archive(seed: int) -> MatchTable:
     return MatchTable(
         date=dates, winner_points=np.ones(n), loser_points=np.ones(n),
         level=pick(["A", "A", "G", "M", ""]), round=pick(["F"]), score=pick([""]),
-        event=pick([f"E{k}" for k in range(int(rng.choice([1, 6, 30])))]),
-        winner_id=pick(players), loser_id=pick(players),
-        winner_rank=ranks[0], loser_rank=ranks[1],
-        category=pick(["tour_500", "tour_250", "", "", "grand_slam", "masters_1000"]),
+        participation=Participation(
+            event=pick([f"E{k}" for k in range(int(rng.choice([1, 6, 30])))]),
+            winner_id=pick(players), loser_id=pick(players),
+            winner_rank=ranks[0], loser_rank=ranks[1],
+            category=pick(["tour_500", "tour_250", "", "", "grand_slam", "masters_1000"]),
+        ),
     )
 
 
@@ -391,9 +398,10 @@ class TestScalarReference:
         table = MatchTable(
             date=np.datetime64("2015-01-05") + np.arange(n).astype("timedelta64[D]"),
             winner_points=np.ones(n), loser_points=np.ones(n), level=text(level),
-            round=text(["F"] * n), score=text([""] * n), event=text(event),
-            winner_id=text(winner), loser_id=text(loser), winner_rank=np.array(wrank, float),
-            loser_rank=np.array(lrank, float), category=text(category),
+            round=text(["F"] * n), score=text([""] * n), participation=Participation(
+                event=text(event), winner_id=text(winner), loser_id=text(loser),
+                winner_rank=np.array(wrank, float), loser_rank=np.array(lrank, float),
+                category=text(category)),
         )
         result = participation_table(table)
         histograms, means, unresolved = reference_participation(table, (8, 16, 30, 64))
