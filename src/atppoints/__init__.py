@@ -3,7 +3,8 @@ point attribution, seeded-draw simulation, and reporting.
 
 The public names below are loaded on first access (PEP 562): ``import
 atppoints`` loads no submodule and no numpy, and ``atppoints.fit_alpha``
-imports ``atppoints.model`` when it is first looked up.
+imports ``atppoints.model`` when it is first looked up, while
+``atppoints.predict`` imports only the numpy-free ``atppoints.formula``.
 """
 
 import importlib
@@ -15,8 +16,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": ("DomainError", "SchemaError"),
-        "model": ("MatchTable", "ModelParams", "Prediction", "baseline_brier", "brier_curve",
-                  "brier_score", "fit_alpha", "predict", "win_probability"),
+        "formula": ("ModelParams", "Prediction", "predict", "win_probability"),
+        "model": ("MatchTable", "baseline_brier", "brier_curve", "brier_score", "fit_alpha"),
         "points": ("Category", "PointTable", "expected_points", "expected_ratio_to_32",
                    "points_for"),
         "bracket": ("Bracket", "fill_unseeded", "place_seeds", "run_tournament"),

@@ -13,13 +13,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from .errors import DomainError
-from .model import win_probability
+from .formula import win_probability
 from .points import Category, points_for, points_or_zero
+
+if TYPE_CHECKING:  # numpy only types the generators; importing the module loads none
+    import numpy as np
 
 #: Conventional seed count for each supported draw size.
 SEEDS_FOR_DRAW = {32: 8, 64: 16, 128: 32}
@@ -180,7 +181,15 @@ def run_tournament(
                           f"{SUPPORTED_DRAWS}: {draw} slots hold {len(players)} distinct values")
     if not 0 <= alpha < math.inf:
         raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
-    values = list(map(ratings.__getitem__, bracket.slots))
+    try:
+        values = list(map(ratings.__getitem__, bracket.slots))
+    except LookupError:  # a mapping without the player, or a sequence too short
+        for player in bracket.slots:
+            try:
+                ratings[player]
+            except LookupError:
+                raise DomainError(f"player {player!r} has no rating") from None
+        raise
     memo_alpha, memo_values, probs = _memo
     # a list equal to the memo's was validated when stored; nan equals nothing
     if alpha != memo_alpha or values != memo_values:

@@ -10,11 +10,14 @@ byte-reproducible for identical inputs and seeds; only the manifest
 timestamp differs between reruns.
 
 Start-up: importing this module loads click and no numpy, so ``--version``,
-``--help`` and usage errors stay cheap.  The library names the commands call
-(``LIBRARY``) are bound as globals of this module when the first command
-body runs, or when one is first looked up as an attribute.  Binding keeps a
-name that is already set, so a function put in its place beforehand (say, a
-timing wrapper) is the one the commands call.
+``--help`` and usage errors stay cheap.  Each command binds, as globals of
+this module, the ``LIBRARY`` names of only the library modules it calls
+(the arguments of its ``handle_errors``) when its body runs, so ``predict``
+loads the numpy-free ``formula`` module alone and ``fit`` never loads
+``report`` or ``season``.  Looking a library name up as an attribute binds
+the module that defines it.  Binding keeps a name that is already set, so a
+function put in its place beforehand (say, a timing wrapper) is the one the
+commands call.
 
 Exit codes: 0 success, 2 usage, 3 schema, 4 I/O, 5 domain.
 """
@@ -35,10 +38,11 @@ from .errors import DomainError, SchemaError
 
 #: library module -> the names the commands call from it
 LIBRARY = {
-    "ingest": ("_read_key_values", "dump_observations", "load_matches", "load_raw_rows",
-               "load_rankings", "load_schema", "select_matches"),
+    "formula": ("ModelParams", "_read_key_values", "predict"),
+    "ingest": ("dump_observations", "load_matches", "load_raw_rows", "load_rankings",
+               "load_schema", "select_matches"),
     "manifest": ("build_manifest", "dataset_fingerprint", "write_manifest"),
-    "model": ("ModelParams", "baseline_brier", "brier_score", "fit_alpha", "predict"),
+    "model": ("baseline_brier", "brier_score", "fit_alpha"),
     "points": ("RANK_BANDS", "expected_points"),
     "report": ("bin_by_ratio", "calibration_curve", "format_participation",
                "format_rank_stats", "participation_table", "rank_stats", "write_curve_csv",
@@ -47,22 +51,23 @@ LIBRARY = {
 }
 
 
-def _bind() -> None:
-    """Import the library and bind its ``LIBRARY`` names here, keeping any
-    name that is already set."""
+def _bind(*modules: str) -> None:
+    """Import the library ``modules`` and bind their ``LIBRARY`` names here,
+    keeping any name that is already set."""
     scope = globals()
-    for module, names in LIBRARY.items():
+    for module in modules:
         loaded = importlib.import_module(f".{module}", __package__)
-        for name in names:
+        for name in LIBRARY[module]:
             scope.setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
     # only the library names: the import system probes others (``__path__``)
-    if not any(name in names for names in LIBRARY.values()):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind()
-    return globals()[name]
+    for module, names in LIBRARY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 EXIT_SCHEMA = 3
@@ -76,23 +81,28 @@ SEASON_FLAGS = {"alpha": "alpha", "seed": "rng_seed", "players": "n_players",
                 "top30_mandatory": "top30_mandatory", "points_floor": "points_floor"}
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        _bind()
-        try:
-            return fn(*args, **kwargs)
-        except SchemaError as exc:
-            click.echo(f"schema error: {exc}", err=True)
-            sys.exit(EXIT_SCHEMA)
-        except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DOMAIN)
-        except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
-            sys.exit(EXIT_IO)
+def handle_errors(*modules: str):
+    """A command body that binds the library ``modules`` it calls, then maps
+    the library's errors to exit codes."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            _bind(*modules)
+            try:
+                return fn(*args, **kwargs)
+            except SchemaError as exc:
+                click.echo(f"schema error: {exc}", err=True)
+                sys.exit(EXIT_SCHEMA)
+            except DomainError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_DOMAIN)
+            except OSError as exc:
+                click.echo(f"i/o error: {exc}", err=True)
+                sys.exit(EXIT_IO)
 
-    return wrapper
+        return wrapper
+
+    return decorate
 
 
 def ingest_options(fn):
@@ -185,7 +195,7 @@ def main() -> None:
 @click.option("--search-hi", default=DEFAULT_SEARCH_HI, show_default=True)
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors
+@handle_errors("ingest", "model", "manifest")
 def fit(match_files, search_lo, search_hi, tol, out, **scope):
     """Fit the exponent alpha by minimizing the Brier score."""
     observations, report = load_matches(match_files, **_scope(**scope))
@@ -219,7 +229,7 @@ def fit(match_files, search_lo, search_hi, tol, out, **scope):
               default=None, help="Fitted-params file from `fit`.")
 @click.argument("r_i", type=float)
 @click.argument("r_j", type=float)
-@handle_errors
+@handle_errors("formula")
 def predict_cmd(alpha, params_path, r_i, r_j):
     """Print win probability for a player with R_I points against R_J."""
     alpha = _resolve_alpha(alpha, params_path)
@@ -239,7 +249,7 @@ def predict_cmd(alpha, params_path, r_i, r_j):
 @click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", default=None, type=click.Path(file_okay=False),
               help="Optional output directory for evaluation.txt.")
-@handle_errors
+@handle_errors("formula", "ingest", "model", "manifest")
 def evaluate(match_files, alpha, params, out, **scope):
     """Brier score of a fitted model on a (held-out) date range."""
     alpha = _resolve_alpha(alpha, params)
@@ -272,7 +282,7 @@ def evaluate(match_files, alpha, params, out, **scope):
 @click.option("--ratio-bins", default=DEFAULT_RATIO_BINS, show_default=True)
 @click.option("--prob-bins", default=DEFAULT_PROB_BINS, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors
+@handle_errors("formula", "ingest", "report", "manifest")
 def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **scope):
     """Emit figures and tables: ratio curve, calibration, rank stats, participation."""
     alpha = _resolve_alpha(alpha, params)
@@ -339,7 +349,7 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
 @click.option("--calendar", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Calendar CSV (week, category, draw_size).")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors
+@handle_errors("season", "points", "manifest")
 def simulate(config, calendar, out, **overrides):
     """Run the season Monte Carlo and summarize rank-band points."""
     season, config_calendar = (load_season_config(config) if config
@@ -385,7 +395,7 @@ def simulate(config, calendar, out, **overrides):
                 type=click.Path(exists=True, dir_okay=False))
 @ingest_options
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors
+@handle_errors("ingest", "manifest")
 def ingest_dump(match_files, out, **scope):
     """Normalize archives into (date, level, round, winner_points, loser_points)."""
     observations, report = load_matches(match_files, **_scope(**scope))

@@ -28,6 +28,7 @@ import numpy as np
 
 from .defaults import DEFAULT_LEVELS
 from .errors import SchemaError
+from .formula import _ENCODING, _read_key_values
 from .model import MatchTable, Participation
 from .points import Category
 
@@ -64,28 +65,6 @@ LEVEL_TAGS = {
     "D": "davis_cup",
     "O": "olympics",
 }
-
-
-#: Every input file is UTF-8; a leading byte-order mark is not part of its text.
-_ENCODING = "utf-8-sig"
-
-
-def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
-    """Yield (line number, key, value) from a flat key=value file, skipping
-    blank and ``#`` lines; any other line without ``=`` is a SchemaError."""
-    try:
-        with open(path, encoding=_ENCODING) as fp:
-            lines = fp.readlines()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SchemaError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        yield line_no, key.strip(), value.strip()
 
 
 def load_schema(path: str | Path) -> dict[str, str]:
@@ -170,9 +149,11 @@ def _parse_category(text: str) -> str:
     return text if text in {c.value for c in Category} else ""
 
 
-def _each_distinct(fn: Callable, values: Sequence) -> list:
-    """fn of every value, evaluated once per distinct value."""
-    memo = {v: fn(v) for v in set(values)}
+def _each_distinct(fn: Callable, values: Sequence, memo: dict | None = None) -> list:
+    """fn of every value, evaluated once per distinct value; a ``memo`` passed
+    in keeps the values evaluated so far across calls."""
+    memo = {} if memo is None else memo
+    memo.update((v, fn(v)) for v in set(values).difference(memo))
     return list(map(memo.__getitem__, values))
 
 
@@ -391,15 +372,20 @@ def load_matches(
 def dump_observations(table: MatchTable, fp) -> None:
     """Write normalized matches as ``csv.writer`` would: a header, then one
     row per match, ``\\r\\n`` row ends, level and round csv-quoted where
-    needed, points as an int when integral and as ``repr`` otherwise."""
-    points = _each_distinct(_format_points, np.column_stack(
-        (table.winner_points, table.loser_points)).ravel().tolist())
+    needed, points as an int when integral and as ``repr`` otherwise.  Rows
+    are formatted and written ``_CHUNK_ROWS`` at a time."""
     fp.write("date,level,round,winner_points,loser_points\r\n")
-    fp.write("".join([f"{date},{level},{rnd},{won},{lost}\r\n" for date, level, rnd, won, lost
-                      in zip(np.datetime_as_string(table.date).tolist(),
-                             _each_distinct(_csv_field, table.level.tolist()),
-                             _each_distinct(_csv_field, table.round.tolist()),
-                             points[0::2], points[1::2])]))
+    point_texts, level_texts, round_texts = {}, {}, {}  # memos shared by the chunks
+    for start in range(0, len(table), _CHUNK_ROWS):
+        rows = table[start:start + _CHUNK_ROWS]
+        points = _each_distinct(_format_points, np.column_stack(
+            (rows.winner_points, rows.loser_points)).ravel().tolist(), point_texts)
+        fp.write("".join([f"{date},{level},{rnd},{won},{lost}\r\n"
+                          for date, level, rnd, won, lost
+                          in zip(np.datetime_as_string(rows.date).tolist(),
+                                 _each_distinct(_csv_field, rows.level.tolist(), level_texts),
+                                 _each_distinct(_csv_field, rows.round.tolist(), round_texts),
+                                 points[0::2], points[1::2])]))
 
 
 def _format_points(value: float) -> str:

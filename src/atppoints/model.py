@@ -5,7 +5,9 @@ The model predicts that player i beats player j with probability
     p = ratio**alpha / (1 + ratio**alpha),    ratio = r_i / r_j
 
 where r_i, r_j are the players' current ranking points and alpha is a
-single fitted exponent.  Fitting minimizes the Brier score (mean squared
+single fitted exponent.  The scalar formula, ``predict`` and
+``ModelParams`` live in the numpy-free ``formula`` module and are
+importable from here too.  Fitting minimizes the Brier score (mean squared
 error between 0/1 outcomes and predicted probabilities) by golden-section
 search over a bracket.
 
@@ -25,25 +27,10 @@ import numpy as np
 
 from .defaults import DEFAULT_SEARCH_HI, DEFAULT_SEARCH_LO, DEFAULT_TOL
 from .errors import DomainError
+# Prediction, predict and win_probability are imported to stay importable from here
+from .formula import ModelParams, Prediction, _require_positive, predict, win_probability
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Fitted exponent plus fit metadata."""
-
-    alpha: float
-    fitted_e2: float | None = None
-    n_matches: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.fitted_e2 is not None and not 0.0 <= self.fitted_e2 <= 1.0:
-            raise DomainError(f"fitted_e2 must lie in [0, 1], got {self.fitted_e2!r}")
-        if self.n_matches is not None and self.n_matches < 0:
-            raise DomainError(f"n_matches must be nonnegative, got {self.n_matches!r}")
 
 
 @dataclass(frozen=True)
@@ -113,47 +100,6 @@ class MatchTable:
             loser_points=losers, level=np.full(n, "other", dtype=object),
             round=np.full(n, "unknown", dtype=object), score=np.full(n, "", dtype=object),
         )
-
-
-@dataclass(frozen=True)
-class Prediction:
-    ratio: float
-    probability: float
-
-
-def win_probability(alpha: float, ratio: float) -> float:
-    """Evaluate ratio**alpha / (1 + ratio**alpha) without overflow.
-
-    For ratio > 1 the equivalent form 1 / (1 + ratio**-alpha) is used so
-    that extreme ratios saturate cleanly instead of overflowing.  Agrees
-    with the textbook form within 1e-12 for ratio in [1e-6, 1e6].  Where
-    ratio**alpha saturates past float resolution the result is clamped to
-    the open interval, one ulp inside 0 or 1.
-    """
-    if ratio > 1.0:
-        p = 1.0 / (1.0 + math.pow(ratio, -alpha))
-    else:
-        t = math.pow(ratio, alpha)
-        p = t / (1.0 + t)
-    if p >= 1.0:
-        return math.nextafter(1.0, 0.0)
-    if p <= 0.0:
-        return math.nextafter(0.0, 1.0)
-    return p
-
-
-def predict(alpha: float, r_i: float, r_j: float) -> Prediction:
-    """Probability that the player holding r_i points beats the one holding r_j."""
-    _require_positive("alpha", alpha)
-    _require_positive("r_i", r_i)
-    _require_positive("r_j", r_j)
-    ratio = r_i / r_j
-    return Prediction(ratio=ratio, probability=win_probability(alpha, ratio))
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _log_ratios(table: MatchTable) -> np.ndarray:

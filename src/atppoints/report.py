@@ -22,8 +22,9 @@ import numpy as np
 
 from .defaults import DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS
 from .errors import DomainError
+from .formula import _require_positive, win_probability
 from .ingest import RankingTable
-from .model import MatchTable, _nonempty, _require_positive, win_probability
+from .model import MatchTable, _nonempty
 from .points import RANK_BANDS, Category, expected_points, expected_ratio_to_32
 
 #: Point-ratio range of ``bin_by_ratio``'s log-spaced bins.

@@ -27,7 +27,8 @@ import numpy as np
 
 from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
-from .ingest import _csv_field, _load_columns, _read_key_values
+from .formula import _read_key_values
+from .ingest import _csv_field, _load_columns
 from .points import BEST_N, Category
 
 WEEKS_PER_SEASON = 52

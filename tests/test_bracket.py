@@ -337,6 +337,18 @@ class TestRunTournament:
             run_tournament(br, ratings, 0.8722, T250, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("make", [lambda v: dict(enumerate(v)), list], ids=["dict", "list"])
+    def test_missing_rating_names_the_player(self, make):
+        # the dict lacks player 31 and the list is one rating short; no uniform is drawn
+        rng = np.random.default_rng(12)
+        players = list(range(32))
+        br = fill_unseeded(place_seeds(32, players[:8], rng), players[8:], rng)
+        ratings = make([100.0 + k for k in players[:31]])
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="player 31 has no rating"):
+            run_tournament(br, ratings, 0.8722, T250, rng)
+        assert rng.bit_generator.state == state
+
     def test_fixed_seed_reproduces(self):
         br, players = full_bracket(32, np.random.default_rng(10))
         ratings = {p: float(100 + k) for k, p in enumerate(players)}

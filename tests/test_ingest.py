@@ -7,6 +7,7 @@ import datetime
 import gc
 import io
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ class TestLoadMatches:
         _reference_dump_observations(table, want)
         # a bool, so that a failure does not diff long strings
         assert (got.getvalue() == want.getvalue()) is True
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_matches([SAMPLE_MATCHES])[0],
+        lambda: awkward_table(),
+    ], ids=["sample", "awkward"])
+    def test_dump_observations_writes_chunks(self, make, monkeypatch):
+        table = make()
+        whole = io.StringIO()
+        dump_observations(table, whole)
+        writes: list[str] = []
+        monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", 3)
+        dump_observations(table, SimpleNamespace(write=writes.append))
+        assert ("".join(writes) == whole.getvalue()) is True
+        # the header, then one write per chunk of at most 3 rows
+        assert len(writes) == 1 + -(-len(table) // 3)
+        assert max(len(list(csv.reader(io.StringIO(text, newline="")))) for text in writes) == 3
 
 
 def _reference_dump_observations(table: MatchTable, fp) -> None:

@@ -1,8 +1,9 @@
 """Start-up contract: what a fresh interpreter loads on the cheap paths.
 
 ``import atppoints``, ``--version``, ``--help`` and usage errors load click
-and none of the library or numpy; the library loads when a command body
-runs.  Each check runs in a fresh interpreter, since this one has loaded
+and none of the library or numpy; a command body loads only the library
+modules it calls, so ``predict`` and ``import atppoints.bracket`` load no
+numpy.  Each check runs in a fresh interpreter, since this one has loaded
 everything already.
 """
 
@@ -66,7 +67,44 @@ def test_cheap_paths_load_no_library(statement):
 def test_bracket_loads_no_season_ingest_report_or_cli():
     assert loaded_after("import atppoints.bracket", [
         "atppoints.season", "atppoints.ingest", "atppoints.report", "atppoints.manifest",
-        "atppoints.cli"]) == set()
+        "atppoints.cli", "numpy", "atppoints.model"]) == set()
+
+
+@pytest.mark.parametrize("name", ["predict", "win_probability", "ModelParams"])
+def test_formula_exports_load_no_numpy(name):
+    assert loaded_after(f"import atppoints\natppoints.{name}") == set()
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--params"])
+def test_predict_loads_no_numpy(option, tmp_path):
+    params = tmp_path / "params.txt"
+    params.write_text("alpha=0.8722\n", encoding="utf-8")
+    value = "0.8722" if option == "--alpha" else str(params)
+    assert loaded_after(cli_call(["predict", option, value, "3000", "1500"], 0)) == set()
+
+
+@pytest.mark.parametrize("command, args, absent", [
+    ("fit", [str(SAMPLE_MATCHES), "--out", "OUT"], ("report", "season", "bracket")),
+    ("evaluate", [str(SAMPLE_MATCHES), "--alpha", "0.8722"], ("report", "season", "bracket")),
+    ("ingest-dump", [str(SAMPLE_MATCHES), "--out", "OUT"], ("report", "season", "bracket")),
+    ("report", [str(SAMPLE_MATCHES), "--alpha", "0.8722", "--out", "OUT"],
+     ("season", "bracket")),
+    ("simulate", ["--players", "128", "--seasons", "2", "--burn-in", "1", "--out", "OUT"],
+     ("report",)),
+], ids=["fit", "evaluate", "ingest-dump", "report", "simulate"])
+def test_command_loads_only_what_it_calls(command, args, absent, tmp_path):
+    # a fresh interpreter also shows that each command binds every name it calls
+    args = [str(tmp_path / "out") if arg == "OUT" else arg for arg in args]
+    statement = cli_call([command, *args], 0)
+    assert loaded_after(statement, [f"atppoints.{name}" for name in absent]) == set()
+
+
+def test_model_and_ingest_names_are_the_formula_objects():
+    from atppoints import formula, ingest, model
+
+    for name in ("win_probability", "predict", "Prediction", "ModelParams", "_require_positive"):
+        assert getattr(model, name) is getattr(formula, name), name
+    assert ingest._read_key_values is formula._read_key_values
 
 
 def test_patch_before_first_command_is_kept(tmp_path):
