@@ -33,24 +33,6 @@ ROUND_OF = {2: "F", 4: "SF", 8: "QF", 16: "R16", 32: "R32", 64: "R64", 128: "R12
 PlayerId = Hashable
 
 
-@dataclass
-class Bracket:
-    """A draw, ``Bracket(slots)``: ``slots[k]`` holds the player at 1-based
-    slot k+1, or None while the slot is open; the draw size is ``len(slots)``."""
-
-    slots: list[PlayerId | None]
-
-    @property
-    def draw_size(self) -> int:
-        return len(self.slots)
-
-    @classmethod
-    def empty(cls, draw_size: int) -> "Bracket":
-        if draw_size not in SUPPORTED_DRAWS:
-            raise DomainError(f"unsupported draw size {draw_size!r}; expected one of {SUPPORTED_DRAWS}")
-        return cls([None] * draw_size)
-
-
 def seed_slot_groups(draw_size: int, n_seeds: int) -> list[list[int]]:
     """Ballot slot sets per seed group: [[1], [N], {3-4 slots}, {5-8 slots}, ...].
 
@@ -102,38 +84,41 @@ def place_seeds(
     draw_size: int,
     seeded_players: Sequence[PlayerId],
     rng: np.random.Generator,
-) -> Bracket:
-    """Assign seeds to slots; within each group the assignment is balloted."""
+) -> list[PlayerId | None]:
+    """The draw's slot list with the seeds balloted within each group:
+    ``slots[k]`` is the player at 1-based slot k+1, or None while open."""
     if len(set(seeded_players)) != len(seeded_players):
         raise DomainError("seeded players must be distinct")
-    bracket = Bracket.empty(draw_size)  # checks draw_size before the cache hashes it
+    if draw_size not in SUPPORTED_DRAWS:  # before the cache hashes it
+        raise DomainError(f"unsupported draw size {draw_size!r}; expected one of {SUPPORTED_DRAWS}")
+    slots: list[PlayerId | None] = [None] * draw_size
     start = 0
-    for slots in _seed_slot_groups(draw_size, len(seeded_players)):
-        group = seeded_players[start:start + len(slots)]
-        for player, k in zip(group, rng.permutation(len(slots))):
-            bracket.slots[slots[k] - 1] = player
-        start += len(slots)
-    return bracket
+    for group_slots in _seed_slot_groups(draw_size, len(seeded_players)):
+        group = seeded_players[start:start + len(group_slots)]
+        for player, k in zip(group, rng.permutation(len(group_slots))):
+            slots[group_slots[k] - 1] = player
+        start += len(group_slots)
+    return slots
 
 
 def fill_unseeded(
-    bracket: Bracket,
+    slots: Sequence[PlayerId | None],
     players: Sequence[PlayerId],
     rng: np.random.Generator,
-) -> Bracket:
-    """Ballot the unseeded players onto the open slots, returning a new bracket."""
-    open_slots = [k for k, p in enumerate(bracket.slots) if p is None]
+) -> list[PlayerId | None]:
+    """Ballot the unseeded players onto the open slots, returning a new slot list."""
+    open_slots = [k for k, p in enumerate(slots) if p is None]
     if len(open_slots) != len(players):
         raise DomainError(
             f"{len(players)} unseeded players for {len(open_slots)} open slots"
         )
-    assigned = set(p for p in bracket.slots if p is not None)
+    assigned = set(p for p in slots if p is not None)
     if assigned & set(players):
         raise DomainError("some players are already placed in the bracket")
-    filled = Bracket(list(bracket.slots))
+    filled = list(slots)
     order = rng.permutation(len(players))
     for slot, k in zip(open_slots, order):
-        filled.slots[slot] = players[k]
+        filled[slot] = players[k]
     return filled
 
 
@@ -158,7 +143,7 @@ _memo: tuple[float, list[float], dict[int, float]] = (math.nan, [], {})
 
 
 def run_tournament(
-    bracket: Bracket,
+    slots: Sequence[PlayerId],
     ratings: Mapping[PlayerId, float] | Sequence[float],
     alpha: float,
     category: Category,
@@ -171,20 +156,20 @@ def run_tournament(
     rating ratio, drawn with one uniform per match in bracket order.  Players
     are listed in order of exit; blank point-table cells award 0.  A one-entry
     memo keeps the slot-pair probabilities of the last alpha and ratings played.
-    The bracket must hold distinct players in every slot of a supported draw.
+    ``slots`` must hold distinct players in every slot of a supported draw.
     """
     global _memo
-    draw = len(bracket.slots)
-    players = set(bracket.slots)
+    draw = len(slots)
+    players = set(slots)
     if None in players or len(players) != draw or draw not in SEEDS_FOR_DRAW:
         raise DomainError(f"bracket has unfilled slots, a repeated player or a size not in "
                           f"{SUPPORTED_DRAWS}: {draw} slots hold {len(players)} distinct values")
     if not 0 <= alpha < math.inf:
         raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
     try:
-        values = list(map(ratings.__getitem__, bracket.slots))
+        values = list(map(ratings.__getitem__, slots))
     except LookupError:  # a mapping without the player, or a sequence too short
-        for player in bracket.slots:
+        for player in slots:
             try:
                 ratings[player]
             except LookupError:
@@ -193,7 +178,7 @@ def run_tournament(
     memo_alpha, memo_values, probs = _memo
     # a list equal to the memo's was validated when stored; nan equals nothing
     if alpha != memo_alpha or values != memo_values:
-        for player, rating in zip(bracket.slots, values):
+        for player, rating in zip(slots, values):
             if not 0 < rating < math.inf:
                 raise DomainError(f"player {player!r} has non-positive or non-finite "
                                   f"rating {rating!r}")
@@ -212,4 +197,4 @@ def run_tournament(
         alive.append(a)
         exits.append(b)
     exits.append(alive[-1])
-    return dict(zip(map(bracket.slots.__getitem__, exits), _exit_results(category, draw)))
+    return dict(zip(map(slots.__getitem__, exits), _exit_results(category, draw)))

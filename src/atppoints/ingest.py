@@ -264,9 +264,7 @@ def _load_columns(
         sizes.append(0)
         for texts in _read_chunks(path, schema, columns, required):
             for (name, (_, parse)), text in zip(columns.items(), texts):
-                memo = memos[name]
-                memo.update((new, parse(new)) for new in set(text).difference(memo))
-                values[name] += map(memo.__getitem__, text)
+                values[name] += _each_distinct(parse, text, memos[name])
             sizes[-1] += len(text)
     # each list goes as soon as its column is built
     return {name: np.array(values.pop(name), dtype) for name, (dtype, _) in columns.items()}, sizes
@@ -405,14 +403,13 @@ def _csv_field(text: str) -> str:
 RANKING_SCHEMA: dict[str, str] = {
     "date": "ranking_date",
     "rank": "rank",
-    "player": "player",
     "points": "points",
 }
 
 
 #: Ranking field -> (column dtype, parser), parsed as the match columns are.
 _RANKING_COLUMNS = {"date": _COLUMNS["date"], "rank": _COLUMNS["winner_rank"],
-                    "player": (object, str.strip), "points": _COLUMNS["winner_points"]}
+                    "points": _COLUMNS["winner_points"]}
 
 
 @dataclass(frozen=True)
@@ -423,12 +420,12 @@ class RankingTable:
 
     date: np.ndarray    # datetime64[D]
     rank: np.ndarray    # int64
-    player: np.ndarray  # object (str)
     points: np.ndarray  # float64
 
 
 def load_rankings(paths: Sequence[str | Path]) -> RankingTable:
-    """Load ranking snapshot files (the ``RANKING_SCHEMA`` columns) into one table.
+    """Load ranking snapshot files (the ``RANKING_SCHEMA`` columns; any other
+    column, such as ``player``, is ignored) into one table.
 
     A row is skipped when its date or rank does not parse or its points are
     not a finite positive number.  Ranks must be unique within a date: a
@@ -437,10 +434,10 @@ def load_rankings(paths: Sequence[str | Path]) -> RankingTable:
     the line (``_line_of_row``).
     """
     columns, sizes = _load_columns(paths, RANKING_SCHEMA, _RANKING_COLUMNS, _RANKING_COLUMNS)
-    date, rank, player, points = columns.values()
+    date, rank, points = columns.values()
     # a rank that is NaN or outside int64 did not parse; NaN points fail both tests
     keep = ~np.isnat(date) & (np.abs(rank) < 2.0**63) & np.isfinite(points) & (points > 0)
-    table = RankingTable(date[keep], rank[keep].astype(np.int64), player[keep], points[keep])
+    table = RankingTable(date[keep], rank[keep].astype(np.int64), points[keep])
     # a stable sort by (date, rank) puts each key's copies together in row order
     order = np.lexsort((table.rank, table.date))
     same = (np.diff(table.rank[order]) == 0) & (np.diff(table.date[order]) == np.timedelta64(0))

@@ -46,9 +46,6 @@ class Participation:
     loser_rank: np.ndarray      # float64
     category: np.ndarray        # object: Category value or ""
 
-    def __getitem__(self, rows) -> Participation:
-        return Participation(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
-
 
 @dataclass(frozen=True)
 class MatchTable:
@@ -56,7 +53,7 @@ class MatchTable:
 
     ``ingest.load_raw_rows`` keeps every archive row (NaT, NaN or "" where a
     field is absent or does not parse; ``level`` is the archive's letter),
-    with the ``participation`` block when asked for it.
+    with the ``participation`` block, which does not index, when asked for it.
     ``ingest.select_matches`` keeps the rows the model sees: finite positive
     points, ``level`` as its tag, an empty round as "unknown".
     """

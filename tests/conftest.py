@@ -18,7 +18,6 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from atppoints.bracket import Bracket
 from atppoints.model import MatchTable
 from atppoints.points import BEST_N, Category
 
@@ -111,12 +110,12 @@ def best_18_total(results: Iterable[SeasonResult], as_of: datetime.date) -> int:
 
 # --- bracket lookups by 1-based slot ------------------------------------------
 
-def player_at(bracket: Bracket, slot: int):
-    return bracket.slots[slot - 1]
+def player_at(slots: list, slot: int):
+    return slots[slot - 1]
 
 
-def slot_of(bracket: Bracket, player) -> int:
-    return bracket.slots.index(player) + 1
+def slot_of(slots: list, player) -> int:
+    return slots.index(player) + 1
 
 
 @pytest.fixture(scope="session")

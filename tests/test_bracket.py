@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from atppoints.bracket import (
-    Bracket,
     ROUND_OF,
     SEEDS_FOR_DRAW,
     SUPPORTED_DRAWS,
@@ -42,7 +41,7 @@ def meet_size(slot_a: int, slot_b: int, draw: int) -> int:
     return draw >> (rounds - 1)
 
 
-def full_bracket(draw: int, rng: np.random.Generator) -> tuple[Bracket, list[str]]:
+def full_bracket(draw: int, rng: np.random.Generator) -> tuple[list[str], list[str]]:
     players = [f"p{i:03d}" for i in range(draw)]
     n_seeds = SEEDS_FOR_DRAW[draw]
     br = place_seeds(draw, players[:n_seeds], rng)
@@ -50,19 +49,19 @@ def full_bracket(draw: int, rng: np.random.Generator) -> tuple[Bracket, list[str
     return br, players
 
 
-def _reference_run_tournament(bracket, ratings, alpha, category, rng):
+def _reference_run_tournament(slots, ratings, alpha, category, rng):
     """The plain round-by-round loop: the oracle run_tournament must equal
     exactly, in its result items, their order and the generator state."""
-    if None in bracket.slots:
+    if None in slots:
         raise DomainError("bracket has unfilled slots")
     if not 0 <= alpha < math.inf:
         raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
-    for player in bracket.slots:
+    for player in slots:
         if not 0 < ratings[player] < math.inf:
             raise DomainError(f"player {player!r} has non-positive or non-finite "
                               f"rating {ratings[player]!r}")
-    draw = len(bracket.slots)
-    alive = list(bracket.slots)
+    draw = len(slots)
+    alive = list(slots)
     results = {}
     uniforms = rng.random(draw - 1)
     next_u = 0
@@ -180,21 +179,26 @@ class TestPlaceSeeds:
         with pytest.raises(DomainError):
             place_seeds(32, list("AACDEFGH"), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("draw", [16, 96, 256, [32]], ids=["16", "96", "256", "list"])
+    def test_unsupported_draw_size_raises(self, draw):
+        with pytest.raises(DomainError, match="unsupported draw size"):
+            place_seeds(draw, list("ABCDEFGH"), np.random.default_rng(0))
+
 
 class TestFillUnseeded:
     def test_empty_fill_on_complete_bracket(self):
         rng = np.random.default_rng(0)
         br, _ = full_bracket(32, rng)
         refilled = fill_unseeded(br, [], rng)
-        assert refilled.slots == br.slots
+        assert refilled == br
 
     def test_fills_all_slots_with_permutation(self):
         rng = np.random.default_rng(3)
         br = place_seeds(32, list("ABCDEFGH"), rng)
         rest = [f"u{i}" for i in range(24)]
         filled = fill_unseeded(br, rest, rng)
-        assert None not in filled.slots
-        assert sorted(filled.slots, key=str) == sorted(list("ABCDEFGH") + rest, key=str)
+        assert None not in filled
+        assert sorted(filled, key=str) == sorted(list("ABCDEFGH") + rest, key=str)
 
     def test_deterministic_for_fixed_seed(self):
         first = fill_unseeded(
@@ -207,18 +211,23 @@ class TestFillUnseeded:
             [f"u{i}" for i in range(24)],
             np.random.default_rng(77),
         )
-        assert first.slots == second.slots
+        assert first == second
 
     def test_count_mismatch_raises(self):
         br = place_seeds(32, list("ABCDEFGH"), np.random.default_rng(0))
         with pytest.raises(DomainError):
             fill_unseeded(br, ["only", "three", "players"], np.random.default_rng(0))
 
+    def test_already_placed_player_raises(self):
+        br = place_seeds(32, list("ABCDEFGH"), np.random.default_rng(0))
+        with pytest.raises(DomainError, match="already placed"):
+            fill_unseeded(br, ["A", *(f"u{i}" for i in range(23))], np.random.default_rng(0))
+
     def test_does_not_mutate_input(self):
         br = place_seeds(32, list("ABCDEFGH"), np.random.default_rng(0))
-        before = list(br.slots)
+        before = list(br)
         fill_unseeded(br, [f"u{i}" for i in range(24)], np.random.default_rng(1))
-        assert br.slots == before
+        assert br == before
 
 
 class TestRunTournament:
@@ -237,11 +246,11 @@ class TestRunTournament:
         # slots and a repeated id keeps one result: players vanish silently
         ratings = dict.fromkeys(slots, 100.0)
         with pytest.raises(DomainError, match="repeated player"):
-            run_tournament(Bracket(slots), ratings, 1.0, T250, np.random.default_rng(0))
+            run_tournament(slots, ratings, 1.0, T250, np.random.default_rng(0))
 
     def test_repeated_player_in_balloted_draw_raises(self):
         br, players = full_bracket(32, np.random.default_rng(0))
-        br.slots[br.slots.index(players[20])] = players[7]
+        br[br.index(players[20])] = players[7]
         with pytest.raises(DomainError, match="repeated player"):
             run_tournament(br, dict.fromkeys(players, 100.0), 1.0, T250,
                            np.random.default_rng(0))
@@ -331,7 +340,7 @@ class TestRunTournament:
         ratings = make([100.0 + k for k in players])
         for _ in range(3):
             run_tournament(br, ratings, 0.8722, T250, rng)
-        ratings[br.slots[5]] = bad
+        ratings[br[5]] = bad
         state = rng.bit_generator.state
         with pytest.raises(DomainError, match="rating"):
             run_tournament(br, ratings, 0.8722, T250, rng)
@@ -373,7 +382,7 @@ def _calls_replayed(draw, alpha, rng):
 
 def _calls_fresh(draw, alpha, rng):
     br, _ = _random_field(draw, rng)
-    return [(br, dict(zip(br.slots, rng.lognormal(6.0, 1.0, draw).tolist())), alpha)
+    return [(br, dict(zip(br, rng.lognormal(6.0, 1.0, draw).tolist())), alpha)
             for _ in range(30)]
 
 
@@ -385,7 +394,7 @@ def _calls_alternating(draw, alpha, rng):
 def _calls_renamed(draw, alpha, rng):
     # equal slot ratings under other ids: the memo may hit, the ids must not leak
     br, ratings = _random_field(draw, rng)
-    renamed = Bracket([f"x{p}" for p in br.slots])
+    renamed = [f"x{p}" for p in br]
     renamed_ratings = {f"x{p}": r for p, r in ratings.items()}
     return [call for _ in range(15) for call in ((br, ratings, alpha),
                                                 (renamed, renamed_ratings, alpha))]

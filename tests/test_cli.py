@@ -388,10 +388,17 @@ class TestInputColumns:
         write_without(matches, dropped)
         self.report_files(runner, tmp_path / "report", matches)
 
+    def test_rankings_without_player_column(self, runner, tmp_path):
+        # ranking files need only ranking_date, rank and points
+        rankings = tmp_path / "rankings.csv"
+        write_without(rankings, ["player"], SAMPLE_RANKINGS)
+        plain = self.report_files(runner, tmp_path / "plain", MATCHES)
+        assert self.report_files(runner, tmp_path / "bare", MATCHES, rankings) == plain
 
-def write_without(path: Path, columns: list[str]) -> None:
-    """The bundled sample archive without ``columns``."""
-    with open(SAMPLE_MATCHES, newline="", encoding="utf-8") as fp:
+
+def write_without(path: Path, columns: list[str], source: Path = SAMPLE_MATCHES) -> None:
+    """A bundled sample file, the archive by default, without ``columns``."""
+    with open(source, newline="", encoding="utf-8") as fp:
         rows = list(csv.DictReader(fp))
     kept = [name for name in rows[0] if name not in columns]
     with open(path, "w", newline="", encoding="utf-8") as fp:
@@ -574,11 +581,12 @@ class TestSimulate:
         ("week,category,draw_size\n3,slam,128\n", 5, "'slam'"),
         ("week,category\n3,grand_slam\n", 3, "draw_size"),
         ("week,category,draw_size\nx,grand_slam,128\n", 5, "'x'"),
+        ("week,category,draw_size\n53,grand_slam,128\n", 5, "calendar week 53 outside 1..52"),
         # 64 players fill each week's draw, but the top 30 may enter only
         # their picked 250s, so week 1 runs short
         ("week,category,draw_size\n" + "".join(f"{w},tour_250,64\n" for w in range(1, 8)),
          5, "week 1: only 47 entrants for a 64-draw event"),
-    ], ids=["draw96", "category", "no-draw-size", "week", "short-draw"])
+    ], ids=["draw96", "category", "no-draw-size", "week", "week53", "short-draw"])
     def test_bad_calendar_exit_code(self, runner, tmp_path, content, code, named):
         calendar = tmp_path / "cal.csv"
         calendar.write_text(content)
@@ -660,8 +668,15 @@ class TestFailedRunWritesNothing:
         # the default calendar's week 1 needs 96 entrants, and the top 30
         # enter only their planned events
         (["simulate", "--players", "100"], {}, 5, ["week 1", "player pool of 100"]),
+        (["report", MATCHES, "--alpha", "0.8722", "--prob-bins", "1"], {}, 5, ["n_bins"]),
+        (["simulate", "--seasons", "0"], {}, 5, ["n_seasons must be at least 1"]),
+        (["simulate", "--n500", "-1"], {}, 5, ["optional-event choices must be nonnegative"]),
+        (["simulate", "--max-events", "0"], {}, 5, ["max_events_per_season must be at least 1"]),
+        (["simulate", "--config", "s.cfg"], {"s.cfg": "top30_mandatory=maybe\n"}, 5,
+         ["s.cfg:1: top30_mandatory must be true or false"]),
     ], ids=["alpha-nan", "ratio-bins-1", "duplicate-rank", "no-rank-64", "no-rank-64-sim",
-            "short-pool"])
+            "short-pool", "prob-bins-1", "seasons-0", "n500-negative", "max-events-0",
+            "config-bool"])
     def test_exit_code_and_no_output_dir(self, runner, tmp_path, monkeypatch,
                                          args, files, code, named):
         monkeypatch.chdir(tmp_path)

@@ -323,6 +323,16 @@ class TestLoadRankings:
         with pytest.raises(SchemaError, match=named + " for date 2015-01-05"):
             load_rankings(paths)
 
+    def test_player_column_optional(self, tmp_path):
+        # only ranking_date, rank and points are read; a player column is ignored
+        path = tmp_path / "bare.csv"
+        with open(SAMPLE_RANKINGS, newline="", encoding="utf-8") as fp:
+            rows = [row[:2] + row[3:] for row in csv.reader(fp)]
+        assert rows[0] == ["ranking_date", "rank", "points"]
+        with open(path, "w", newline="", encoding="utf-8") as fp:
+            csv.writer(fp).writerows(rows)
+        assert tables_equal(load_rankings([path]), load_rankings([SAMPLE_RANKINGS]))
+
     def test_all_dates_when_unfiltered(self):
         table = load_rankings([SAMPLE_RANKINGS])
         assert len(table.rank) == 300
@@ -354,7 +364,6 @@ class TestLoadRankings:
         assert table.rank.dtype == np.int64
         assert table.points.dtype == np.float64
         assert table.rank.tolist() == [1, 2, 3]
-        assert table.player.tolist() == ["AA", "BB", "KK"]
         assert table.points.tolist() == [900.0, 880.5, 700.0]
         assert set(table.date.tolist()) == {datetime.date(2015, 1, 5)}
 

@@ -148,7 +148,6 @@ class TestRankStats:
         return RankingTable(
             date=np.array(dates, dtype="datetime64[D]"),
             rank=np.array(ranks, dtype=np.int64),
-            player=np.array([f"p{rank}" for rank in ranks], dtype=object),
             points=np.array(points, dtype=np.float64),
         )
 
@@ -355,7 +354,6 @@ class TestScalarReference:
         table = RankingTable(
             date=np.datetime64("2015-01-05") + 7 * week[keep],
             rank=np.array([1, 16, 32, 64, 70])[rank[keep]],
-            player=np.full(keep.sum(), "p", dtype=object),
             points=rng.uniform(1.0, 5000.0, keep.sum()),
         )
         expected, expected_skipped = reference_rank_stats(table, (16, 32, 64))
