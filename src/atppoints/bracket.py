@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
@@ -25,7 +26,6 @@ if TYPE_CHECKING:  # numpy only types the generators; importing the module loads
 #: Conventional seed count for each supported draw size.
 SEEDS_FOR_DRAW = {32: 8, 64: 16, 128: 32}
 SUPPORTED_DRAWS = tuple(SEEDS_FOR_DRAW)
-SUPPORTED_SEED_COUNTS = tuple(SEEDS_FOR_DRAW.values())
 
 #: Round tag keyed by number of players still in.
 ROUND_OF = {2: "F", 4: "SF", 8: "QF", 16: "R16", 32: "R32", 64: "R64", 128: "R128"}
@@ -33,21 +33,24 @@ ROUND_OF = {2: "F", 4: "SF", 8: "QF", 16: "R16", 32: "R32", 64: "R64", 128: "R12
 PlayerId = Hashable
 
 
-def seed_slot_groups(draw_size: int, n_seeds: int) -> list[list[int]]:
+def _draw_size(draw_size: int) -> int:
+    """An integer size that ``SEEDS_FOR_DRAW`` holds, as an int, checked before a cache hashes it."""
+    if isinstance(draw_size, numbers.Integral) and draw_size in SEEDS_FOR_DRAW:
+        return int(draw_size)
+    raise DomainError(f"unsupported draw size {draw_size!r}; expected one of {SUPPORTED_DRAWS}")
+
+
+def seed_slot_groups(draw_size: int) -> list[list[int]]:
     """Ballot slot sets per seed group: [[1], [N], {3-4 slots}, {5-8 slots}, ...].
 
     Seeds 1 and 2 take the extreme slots.  Each later group gets one slot
     per bracket section: the group {3-4} sits at the near end of its free
     half-section, every group after that at the far end from the section's
     existing seed.  Reproduces the published 32-draw slots and extends them
-    to 64 and 128 draws.
+    to 64 and 128 draws, each with its ``SEEDS_FOR_DRAW`` seeds.
     """
-    if draw_size not in SUPPORTED_DRAWS:
-        raise DomainError(f"unsupported draw size {draw_size!r}; expected one of {SUPPORTED_DRAWS}")
-    if n_seeds not in SUPPORTED_SEED_COUNTS:
-        raise DomainError(f"unsupported seed count {n_seeds!r}; expected one of {SUPPORTED_SEED_COUNTS}")
-    if n_seeds > draw_size // 4:
-        raise DomainError(f"{n_seeds} seeds do not fit a draw of {draw_size} (at most draw_size/4)")
+    draw_size = _draw_size(draw_size)
+    n_seeds = SEEDS_FOR_DRAW[draw_size]
 
     groups = [[1], [draw_size]]
     # (lo, hi, anchor): a section whose single seed sits at slot `anchor`,
@@ -76,8 +79,8 @@ def seed_slot_groups(draw_size: int, n_seeds: int) -> list[list[int]]:
 
 
 @functools.cache
-def _seed_slot_groups(draw_size: int, n_seeds: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, seed_slot_groups(draw_size, n_seeds)))
+def _seed_slot_groups(draw_size: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, seed_slot_groups(draw_size)))
 
 
 def place_seeds(
@@ -85,15 +88,17 @@ def place_seeds(
     seeded_players: Sequence[PlayerId],
     rng: np.random.Generator,
 ) -> list[PlayerId | None]:
-    """The draw's slot list with the seeds balloted within each group:
-    ``slots[k]`` is the player at 1-based slot k+1, or None while open."""
+    """The draw's slot list with its ``SEEDS_FOR_DRAW`` seeds balloted within
+    each group: ``slots[k]`` is the player at 1-based slot k+1, or None while open."""
+    draw_size = _draw_size(draw_size)
+    if len(seeded_players) != SEEDS_FOR_DRAW[draw_size]:
+        raise DomainError(f"a {draw_size}-draw takes {SEEDS_FOR_DRAW[draw_size]} seeds, "
+                          f"got {len(seeded_players)}")
     if len(set(seeded_players)) != len(seeded_players):
         raise DomainError("seeded players must be distinct")
-    if draw_size not in SUPPORTED_DRAWS:  # before the cache hashes it
-        raise DomainError(f"unsupported draw size {draw_size!r}; expected one of {SUPPORTED_DRAWS}")
     slots: list[PlayerId | None] = [None] * draw_size
     start = 0
-    for group_slots in _seed_slot_groups(draw_size, len(seeded_players)):
+    for group_slots in _seed_slot_groups(draw_size):
         group = seeded_players[start:start + len(group_slots)]
         for player, k in zip(group, rng.permutation(len(group_slots))):
             slots[group_slots[k] - 1] = player

@@ -7,7 +7,7 @@ Player i beats player j with probability
 where r_i, r_j are the players' ranking points and alpha is the fitted
 exponent (``ModelParams``).  This module imports only the standard library,
 so ``predict`` and the bracket kernel start without numpy; ``model`` adds
-the numpy fit and scores and re-exports these names.
+the numpy fit and scores.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ The model predicts that player i beats player j with probability
 
 where r_i, r_j are the players' current ranking points and alpha is a
 single fitted exponent.  The scalar formula, ``predict`` and
-``ModelParams`` live in the numpy-free ``formula`` module and are
-importable from here too.  Fitting minimizes the Brier score (mean squared
-error between 0/1 outcomes and predicted probabilities) by golden-section
-search over a bracket.
+``ModelParams`` live in the numpy-free ``formula`` module.  Fitting
+minimizes the Brier score (mean squared error between 0/1 outcomes and
+predicted probabilities) by golden-section search over a bracket.
 
 Every function here takes its matches as one ``MatchTable`` of numpy
 columns, one entry per match: ``ingest.load_matches`` builds it from an
@@ -27,8 +26,7 @@ import numpy as np
 
 from .defaults import DEFAULT_SEARCH_HI, DEFAULT_SEARCH_LO, DEFAULT_TOL
 from .errors import DomainError
-# Prediction, predict and win_probability are imported to stay importable from here
-from .formula import ModelParams, Prediction, _require_positive, predict, win_probability
+from .formula import ModelParams, _require_positive
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

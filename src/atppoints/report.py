@@ -48,10 +48,6 @@ class BinnedCurve:
             return np.sqrt(self.edges[:-1] * self.edges[1:])
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.counts)
-
 
 def _bin_oriented(
     x: np.ndarray,
@@ -239,8 +235,8 @@ _HIST_CAP = 6  # histogram cells 0..5 plus "6 or more"
 
 @dataclass
 class ParticipationTable:
-    """500/250 participation histograms per top-N band of
-    ``PARTICIPATION_BANDS``."""
+    """500/250 participation histograms per top-N band of ``PARTICIPATION_BANDS``,
+    keyed in band order, 500 before 250: the order the writers print."""
 
     histograms: dict[tuple[int, Category], list[int]] = field(default_factory=dict)
     means: dict[tuple[int, Category], float] = field(default_factory=dict)
@@ -309,26 +305,20 @@ def write_participation_csv(table: ParticipationTable, fp: IO[str]) -> None:
     writer = csv.writer(fp)
     writer.writerow(["band", "category"] + [str(k) for k in range(_HIST_CAP)]
                     + [f"{_HIST_CAP}_or_more", "mean"])
-    for band in PARTICIPATION_BANDS:
-        for category in (Category.TOUR_500, Category.TOUR_250):
-            hist = table.histograms[(band, category)]
-            writer.writerow([band, category.value] + hist
-                            + [repr(table.means[(band, category)])])
+    for (band, category), hist in table.histograms.items():
+        writer.writerow([band, category.value] + hist + [repr(table.means[(band, category)])])
 
 
 def format_participation(table: ParticipationTable) -> str:
     header = ("band  category   " + "".join(f"{k:>5}" for k in range(_HIST_CAP))
               + f"{'6+':>5}   mean")
     lines = [header]
-    for band in PARTICIPATION_BANDS:
-        for category in (Category.TOUR_500, Category.TOUR_250):
-            hist = table.histograms[(band, category)]
-            mean = table.means[(band, category)]
-            lines.append(
-                f"{band:<5} {category.value:<10} "
-                + "".join(f"{c:>5}" for c in hist)
-                + f"  {mean:6.3f}"
-            )
+    for (band, category), hist in table.histograms.items():
+        lines.append(
+            f"{band:<5} {category.value:<10} "
+            + "".join(f"{c:>5}" for c in hist)
+            + f"  {table.means[(band, category)]:6.3f}"
+        )
     if table.unresolved_events:
         lines.append(f"unresolved tour events counted as 250s: {table.unresolved_events}")
     return "\n".join(lines)

@@ -23,7 +23,8 @@ from click.testing import CliRunner
 
 from atppoints.bracket import place_seeds
 from atppoints.cli import main as cli_main
-from atppoints.model import baseline_brier, fit_alpha, predict
+from atppoints.formula import predict
+from atppoints.model import baseline_brier, fit_alpha
 from atppoints.points import Category, expected_points, points_for
 from atppoints.report import calibration_curve
 from atppoints.season import SeasonConfig, run_season

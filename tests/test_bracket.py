@@ -18,7 +18,7 @@ from atppoints.bracket import (
     seed_slot_groups,
 )
 from atppoints.errors import DomainError
-from atppoints.model import win_probability
+from atppoints.formula import win_probability
 from atppoints.points import Category, points_for, points_or_zero
 from conftest import player_at, slot_of
 
@@ -88,34 +88,36 @@ def _reference_run_tournament(slots, ratings, alpha, category, rng):
 
 class TestSeedSlots:
     def test_published_32_draw_slots(self):
-        groups = seed_slot_groups(32, 8)
+        groups = seed_slot_groups(32)
         assert groups[0] == [1]
         assert groups[1] == [32]
         assert sorted(groups[2]) == [9, 24]
         assert sorted(groups[3]) == [8, 16, 17, 25]
+        assert seed_slot_groups(np.int64(32)) == groups
 
     def test_anchors_for_any_draw(self):
         for draw in (32, 64, 128):
-            groups = seed_slot_groups(draw, 8)
+            groups = seed_slot_groups(draw)
             assert groups[0] == [1]
             assert groups[1] == [draw]
 
     def test_group_sizes_double(self):
-        groups = seed_slot_groups(128, 32)
+        groups = seed_slot_groups(128)
         assert [len(g) for g in groups] == [1, 1, 2, 4, 8, 16]
 
     def test_slots_are_distinct(self):
         for draw, n_seeds in ((32, 8), (64, 16), (128, 32)):
-            flat = [s for g in seed_slot_groups(draw, n_seeds) for s in g]
+            flat = [s for g in seed_slot_groups(draw) for s in g]
             assert len(set(flat)) == n_seeds
 
     def test_unsupported_sizes_raise(self):
         with pytest.raises(DomainError):
-            seed_slot_groups(16, 8)
-        with pytest.raises(DomainError):
-            seed_slot_groups(32, 6)
-        with pytest.raises(DomainError):
-            seed_slot_groups(32, 16)  # more than draw/4
+            seed_slot_groups(16)
+        with pytest.raises(DomainError, match="unsupported draw size 32.0"):
+            seed_slot_groups(32.0)
+        # a draw takes exactly its SEEDS_FOR_DRAW seeds
+        with pytest.raises(DomainError, match="64-draw takes 16 seeds, got 8"):
+            place_seeds(64, list("ABCDEFGH"), np.random.default_rng(0))
 
 
 class TestPlaceSeeds:
@@ -179,7 +181,8 @@ class TestPlaceSeeds:
         with pytest.raises(DomainError):
             place_seeds(32, list("AACDEFGH"), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("draw", [16, 96, 256, [32]], ids=["16", "96", "256", "list"])
+    @pytest.mark.parametrize("draw", [16, 96, 256, [32], 32.0, True, "32"],
+                             ids=["16", "96", "256", "list", "float", "bool", "str"])
     def test_unsupported_draw_size_raises(self, draw):
         with pytest.raises(DomainError, match="unsupported draw size"):
             place_seeds(draw, list("ABCDEFGH"), np.random.default_rng(0))

@@ -582,11 +582,13 @@ class TestSimulate:
         ("week,category\n3,grand_slam\n", 3, "draw_size"),
         ("week,category,draw_size\nx,grand_slam,128\n", 5, "'x'"),
         ("week,category,draw_size\n53,grand_slam,128\n", 5, "calendar week 53 outside 1..52"),
+        ("week,category,draw_size\n", 5, "calendar is empty"),
         # 64 players fill each week's draw, but the top 30 may enter only
         # their picked 250s, so week 1 runs short
         ("week,category,draw_size\n" + "".join(f"{w},tour_250,64\n" for w in range(1, 8)),
          5, "week 1: only 47 entrants for a 64-draw event"),
-    ], ids=["draw96", "category", "no-draw-size", "week", "week53", "short-draw"])
+    ], ids=["draw96", "category", "no-draw-size", "week", "week53", "header-only",
+            "short-draw"])
     def test_bad_calendar_exit_code(self, runner, tmp_path, content, code, named):
         calendar = tmp_path / "cal.csv"
         calendar.write_text(content)
@@ -674,9 +676,11 @@ class TestFailedRunWritesNothing:
         (["simulate", "--max-events", "0"], {}, 5, ["max_events_per_season must be at least 1"]),
         (["simulate", "--config", "s.cfg"], {"s.cfg": "top30_mandatory=maybe\n"}, 5,
          ["s.cfg:1: top30_mandatory must be true or false"]),
+        (["evaluate", MATCHES, "--params", "p.txt"], {"p.txt": "alpha=0.8722\nn_matches=-3\n"},
+         5, ["n_matches"]),
     ], ids=["alpha-nan", "ratio-bins-1", "duplicate-rank", "no-rank-64", "no-rank-64-sim",
             "short-pool", "prob-bins-1", "seasons-0", "n500-negative", "max-events-0",
-            "config-bool"])
+            "config-bool", "params-n-matches"])
     def test_exit_code_and_no_output_dir(self, runner, tmp_path, monkeypatch,
                                          args, files, code, named):
         monkeypatch.chdir(tmp_path)

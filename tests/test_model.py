@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from atppoints.errors import DomainError
+from atppoints.formula import predict, win_probability
 from atppoints.ingest import load_matches
 from atppoints.model import (
     MatchTable,
@@ -19,8 +20,6 @@ from atppoints.model import (
     brier_curve,
     brier_score,
     fit_alpha,
-    predict,
-    win_probability,
 )
 from atppoints.report import _oriented_ratios, bin_by_ratio
 from conftest import DAY, SAMPLE_MATCHES, pairs, synth_matches

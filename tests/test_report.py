@@ -82,7 +82,7 @@ class TestBinByRatio:
     def test_reflection_symmetry(self):
         matches = synth_matches(0.9, 5000, seed=23)
         curve = bin_by_ratio(matches, alpha=0.9)
-        n = curve.n_bins
+        n = len(curve.counts)
         for k in range(n):
             mirror = n - 1 - k
             if curve.counts[k] == 0 or curve.counts[mirror] == 0:
@@ -416,7 +416,7 @@ class TestEmission:
         write_curve_csv(curve, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "bin_center,count,empirical_freq,model_value"
-        assert len(lines) == 1 + curve.n_bins
+        assert len(lines) == 1 + len(curve.counts)
 
     def test_svg_is_wellformed_with_curve_and_points(self):
         matches = synth_matches(0.9, 2000, seed=27)

@@ -23,7 +23,7 @@ from atppoints.season import (
     load_season_config,
     run_season,
 )
-from conftest import SeasonResult, best_18_total
+from conftest import DATA_DIR, SeasonResult, best_18_total
 
 
 def small_calendar() -> list[CalendarEvent]:
@@ -358,6 +358,11 @@ class TestSeasonConfig:
         assert config.n_250_choices == 4
         assert config.max_events_per_season == 20
         assert config.points_floor == 2.0
+
+    def test_shipped_example_config(self):
+        # README points users at this file; a changed default or renamed key fails here
+        assert load_season_config(DATA_DIR / "season_example.cfg") == (
+            SeasonConfig(n_seasons=24, burn_in=4), None)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "season.cfg"

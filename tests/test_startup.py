@@ -102,8 +102,10 @@ def test_command_loads_only_what_it_calls(command, args, absent, tmp_path):
 def test_model_and_ingest_names_are_the_formula_objects():
     from atppoints import formula, ingest, model
 
-    for name in ("win_probability", "predict", "Prediction", "ModelParams", "_require_positive"):
+    for name in ("ModelParams", "_require_positive"):
         assert getattr(model, name) is getattr(formula, name), name
+    for name in ("Prediction", "predict", "win_probability"):  # their one home is formula
+        assert not hasattr(model, name), name
     assert ingest._read_key_values is formula._read_key_values
 
 
