@@ -80,7 +80,8 @@ def seed_slot_groups(draw_size: int) -> list[list[int]]:
 
 @functools.cache
 def _seed_slot_groups(draw_size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, seed_slot_groups(draw_size)))
+    """``seed_slot_groups`` as 0-based slot indices."""
+    return tuple(tuple(slot - 1 for slot in group) for group in seed_slot_groups(draw_size))
 
 
 def place_seeds(
@@ -97,12 +98,14 @@ def place_seeds(
     if len(set(seeded_players)) != len(seeded_players):
         raise DomainError("seeded players must be distinct")
     slots: list[PlayerId | None] = [None] * draw_size
-    start = 0
+    seeds = iter(seeded_players)
     for group_slots in _seed_slot_groups(draw_size):
-        group = seeded_players[start:start + len(group_slots)]
-        for player, k in zip(group, rng.permutation(len(group_slots))):
-            slots[group_slots[k] - 1] = player
-        start += len(group_slots)
+        # shuffling a list draws what rng.permutation of its length draws,
+        # nothing for the one-slot groups of seeds 1 and 2
+        ballot = list(group_slots)
+        rng.shuffle(ballot)
+        for slot, player in zip(ballot, seeds):  # takes a seed per slot, in seed order
+            slots[slot] = player
     return slots
 
 
@@ -111,19 +114,27 @@ def fill_unseeded(
     players: Sequence[PlayerId],
     rng: np.random.Generator,
 ) -> list[PlayerId | None]:
-    """Ballot the unseeded players onto the open slots, returning a new slot list."""
+    """Ballot the unseeded players onto the open slots, returning a new slot list.
+
+    A player listed twice or already placed raises ``DomainError`` naming
+    the player, before any random number is drawn."""
     open_slots = [k for k, p in enumerate(slots) if p is None]
     if len(open_slots) != len(players):
         raise DomainError(
             f"{len(players)} unseeded players for {len(open_slots)} open slots"
         )
-    assigned = set(p for p in slots if p is not None)
-    if assigned & set(players):
-        raise DomainError("some players are already placed in the bracket")
+    placed = set(slots)
+    if len(placed.union(players)) != len(placed) + len(players):
+        for player in players:
+            if player in placed:
+                where = "already placed in the bracket" if player in slots else "listed twice"
+                raise DomainError(f"unseeded player {player!r} is {where}")
+            placed.add(player)
+    ballot = list(players)
+    rng.shuffle(ballot)
     filled = list(slots)
-    order = rng.permutation(len(players))
-    for slot, k in zip(open_slots, order):
-        filled[slot] = players[k]
+    for slot, player in zip(open_slots, ballot):
+        filled[slot] = player
     return filled
 
 
@@ -160,8 +171,11 @@ def run_tournament(
     match is won by the slot-i player with the model probability for the
     rating ratio, drawn with one uniform per match in bracket order.  Players
     are listed in order of exit; blank point-table cells award 0.  A one-entry
-    memo keeps the slot-pair probabilities of the last alpha and ratings played.
-    ``slots`` must hold distinct players in every slot of a supported draw.
+    memo keeps the slot-pair probabilities of the last alpha and ratings
+    played, in a table keyed ``a * draw + b`` by the two slot indices (a the
+    first).  ``slots`` must hold distinct players in every slot of a
+    supported draw.  Every input is checked before the first uniform is
+    drawn; ratings equal to the memo's were checked when it was stored.
     """
     global _memo
     draw = len(slots)

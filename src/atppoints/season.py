@@ -25,7 +25,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
+from .bracket import SEEDS_FOR_DRAW, _exit_results, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
 from .formula import _read_key_values
 from .ingest import _csv_field, _load_columns
@@ -175,20 +175,30 @@ class SeasonReport:
     def write_csv(self, fp: IO[str]) -> None:
         """The weekly standings, byte for byte as ``csv.writer`` writes them:
         rank order within each week, csv-quoted ids, ``\\r\\n`` row ends.
-        Each week is one string joined from pieces made once (ids, tails)."""
+        Each week is one string joined from one f-string per row, over pieces
+        made once (quoted ids, rank tails)."""
         fp.write("season,week,player,points,rank\r\n")
-        names = [_csv_field(str(player)) + "," for player in self.players]
+        names = [_csv_field(str(player)) for player in self.players]
         tails = [f",{rank}\r\n" for rank in range(1, len(self.players) + 1)]
         for row, (ranked, points) in enumerate(zip(self.ranked_players, self.ranked_points)):
             season, week = divmod(row, WEEKS_PER_SEASON)
             prefix = f"{season + 1},{week + 1},"
-            fp.write("".join([prefix + name + str(pts) + tail for name, pts, tail in zip(
+            fp.write("".join([f"{prefix}{name},{pts}{tail}" for name, pts, tail in zip(
                 map(names.__getitem__, ranked.tolist()), points.tolist(), tails)]))
 
 
 def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
     """Player indices from rank 1 down; ties broken by the random key."""
     return np.lexsort((tiebreak, -points))
+
+
+def _update_best(points: np.ndarray, window: np.ndarray, slot: int, left: np.ndarray) -> None:
+    """Bring ``points``, the best-18 sums of ``window``'s rows while its
+    column ``slot`` held ``left``, up to date: only the rows whose entry in
+    that column changed are partitioned again."""
+    rows = np.flatnonzero(window[:, slot] != left)
+    points[rows] = np.partition(window[rows], WEEKS_PER_SEASON - BEST_N, axis=1)[
+        :, WEEKS_PER_SEASON - BEST_N:].sum(axis=1)
 
 
 def _entry_plan(config: SeasonConfig, n_top: int) -> np.ndarray:
@@ -264,6 +274,10 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
         events_by_week.setdefault(calendar[idx].week, []).append(idx)
     n_top = min(TOP_N_MANDATORY, n) if config.top30_mandatory else 0
     plan = _entry_plan(config, n_top)
+    # run_tournament lists players in order of exit, so the k-th player it
+    # lists for an event always wins the same points
+    exit_points = [np.array([res.points for res in _exit_results(ev.category, ev.draw_size)])
+                   for ev in calendar]
 
     for season in range(1, config.n_seasons + 1):
         rng = np.random.Generator(np.random.PCG64(season_streams[season - 1]))
@@ -278,20 +292,23 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
         for week in range(1, WEEKS_PER_SEASON + 1):
             abs_week = (season - 1) * WEEKS_PER_SEASON + week
             slot = abs_week % WEEKS_PER_SEASON
+            left = window[:, slot].copy()  # the results 52 weeks old leave
             window[:, slot] = 0
             played = np.zeros(n, dtype=bool)
+            open_ranks = ~restricted[order]  # free entry still open, in rank order
             ratings = np.maximum(points, config.points_floor).tolist()  # by player index
             for idx in events_by_week.get(week, ()):
                 ev = calendar[idx]
-                have = committed[idx] & ~played
-                free = order[~(played | restricted)[order]]
+                have = committed[idx] > played  # committed and not yet playing
+                free = order[open_ranks]
                 if _PRESTIGE[ev.category] >= 2:
                     # a 500 or 250 takes players under the appetite cap
                     # first (nobody skips a Grand Slam or Masters over it)
                     capped = events_played[free] >= config.max_events_per_season
                     free = free[np.argsort(capped, kind="stable")]
                 have[free[:ev.draw_size - np.count_nonzero(have)]] = True
-                entrants = order[have[order]].tolist()  # in rank order
+                entering = have[order]
+                entrants = order[entering].tolist()  # in rank order
                 if len(entrants) < ev.draw_size:
                     raise DomainError(
                         f"week {week}: only {len(entrants)} entrants for a "
@@ -301,16 +318,16 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
                 br = place_seeds(ev.draw_size, entrants[:n_seeds], rng)
                 br = fill_unseeded(br, entrants[n_seeds:], rng)
                 outcome = run_tournament(br, ratings, config.alpha, ev.category, rng)
+                entered = np.fromiter(outcome, np.intp, ev.draw_size)
                 log = results[n_results:n_results + ev.draw_size]
                 n_results += ev.draw_size
-                log[:, 0], log[:, 1:3] = list(outcome), (abs_week, idx)
-                log[:, 3] = [res.points for res in outcome.values()]
-                window[log[:, 0], slot] = log[:, 3]
-                events_played[have] += 1
+                log[:, 0], log[:, 1:3], log[:, 3] = entered, (abs_week, idx), exit_points[idx]
+                window[entered, slot] = exit_points[idx]
+                events_played += have
                 played |= have
+                open_ranks[entering] = False
 
-            points[:] = np.partition(window, WEEKS_PER_SEASON - BEST_N, axis=1)[
-                :, WEEKS_PER_SEASON - BEST_N:].sum(axis=1)
+            _update_best(points, window, slot, left)
             order = _ranked_order(points, rng.random(n))
             ranked_players[abs_week - 1] = order
             ranked_points[abs_week - 1] = points[order]

@@ -226,6 +226,20 @@ class TestFillUnseeded:
         with pytest.raises(DomainError, match="already placed"):
             fill_unseeded(br, ["A", *(f"u{i}" for i in range(23))], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("unseeded, message", [
+        (["p0", "p0", *(f"u{i}" for i in range(22))], "'p0' is listed twice"),
+        ([*(f"u{i}" for i in range(23)), "C"], "'C' is already placed"),
+    ], ids=["repeated", "seeded"])
+    def test_clashing_player_named_before_any_draw(self, unseeded, message):
+        # a repeated unseeded player used to be balloted twice, and the draw
+        # failed only in run_tournament, without the player's name
+        br = place_seeds(32, list("ABCDEFGH"), np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match=message):
+            fill_unseeded(br, unseeded, rng)
+        assert rng.bit_generator.state == state
+
     def test_does_not_mutate_input(self):
         br = place_seeds(32, list("ABCDEFGH"), np.random.default_rng(0))
         before = list(br)
@@ -367,6 +381,35 @@ class TestRunTournament:
         a = run_tournament(br, ratings, 0.9, T250, np.random.default_rng(123))
         b = run_tournament(br, ratings, 0.9, T250, np.random.default_rng(123))
         assert a == b
+
+
+@pytest.mark.parametrize("draw", SUPPORTED_DRAWS)
+def test_draw_consumes_the_reference_stream(draw):
+    """Balloting and playing a draw leave the generator where a reference
+    leaves it that permutes every seed group, the one-slot groups of seeds
+    1 and 2 included, then the unseeded players, then draws one uniform per
+    match; the seeds land where that reference puts them.  Bounded draws
+    reject at random, so a skipped permutation can go unseen on one seed:
+    several are checked."""
+    players = list(range(draw))
+    n_seeds = SEEDS_FOR_DRAW[draw]
+    for seed in range(12):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        slots = place_seeds(draw, players[:n_seeds], rng)
+        want: list = [None] * draw
+        start = 0
+        for group in seed_slot_groups(draw):
+            for player, k in zip(players[start:start + len(group)], ref.permutation(len(group))):
+                want[group[k] - 1] = player
+            start += len(group)
+        assert slots == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+        filled = fill_unseeded(slots, players[n_seeds:], rng)
+        ref.permutation(draw - n_seeds)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        run_tournament(filled, [100.0 + k for k in players], 0.8722, T250, rng)
+        ref.random(draw - 1)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _random_field(draw: int, rng: np.random.Generator, names=str):

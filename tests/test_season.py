@@ -11,6 +11,9 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atppoints.errors import DomainError
 from atppoints.points import BEST_N, Category
@@ -19,6 +22,7 @@ from atppoints.season import (
     SeasonConfig,
     SeasonReport,
     WEEKS_PER_SEASON,
+    _update_best,
     default_calendar,
     load_season_config,
     run_season,
@@ -119,6 +123,35 @@ DRAW_TOTALS = {
     (Category.TOUR_500, 32): 500 + 300 + 2 * 180 + 4 * 90 + 8 * 45,
     (Category.TOUR_250, 32): 250 + 150 + 2 * 90 + 4 * 45 + 8 * 20,
 }
+
+
+#: A week's result: often none, else a point-table value.
+_RESULTS = st.sampled_from([0, 0, 10, 20, 45, 90, 180, 360, 500, 1000, 2000])
+
+
+def _full_best_18(window: np.ndarray) -> np.ndarray:
+    return np.partition(window, WEEKS_PER_SEASON - BEST_N, axis=1)[
+        :, WEEKS_PER_SEASON - BEST_N:].sum(axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=arrays(np.int64, st.tuples(st.integers(1, 6), st.just(WEEKS_PER_SEASON)),
+                     elements=_RESULTS),
+       first_slot=st.integers(0, WEEKS_PER_SEASON - 1),
+       weeks=st.lists(st.lists(_RESULTS, min_size=6, max_size=6), min_size=1, max_size=70))
+@example(window=np.array([[90] * 52, [45] * 18 + [0] * 34, [0] * 52]), first_slot=0,
+         weeks=[[0, 0, 500]] * 60 + [[10, 45, 0]] * 10)
+def test_update_best_equals_full_partition(window, first_slot, weeks):
+    """Week after week, the rows re-partitioned where a column changed (a
+    result 52 weeks old left, a result this week came in) hold the sums a
+    full partition of the window gives, rows over 18 results included."""
+    points = _full_best_18(window).astype(float)
+    for k, column in enumerate(weeks):
+        slot = (first_slot + k) % WEEKS_PER_SEASON
+        left = window[:, slot].copy()
+        window[:, slot] = column[:len(window)]
+        _update_best(points, window, slot, left)
+        assert np.array_equal(points, _full_best_18(window))
 
 
 class TestRunSeason:
