@@ -5,9 +5,11 @@ recording the flags, input hashes, seed, and tool version.  The manifest's
 ``flags`` hold every option of the command as given, with ``alpha`` resolved
 from ``--params`` and, for ``simulate``, the final season-config values; the
 match files and ``--params`` are not flags but are hashed in ``inputs``.
-Each flag is declared once, in its ``click.option``.  Data files are
-byte-reproducible for identical inputs and seeds; only the manifest
-timestamp differs between reruns.
+Each flag is declared once, in its ``click.option``.  A command builds
+every output and its manifest, then ``_write_run`` makes the directory and
+writes them, so a command that fails on its inputs leaves no output behind.
+Data files are byte-reproducible for identical inputs and seeds; only the
+manifest timestamp differs between reruns.
 
 Start-up: importing this module loads click and no numpy, so ``--version``,
 ``--help`` and usage errors stay cheap.  Each command binds, as globals of
@@ -140,21 +142,28 @@ def _manifest(command: str, files, resolved: dict | None = None, rng_seed: int |
                           [path for path in files if path], seed=rng_seed)
 
 
-def _ensure_out(out: str) -> Path:
+def _write_run(out: str, manifest: dict, files: dict) -> Path:
+    """Make the output directory ``out``, write ``files`` in order, each name
+    to its text or by a function of the open file (a ``.csv`` opens with
+    ``newline=""``), and write ``manifest`` last."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        with open(out_dir / name, "w", encoding="utf-8",
+                  newline="" if name.endswith(".csv") else None) as fp:
+            if isinstance(content, str):
+                fp.write(content)
+            else:
+                content(fp)
+    write_manifest(manifest, out_dir)
     return out_dir
 
 
-def write_params_file(path: Path, params: ModelParams, fingerprint: str,
-                      date_from, date_to) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(f"alpha={params.alpha!r}\n")
-        fp.write(f"fitted_e2={params.fitted_e2!r}\n")
-        fp.write(f"n_matches={params.n_matches}\n")
-        fp.write(f"dataset_fingerprint={fingerprint}\n")
-        fp.write(f"date_from={date_from.date().isoformat() if date_from else ''}\n")
-        fp.write(f"date_to={date_to.date().isoformat() if date_to else ''}\n")
+def _scores(alpha: float, e2: float, baseline: float, n: int) -> str:
+    return (f"alpha        {alpha:.6f}\n"
+            f"e2           {e2:.6f}\n"
+            f"baseline_e2  {baseline:.6f}\n"
+            f"n_matches    {n}\n")
 
 
 def read_params_file(path: str | Path) -> ModelParams:
@@ -206,19 +215,18 @@ def fit(match_files, search_lo, search_hi, tol, out, **scope):
         click.echo(f"warning: alpha={params.alpha:.6f} is within tol of the search bound "
                    f"[{search_lo}, {search_hi}]; the minimum may lie outside it", err=True)
     baseline = baseline_brier(observations)
-
-    out_dir = _ensure_out(out)
     manifest = _manifest("fit", [*match_files, scope["schema"]])
     fingerprint = dataset_fingerprint([manifest["inputs"][str(p)] for p in match_files])
-    write_params_file(out_dir / "params.txt", params, fingerprint,
-                      scope["date_from"], scope["date_to"])
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fp:
-        fp.write(f"alpha        {params.alpha:.6f}\n")
-        fp.write(f"e2           {params.fitted_e2:.6f}\n")
-        fp.write(f"baseline_e2  {baseline:.6f}\n")
-        fp.write(f"n_matches    {params.n_matches}\n\n")
-        fp.write(report.summary() + "\n")
-    write_manifest(manifest, out_dir)
+    days = [d.date().isoformat() if d else "" for d in (scope["date_from"], scope["date_to"])]
+    _write_run(out, manifest, {
+        "params.txt": f"alpha={params.alpha!r}\n"
+                      f"fitted_e2={params.fitted_e2!r}\n"
+                      f"n_matches={params.n_matches}\n"
+                      f"dataset_fingerprint={fingerprint}\n"
+                      f"date_from={days[0]}\n"
+                      f"date_to={days[1]}\n",
+        "report.txt": _scores(params.alpha, params.fitted_e2, baseline, params.n_matches)
+                      + "\n" + report.summary() + "\n"})
     click.echo(f"alpha={params.alpha:.6f} e2={params.fitted_e2:.6f} "
                f"baseline_e2={baseline:.6f} n={params.n_matches}")
 
@@ -256,19 +264,13 @@ def evaluate(match_files, alpha, params, out, **scope):
     observations, report = load_matches(match_files, **_scope(**scope))
     if not observations:
         raise DomainError("no matches after filtering")
-    e2 = brier_score(alpha, observations)
-    baseline = baseline_brier(observations)
-    lines = (f"alpha        {alpha:.6f}\n"
-             f"e2           {e2:.6f}\n"
-             f"baseline_e2  {baseline:.6f}\n"
-             f"n_matches    {len(observations)}\n")
+    lines = _scores(alpha, brier_score(alpha, observations), baseline_brier(observations),
+                    len(observations))
     click.echo(lines, nl=False)
     if out:
-        out_dir = _ensure_out(out)
-        with open(out_dir / "evaluation.txt", "w", encoding="utf-8") as fp:
-            fp.write(lines + "\n" + report.summary() + "\n")
-        write_manifest(_manifest("evaluate", [*match_files, scope["schema"], params],
-                                 dict(alpha=alpha)), out_dir)
+        _write_run(out, _manifest("evaluate", [*match_files, scope["schema"], params],
+                                  dict(alpha=alpha)),
+                   {"evaluation.txt": lines + "\n" + report.summary() + "\n"})
 
 
 @main.command()
@@ -291,44 +293,29 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     observations, ingest_report = select_matches(raw, **selection)
     if not observations:
         raise DomainError("no matches after filtering")
-    # every table is built before the output directory is made, so a bad
-    # value or ranking file leaves no partial output behind
     ratio_curve = bin_by_ratio(observations, alpha, n_bins=ratio_bins)
     calib = calibration_curve(observations, alpha, n_bins=prob_bins)
     stats, skipped = rank_stats(load_rankings(rankings)) if rankings else (None, None)
     table = participation_table(raw)
-
-    out_dir = _ensure_out(out)
-    with open(out_dir / "ratio_curve.csv", "w", encoding="utf-8", newline="") as fp:
-        write_curve_csv(ratio_curve, fp)
-    with open(out_dir / "ratio_curve.svg", "w", encoding="utf-8") as fp:
-        write_curve_svg(ratio_curve, fp, "Win frequency vs point ratio", "point ratio")
-    with open(out_dir / "calibration.csv", "w", encoding="utf-8", newline="") as fp:
-        write_curve_csv(calib, fp)
-    with open(out_dir / "calibration.svg", "w", encoding="utf-8") as fp:
-        write_curve_svg(calib, fp, "Outcome frequency vs predicted probability",
-                        "predicted probability")
-
+    files = {
+        "ratio_curve.csv": lambda fp: write_curve_csv(ratio_curve, fp),
+        "ratio_curve.svg": lambda fp: write_curve_svg(
+            ratio_curve, fp, "Win frequency vs point ratio", "point ratio"),
+        "calibration.csv": lambda fp: write_curve_csv(calib, fp),
+        "calibration.svg": lambda fp: write_curve_svg(
+            calib, fp, "Outcome frequency vs predicted probability", "predicted probability"),
+    }
     if rankings:
-        with open(out_dir / "rank_stats.csv", "w", encoding="utf-8", newline="") as fp:
-            write_rank_stats_csv(stats, fp)
-        with open(out_dir / "rank_stats.txt", "w", encoding="utf-8") as fp:
-            fp.write(format_rank_stats(stats) + "\n")
-            if skipped:
-                fp.write(f"\nskipped {len(skipped)} snapshot dates missing a band\n")
+        files["rank_stats.csv"] = lambda fp: write_rank_stats_csv(stats, fp)
+        files["rank_stats.txt"] = format_rank_stats(stats) + "\n" + (
+            f"\nskipped {len(skipped)} snapshot dates missing a band\n" if skipped else "")
     else:
         click.echo("no ranking files given: rank-band tables skipped", err=True)
-
-    with open(out_dir / "participation.csv", "w", encoding="utf-8", newline="") as fp:
-        write_participation_csv(table, fp)
-    with open(out_dir / "participation.txt", "w", encoding="utf-8") as fp:
-        fp.write(format_participation(table) + "\n")
-
-    with open(out_dir / "ingest_report.txt", "w", encoding="utf-8") as fp:
-        fp.write(ingest_report.summary() + "\n")
-
-    write_manifest(_manifest("report", [*match_files, *rankings, scope["schema"], params],
-                             dict(alpha=alpha)), out_dir)
+    files["participation.csv"] = lambda fp: write_participation_csv(table, fp)
+    files["participation.txt"] = format_participation(table) + "\n"
+    files["ingest_report.txt"] = ingest_report.summary() + "\n"
+    out_dir = _write_run(out, _manifest("report", [*match_files, *rankings, scope["schema"],
+                                                   params], dict(alpha=alpha)), files)
     click.echo(f"report written to {out_dir}")
 
 
@@ -366,27 +353,20 @@ def simulate(config, calendar, out, **overrides):
                           f"from a player pool of {season.n_players}")
     players = [f"P{i + 1:03d}" for i in range(season.n_players)]
     result = run_season(season, players)
-    bands = {band: result.rank_summary(band) for band in RANK_BANDS}  # before any output
-
-    out_dir = _ensure_out(out)
-    with open(out_dir / "seasons.csv", "w", encoding="utf-8", newline="") as fp:
-        result.write_csv(fp)
-    with open(out_dir / "summary.txt", "w", encoding="utf-8") as fp:
-        fp.write(f"seasons      {season.n_seasons} (burn-in {season.burn_in})\n")
-        fp.write(f"players      {season.n_players}\n")
-        fp.write(f"alpha        {season.alpha:.6f}\n")
-        fp.write(f"rng_seed     {season.rng_seed}\n\n")
-        fp.write("rank band    expected      median        mean         min         max\n")
-        for band, s in bands.items():
-            fp.write(
-                f"{band:<12} {expected_points(band):>9} {s['median']:>11.1f} "
-                f"{s['mean']:>11.1f} {s['min']:>11.1f} {s['max']:>11.1f}\n"
-            )
+    summary = (f"seasons      {season.n_seasons} (burn-in {season.burn_in})\n"
+               f"players      {season.n_players}\n"
+               f"alpha        {season.alpha:.6f}\n"
+               f"rng_seed     {season.rng_seed}\n\n"
+               "rank band    expected      median        mean         min         max\n")
+    for band in RANK_BANDS:
+        s = result.rank_summary(band)
+        summary += (f"{band:<12} {expected_points(band):>9} {s['median']:>11.1f} "
+                    f"{s['mean']:>11.1f} {s['min']:>11.1f} {s['max']:>11.1f}\n")
     # the config and the calendar the run used; --calendar replaces the config's
-    write_manifest(_manifest(
-        "simulate", [config, calendar or config_calendar],
-        {flag: getattr(season, field) for flag, field in SEASON_FLAGS.items()},
-        rng_seed=season.rng_seed), out_dir)
+    manifest = _manifest("simulate", [config, calendar or config_calendar],
+                         {flag: getattr(season, field) for flag, field in SEASON_FLAGS.items()},
+                         rng_seed=season.rng_seed)
+    out_dir = _write_run(out, manifest, {"seasons.csv": result.write_csv, "summary.txt": summary})
     click.echo(f"simulation written to {out_dir}")
 
 
@@ -399,10 +379,8 @@ def simulate(config, calendar, out, **overrides):
 def ingest_dump(match_files, out, **scope):
     """Normalize archives into (date, level, round, winner_points, loser_points)."""
     observations, report = load_matches(match_files, **_scope(**scope))
-    out_dir = _ensure_out(out)
-    with open(out_dir / "observations.csv", "w", encoding="utf-8", newline="") as fp:
-        dump_observations(observations, fp)
-    write_manifest(_manifest("ingest-dump", [*match_files, scope["schema"]]), out_dir)
+    _write_run(out, _manifest("ingest-dump", [*match_files, scope["schema"]]),
+               {"observations.csv": lambda fp: dump_observations(observations, fp)})
     click.echo(report.summary())
 
 

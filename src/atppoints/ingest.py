@@ -182,9 +182,10 @@ def _read_chunks(
 ) -> Iterator[list[Sequence[str]]]:
     """The text of each named logical field, in ``names`` order, for up to
     ``_CHUNK_ROWS`` rows of a CSV file at a time: blank lines hold no row, a
-    short row or an absent column reads "", and a repeated column name
-    resolves to its last column.  The header must hold each ``required``
-    field (a tuple: one of its fields) before any row is read.
+    short row or an absent column reads "", and cells past the header's
+    width are ignored.  Before any row is read, the header must hold each
+    ``required`` field (a tuple: one of its fields), and each column a named
+    field reads must appear in it at most once and be read by one field.
     ``_line_of_row`` finds the file line of a row when an error names it."""
     try:
         with open(path, newline="", encoding=_ENCODING) as fp:
@@ -195,6 +196,15 @@ def _read_chunks(
                        if all(schema[f] not in header for f in group)]
             if missing:
                 raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+            read_by: dict[str, str] = {}  # column -> the field that reads it
+            for name in filter(schema.get, names):
+                column = schema[name]
+                if column in read_by:
+                    raise SchemaError(f"{path}: fields {read_by[column]} and {name} "
+                                      f"both read column {column}")
+                if header.count(column) > 1:
+                    raise SchemaError(f"{path}: column {column} appears more than once")
+                read_by[column] = name
             index = {name: i for i, name in enumerate(header)}
             at = [index.get(schema.get(name) or None) for name in names]
             present = [i for i in at if i is not None]

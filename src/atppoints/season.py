@@ -369,9 +369,7 @@ def load_season_config(path: str | Path) -> tuple[SeasonConfig, Path | None]:
         where = f"{path}:{line_no}"
         kind = kinds.get(key)
         if key == "calendar":
-            calendar_path = Path(value)
-            if not calendar_path.is_absolute():
-                calendar_path = base / calendar_path
+            calendar_path = base / value
             config = replace(config, calendar=load_calendar_file(calendar_path))
         elif kind is bool:
             if value.lower() not in ("true", "false"):

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atppoints.ingest
+import atppoints.manifest
 from atppoints.cli import main
 from atppoints.errors import SchemaError
 from atppoints.ingest import load_rankings, load_raw_rows, load_schema
@@ -396,6 +397,37 @@ class TestInputColumns:
         assert self.report_files(runner, tmp_path / "bare", MATCHES, rankings) == plain
 
 
+    @pytest.mark.parametrize("column, code", [("winner_rank_points", 3), ("draw_size", 0)],
+                             ids=["read", "unread"])
+    def test_repeated_column(self, runner, tmp_path, column, code):
+        # a second column of 1s: a read one would replace the winners' points
+        matches = tmp_path / "matches.csv"
+        with open(SAMPLE_MATCHES, newline="", encoding="utf-8") as fp:
+            header, *rows = csv.reader(fp)
+        with open(matches, "w", newline="", encoding="utf-8") as fp:
+            csv.writer(fp).writerows([header + [column], *(row + ["1"] for row in rows)])
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit", str(matches), "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.output
+        if code:
+            assert f"{matches}: column {column} appears more than once\n" in result.output
+            assert not out.exists()
+        else:
+            assert "alpha=1.315637" in result.output
+
+    def test_two_fields_reading_one_column(self, runner, tmp_path):
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("winner_points=winner_rank_points\nloser_points=winner_rank_points\n")
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit", MATCHES, "--schema", str(schema), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert ("fields winner_points and loser_points both read column winner_rank_points\n"
+                in result.output)
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 def write_without(path: Path, columns: list[str], source: Path = SAMPLE_MATCHES) -> None:
     """A bundled sample file, the archive by default, without ``columns``."""
     with open(source, newline="", encoding="utf-8") as fp:
@@ -690,6 +722,26 @@ class TestFailedRunWritesNothing:
         assert result.exit_code == code, result.output
         for text in named:
             assert text in result.output
+        assert "Traceback" not in result.output
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["fit", MATCHES], ["evaluate", MATCHES, "--alpha", "0.8722"],
+        ["report", MATCHES, "--alpha", "0.8722"], ["simulate", "--config", "season.cfg"],
+        ["ingest-dump", MATCHES],
+    ], ids=["fit", "evaluate", "report", "simulate", "ingest-dump"])
+    def test_unhashable_input(self, runner, tmp_path, monkeypatch, args):
+        # the manifest hashes the inputs after every table is built
+        monkeypatch.chdir(tmp_path)
+        write_small_sim_config(tmp_path)
+
+        def unreadable(path):
+            raise OSError(f"cannot read {path}")
+
+        monkeypatch.setattr(atppoints.manifest, "sha256_file", unreadable)
+        result = runner.invoke(main, [*args, "--out", "out"])
+        assert result.exit_code == 4, result.output
+        assert "i/o error: cannot read" in result.output
         assert "Traceback" not in result.output
         assert not Path("out").exists()
 

@@ -418,3 +418,13 @@ class TestSeasonConfig:
             CalendarEvent(3, Category.GRAND_SLAM, 128),
             CalendarEvent(10, Category.TOUR_250, 32),
         ]
+
+    def test_absolute_calendar_path(self, tmp_path):
+        cal = tmp_path / "cal.csv"
+        cal.write_text("week,category,draw_size\n3,grand_slam,128\n")
+        cfg = tmp_path / "configs" / "season.cfg"
+        cfg.parent.mkdir()
+        cfg.write_text(f"calendar={cal}\n")
+        config, calendar_path = load_season_config(cfg)
+        assert calendar_path == cal
+        assert config.calendar == [CalendarEvent(3, Category.GRAND_SLAM, 128)]
