@@ -291,12 +291,13 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     selection = _scope(**scope)
     raw = load_raw_rows(match_files, selection.pop("schema"), participation=True)
     observations, ingest_report = select_matches(raw, **selection)
+    table = participation_table(raw)
+    del raw  # the raw rows are selected and tallied
     if not observations:
         raise DomainError("no matches after filtering")
     ratio_curve = bin_by_ratio(observations, alpha, n_bins=ratio_bins)
     calib = calibration_curve(observations, alpha, n_bins=prob_bins)
     stats, skipped = rank_stats(load_rankings(rankings)) if rankings else (None, None)
-    table = participation_table(raw)
     files = {
         "ratio_curve.csv": lambda fp: write_curve_csv(ratio_curve, fp),
         "ratio_curve.svg": lambda fp: write_curve_svg(

@@ -29,8 +29,7 @@ import numpy as np
 from .defaults import DEFAULT_LEVELS
 from .errors import SchemaError
 from .formula import _ENCODING, _read_key_values
-from .model import MatchTable, Participation
-from .points import Category
+from .model import MatchTable
 
 #: Logical field -> column name in the archive files.
 DEFAULT_SCHEMA: dict[str, str] = {
@@ -68,11 +67,14 @@ LEVEL_TAGS = {
 
 
 def load_schema(path: str | Path) -> dict[str, str]:
-    """Read a key=value schema file; keys must be known logical field names."""
+    """Read a key=value schema file; keys must be known logical field names
+    and each value a column name, not empty."""
     schema = dict(DEFAULT_SCHEMA)
     for line_no, key, value in _read_key_values(path):
         if key not in DEFAULT_SCHEMA:
             raise SchemaError(f"{path}:{line_no}: unknown schema field {key!r}")
+        if not value:
+            raise SchemaError(f"{path}:{line_no}: schema field {key!r} names no column")
         schema[key] = value
     return schema
 
@@ -144,11 +146,6 @@ def _parse_int(text: str) -> int | None:
         return None
 
 
-def _parse_category(text: str) -> str:
-    text = text.strip()
-    return text if text in {c.value for c in Category} else ""
-
-
 def _each_distinct(fn: Callable, values: Sequence, memo: dict | None = None) -> list:
     """fn of every value, evaluated once per distinct value; a ``memo`` passed
     in keeps the values evaluated so far across calls."""
@@ -163,11 +160,7 @@ _COLUMNS: dict[str, tuple[object, Callable[[str], object]]] = {
     "date": ("datetime64[D]", lambda t: np.datetime64(_parse_date(t) or "NaT", "D")),
     "winner_points": (np.float64, _parse_float),
     "loser_points": (np.float64, _parse_float),
-    "winner_rank": (np.float64, _parse_int),
-    "loser_rank": (np.float64, _parse_int),
-    "category": (object, _parse_category),
-    **{name: (object, str.strip) for name in ("level", "round", "score", "tournament_id",
-                                              "tournament_name", "winner_id", "loser_id")},
+    **{name: (object, str.strip) for name in ("level", "round", "score")},
 }
 
 
@@ -262,30 +255,36 @@ def _load_columns(
     schema: dict[str, str],
     columns: dict[str, tuple[object, Callable[[str], object]]],
     required: Iterable[str | tuple[str, ...]],
+    fold: Callable[[dict[str, list]], None] | None = None,
 ) -> tuple[dict[str, np.ndarray], list[int]]:
     """Each of ``columns`` parsed from every file and joined in file-argument
     and row order, and the number of rows of each file.  A column's parsed
     values gather in one list across chunks and files, and each distinct
-    text is parsed once per call."""
+    text is parsed once per call.  ``fold``, when given, takes each chunk's
+    parsed values by field as they stream; a column whose dtype is None is
+    parsed for it alone and never joined."""
     memos: dict[str, dict] = {name: {} for name in columns}
-    values: dict[str, list] = {name: [] for name in columns}
+    values = {name: [] for name, (dtype, _) in columns.items() if dtype is not None}
     sizes = []
     for path in paths:
         sizes.append(0)
         for texts in _read_chunks(path, schema, columns, required):
-            for (name, (_, parse)), text in zip(columns.items(), texts):
-                values[name] += _each_distinct(parse, text, memos[name])
-            sizes[-1] += len(text)
+            chunk = {name: _each_distinct(parse, text, memos[name])
+                     for (name, (_, parse)), text in zip(columns.items(), texts)}
+            if fold:
+                fold(chunk)
+            for name, column in values.items():
+                column += chunk[name]
+            sizes[-1] += len(texts[0])
     # each list goes as soon as its column is built
-    return {name: np.array(values.pop(name), dtype) for name, (dtype, _) in columns.items()}, sizes
+    return {name: np.array(values.pop(name), dtype)
+            for name, (dtype, _) in columns.items() if dtype is not None}, sizes
 
 
 #: The logical fields of a MatchTable's own columns and of its participation
-#: block, and those of each that a file must have (a tuple: one of them).
+#: tally, and those of each that a file must have (a tuple: one of them).
 _MODEL_FIELDS = ("date", "level", "round", "score", "winner_points", "loser_points")
 _REQUIRED_FIELDS = ("date", "level", "round", "winner_points", "loser_points")
-_PARTICIPATION_FIELDS = ("tournament_id", "tournament_name", "winner_id", "loser_id",
-                         "winner_rank", "loser_rank", "category")
 _REQUIRED_PARTICIPATION = (("tournament_id", "tournament_name"), "winner_id", "loser_id",
                            "winner_rank", "loser_rank")
 
@@ -299,20 +298,26 @@ def load_raw_rows(
 
     Every row is kept, parsed or not; ``select_matches`` decides which rows
     the model sees.  Only the fields of the table's own columns are parsed,
-    and those of its ``participation`` block when asked for; the fields a
-    part needs must each have a column (``category`` need not).
-    ``draw_size`` is a valid schema key but is not read.
+    and, when ``participation`` is asked for, those its participation tally
+    reads, folded chunk by chunk as the rows stream, so no per-row column of
+    them is built.  The fields a part needs must each have a column
+    (``category`` need not).  ``draw_size`` is a valid schema key but is not
+    read.
     """
-    fields = _MODEL_FIELDS + (_PARTICIPATION_FIELDS if participation else ())
-    required = _REQUIRED_FIELDS + (_REQUIRED_PARTICIPATION if participation else ())
-    columns, _ = _load_columns(paths, schema or DEFAULT_SCHEMA,
-                               {name: _COLUMNS[name] for name in fields}, required)
-    block = None
+    columns = {name: _COLUMNS[name] for name in _MODEL_FIELDS}
+    required = _REQUIRED_FIELDS
+    tally = None
     if participation:
-        event_id, event_name = columns.pop("tournament_id"), columns.pop("tournament_name")
-        block = Participation(event=np.where(event_id != "", event_id, event_name),
-                              **{name: columns.pop(name) for name in _PARTICIPATION_FIELDS[2:]})
-    return MatchTable(**columns, participation=block)
+        # imported here, so a command that never tallies (fit, simulate) does
+        # not load its code: compiling a module costs memory when no bytecode
+        # is cached
+        from .report import _ParticipationTally
+        tally = _ParticipationTally()
+        columns.update(tally.columns)
+        required += _REQUIRED_PARTICIPATION
+    table, _ = _load_columns(paths, schema or DEFAULT_SCHEMA, columns, required,
+                             tally and tally.add)
+    return MatchTable(**table, participation=tally and tally.result())
 
 
 def _is_walkover(score: str) -> bool:
@@ -332,8 +337,8 @@ def select_matches(
     Filter precedence per row: level, qualifying round, walkover (when the
     flag is set), missing or non-finite date/points, date range, zero
     points.  A row is counted by the first filter that drops it.  Kept rows
-    stay in input order, without a participation block: participation
-    counts every raw row, so only the raw table's block is read.
+    stay in input order, without the participation tally: it counts every
+    raw row, so it is read from the raw table alone.
     """
     report = IngestReport()
     left = np.ones(len(table), dtype=bool)
@@ -418,7 +423,7 @@ RANKING_SCHEMA: dict[str, str] = {
 
 
 #: Ranking field -> (column dtype, parser), parsed as the match columns are.
-_RANKING_COLUMNS = {"date": _COLUMNS["date"], "rank": _COLUMNS["winner_rank"],
+_RANKING_COLUMNS = {"date": _COLUMNS["date"], "rank": (np.float64, _parse_int),
                     "points": _COLUMNS["winner_points"]}
 
 

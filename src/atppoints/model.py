@@ -33,16 +33,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class Participation:
-    """Who played each match, in which event and at what rank: the archive
-    columns that only ``report.participation_table`` reads, one entry per
-    match of the ``MatchTable`` that holds them."""
+    """Who played which 500s and 250s, and at what rank: an archive's
+    participation fields tallied while its rows stream, the one part of a
+    ``MatchTable`` that only ``report.participation_table`` reads.  Players
+    and counted events (those with a 500 or 250 row) are numbered in the
+    sorted order of their ids."""
 
-    event: np.ndarray           # object (str): tournament id, else tournament name
-    winner_id: np.ndarray       # object (str)
-    loser_id: np.ndarray        # object (str)
-    winner_rank: np.ndarray     # float64
-    loser_rank: np.ndarray      # float64
-    category: np.ndarray        # object: Category value or ""
+    rank: np.ndarray            # float64 per player: rank at their latest dated side, else NaN
+    event_category: np.ndarray  # object per event: "tour_500" or "tour_250", as its last row
+    event_resolved: np.ndarray  # bool per event: that row named its category
+    pair_event: np.ndarray      # int64: the distinct (event, player) pairs, sorted
+    pair_player: np.ndarray     # int64
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ class MatchTable:
 
     ``ingest.load_raw_rows`` keeps every archive row (NaT, NaN or "" where a
     field is absent or does not parse; ``level`` is the archive's letter),
-    with the ``participation`` block, which does not index, when asked for it.
+    with the ``participation`` tally, which holds no per-row column and does
+    not index, when asked for it.
     ``ingest.select_matches`` keeps the rows the model sees: finite positive
     points, ``level`` as its tag, an empty round as "unknown".
     """
@@ -76,7 +78,7 @@ class MatchTable:
     def from_points(cls, winner_points: Sequence[float], loser_points: Sequence[float],
                     date: datetime.date) -> MatchTable:
         """Winner-first point pairs, every row on ``date`` with level "other",
-        round "unknown", no score and no participation block.  Points must be
+        round "unknown", no score and no participation tally.  Points must be
         positive and finite; ingestion drops (and counts) archive rows where
         they are not.
         """

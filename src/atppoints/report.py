@@ -16,15 +16,15 @@ import csv
 import datetime
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
 from .defaults import DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS
 from .errors import DomainError
 from .formula import _require_positive, win_probability
-from .ingest import RankingTable
-from .model import MatchTable, _nonempty
+from .ingest import RankingTable, _parse_int
+from .model import MatchTable, Participation, _nonempty
 from .points import RANK_BANDS, Category, expected_points, expected_ratio_to_32
 
 #: Point-ratio range of ``bin_by_ratio``'s log-spaced bins.
@@ -233,6 +233,120 @@ PARTICIPATION_BANDS = (8, 16, 30, 64)
 _HIST_CAP = 6  # histogram cells 0..5 plus "6 or more"
 
 
+#: The categories a participation tally counts, and each category's code:
+#: its index here, or ``len(_COUNTED)`` when it is not counted.
+_COUNTED = (Category.TOUR_500, Category.TOUR_250)
+_CATEGORY_CODES = {c.value: _COUNTED.index(c) if c in _COUNTED else len(_COUNTED)
+                   for c in Category}
+
+
+def _coder(codes: dict[str, int]) -> Callable[[str], int]:
+    """A parser of one field into the code of its stripped text in ``codes``,
+    where a new text takes the next code."""
+    return lambda text: codes.setdefault(text.strip(), len(codes))
+
+
+def _padded(array: np.ndarray, n: int, fill: object) -> np.ndarray:
+    return np.concatenate((array, np.full(n - len(array), fill, array.dtype)))
+
+
+def _last_of_each(key: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The index of the last entry of each group ``key >> shift`` in the
+    order of the non-negative ``key``, equal keys in entry order (a stable
+    sort)."""
+    order = np.argsort(key, kind="stable")
+    return order[np.diff(key[order] >> shift, append=-1) != 0]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative ``keys``, sorted: ``np.unique``
+    by a plain sort, which here beats its hash table several times over."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+class _ParticipationTally:
+    """An archive's participation fields, folded one chunk of rows at a time.
+
+    A row counts when it is a 500 or a 250 (a level "A" row that names no
+    category counts as a 250).  The tally keeps each player's rank at their
+    latest dated side, a later side breaking a tie; each counted event's
+    category and whether its row named it, from its last counted row; and
+    the (event, player) pairs of the counted rows, distinct within each
+    chunk until ``result`` merges them.  An event is its tournament id, or
+    its name where the id is blank.  Players and events are coded as their
+    ids are first parsed, in no particular order."""
+
+    def __init__(self) -> None:
+        self.players: dict[str, int] = {}
+        self.events: dict[str, int] = {"": 0}  # a blank id codes 0: the name decides
+        player, event = _coder(self.players), _coder(self.events)
+        #: The fields the tally reads, with their parsers, after the model's.
+        self.columns = {
+            "tournament_id": (None, event), "tournament_name": (None, event),
+            "winner_id": (None, player), "loser_id": (None, player),
+            "winner_rank": (None, _parse_int), "loser_rank": (None, _parse_int),
+            "category": (None, lambda text: _CATEGORY_CODES.get(text.strip(), -1)),
+        }
+        self.date = np.empty(0, "datetime64[D]")  # per player; NaT before any
+        self.rank = np.empty(0)                   # per player
+        self.category = np.empty(0, np.intp)      # per event; -1 before a counted row
+        self.resolved = np.empty(0, bool)         # per event
+        self.pairs: list[np.ndarray] = []         # per chunk: event << 32 | player
+
+    def add(self, chunk: dict[str, list]) -> None:
+        """Fold one chunk's parsed fields, by field name, into the tally."""
+        ids = np.array(chunk["tournament_id"], np.intp)
+        event = np.where(ids != 0, ids, chunk["tournament_name"])
+        named = np.array(chunk["category"], np.intp)
+        tour = np.array([level == "A" for level in chunk["level"]], bool)
+        category = np.where(named >= 0, named,
+                            np.where(tour, _COUNTED.index(Category.TOUR_250), len(_COUNTED)))
+        sides = np.array((chunk["winner_id"], chunk["loser_id"]), np.intp).T
+        self.rank = _padded(self.rank, len(self.players), np.nan)
+        self.date = _padded(self.date, len(self.players), np.datetime64("NaT"))
+        self.category = _padded(self.category, len(self.events), -1)
+        self.resolved = _padded(self.resolved, len(self.events), False)
+
+        # each player's latest side here, kept unless the tally's date is later
+        player = sides.ravel()  # winner first
+        rank = np.array((chunk["winner_rank"], chunk["loser_rank"]), float).T.ravel()
+        date = np.repeat(np.array(chunk["date"], "datetime64[D]"), 2)
+        ok = ~np.isnat(date) & ~np.isnan(rank)
+        player, date, rank = player[ok], date[ok], rank[ok]
+        # days from 1970 made non-negative below each player's code: one sort key
+        last = _last_of_each(player << 32 | (date.astype(np.int64) + 2**31), 32)
+        player, date, rank = player[last], date[last], rank[last]
+        later = ~(date < self.date[player])  # NaT: any date is later
+        self.date[player[later]], self.rank[player[later]] = date[later], rank[later]
+
+        counted = np.flatnonzero(category < len(_COUNTED))
+        last = counted[_last_of_each(event[counted])]
+        self.category[event[last]], self.resolved[event[last]] = category[last], named[last] >= 0
+        self.pairs.append(_distinct((event[counted].astype(np.int64) << 32).repeat(2)
+                                    | sides[counted].ravel()))
+
+    def result(self) -> Participation:
+        """The tally with players and counted events numbered in the sorted
+        order of their ids, so it does not depend on the order of parsing."""
+        players, events = list(self.players), list(self.events)
+        player_order = sorted(range(len(players)), key=players.__getitem__)
+        event_order = sorted(np.flatnonzero(self.category >= 0).tolist(),
+                             key=events.__getitem__)
+        player_code = np.empty(len(players), np.int64)
+        player_code[player_order] = np.arange(len(players))
+        event_code = np.full(len(events), -1, np.int64)
+        event_code[event_order] = np.arange(len(event_order))
+        pairs = np.concatenate([np.empty(0, np.int64), *self.pairs])
+        pairs = _distinct((event_code[pairs >> 32] << 32) | player_code[pairs & 0xFFFFFFFF])
+        values = np.array([c.value for c in _COUNTED], dtype=object)
+        return Participation(
+            rank=self.rank[player_order],
+            event_category=values[self.category[event_order]],
+            event_resolved=self.resolved[event_order],
+            pair_event=pairs >> 32, pair_player=pairs & 0xFFFFFFFF)
+
+
 @dataclass
 class ParticipationTable:
     """500/250 participation histograms per top-N band of ``PARTICIPATION_BANDS``,
@@ -247,58 +361,29 @@ def participation_table(table: MatchTable) -> ParticipationTable:
     """Count 500 and 250 events played per player, bucketed by the top-N
     bands of ``PARTICIPATION_BANDS`` (8, 16, 30, 64).
 
-    ``table`` is the raw archive table with its participation block
-    (``ingest.load_raw_rows(..., participation=True)``).  A player "played"
-    a tournament if they appear in any of its rows.  Band membership uses
-    each player's rank at their latest dated match.  Events whose category
-    cannot be resolved (stock archives tag both series "A") count as 250s
-    and are tallied in ``unresolved_events``.
+    ``table`` is the raw archive table with its participation tally
+    (``ingest.load_raw_rows(..., participation=True)``), which already holds
+    who played which event; this turns it into histograms and means.  A
+    player "played" a tournament if they appear in any of its rows.  Band
+    membership uses each player's rank at their latest dated match.  Events
+    whose category cannot be resolved (stock archives tag both series "A")
+    count as 250s and are tallied in ``unresolved_events``.
     """
     block = table.participation
-    counted = (Category.TOUR_500, Category.TOUR_250)
-    resolved = block.category != ""
-    category = np.where(resolved, block.category,
-                        np.where(table.level == "A", Category.TOUR_250.value, ""))
-    keep = np.isin(category, [c.value for c in counted])
-    # an event takes the category of its last counted row
-    event_of, _ = _codes(block.event[keep])
-    last = len(event_of) - 1 - np.unique(event_of[::-1], return_index=True)[1]
-    event_category = category[keep][last]
-    # one entry per side of each row, winner first
-    side_player, n_players = _codes(np.column_stack((block.winner_id, block.loser_id)).ravel())
-    # each distinct (event, player) pair is one event played
-    width = max(n_players, 1)
-    pairs = np.unique(np.repeat(event_of, 2) * width + side_player[np.repeat(keep, 2)])
-    pair_event, pair_player = np.divmod(pairs, width)
-    played = {c: np.bincount(pair_player[event_category[pair_event] == c.value],
-                             minlength=n_players) for c in counted}
-    # a player's rank is the one at their latest date, a later side breaking a tie
-    side_date = np.repeat(table.date, 2)
-    side_rank = np.column_stack((block.winner_rank, block.loser_rank)).ravel()
-    ok = np.flatnonzero(~np.isnat(side_date) & ~np.isnan(side_rank))
-    ok = ok[np.lexsort((side_date[ok], side_player[ok]))]
-    latest = ok[np.diff(side_player[ok], append=-1) != 0]
-    rank = np.full(n_players, np.nan)
-    rank[side_player[latest]] = side_rank[latest]
-
+    played = {}  # category -> events of it each player played
+    for c in (Category.TOUR_500, Category.TOUR_250):
+        of_c = (block.event_category == c.value)[block.pair_event]
+        played[c] = np.bincount(block.pair_player[of_c], minlength=len(block.rank))
     result = ParticipationTable()
-    result.unresolved_events = int(np.count_nonzero(~resolved[keep][last]))
+    result.unresolved_events = int(np.count_nonzero(~block.event_resolved))
     for band in PARTICIPATION_BANDS:
-        members = rank <= band
-        for c in counted:
-            counts = played[c][members]
+        members = block.rank <= band
+        for c, count in played.items():
+            counts = count[members]
             result.histograms[(band, c)] = np.bincount(
                 np.minimum(counts, _HIST_CAP), minlength=_HIST_CAP + 1).tolist()
             result.means[(band, c)] = int(counts.sum()) / len(counts) if len(counts) else 0.0
     return result
-
-
-def _codes(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """A dense integer code per value, in first-seen order (a dict, not a
-    string sort), and the number of distinct values."""
-    values = values.tolist()
-    index = dict(zip(dict.fromkeys(values), range(len(values))))
-    return np.fromiter(map(index.__getitem__, values), np.intp, len(values)), len(index)
 
 
 def write_participation_csv(table: ParticipationTable, fp: IO[str]) -> None:

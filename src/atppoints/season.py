@@ -188,8 +188,12 @@ class SeasonReport:
 
 
 def _ranked_order(points: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
-    """Player indices from rank 1 down; ties broken by the random key."""
-    return np.lexsort((tiebreak, -points))
+    """Player indices from rank 1 down; ties broken by the random key.
+
+    Best-18 sums stay below 2**16 (a test bounds them by the point tables),
+    so ``65535 - points`` is an exact 16-bit key, which numpy sorts by radix.
+    """
+    return np.lexsort((tiebreak, (65535 - points).astype(np.uint16)))
 
 
 def _update_best(points: np.ndarray, window: np.ndarray, slot: int, left: np.ndarray) -> None:
@@ -263,7 +267,7 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
     # abs_week % 52 (a player plays at most one event a week); the best-18
     # sum of a row is the player's current ranking points.
     window = np.zeros((n, WEEKS_PER_SEASON), dtype=np.int64)
-    points = np.zeros(n)
+    points = np.zeros(n, dtype=np.int64)
     n_weeks = config.n_seasons * WEEKS_PER_SEASON
     ranked_players = np.empty((n_weeks, n), dtype=np.intp)
     ranked_points = np.empty((n_weeks, n), dtype=np.int64)
@@ -296,7 +300,7 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
             window[:, slot] = 0
             played = np.zeros(n, dtype=bool)
             open_ranks = ~restricted[order]  # free entry still open, in rank order
-            ratings = np.maximum(points, config.points_floor).tolist()  # by player index
+            ratings = np.maximum(points, config.points_floor, dtype=float).tolist()  # by player
             for idx in events_by_week.get(week, ()):
                 ev = calendar[idx]
                 have = committed[idx] > played  # committed and not yet playing

@@ -66,7 +66,7 @@ def pairs(*points: tuple[float, float]) -> MatchTable:
 
 def tables_equal(a, b) -> bool:
     """Two MatchTables or RankingTables hold the same columns, NaN and NaT
-    equal to themselves, and the same participation block or none."""
+    equal to themselves, and the same participation tally or none."""
     def columns(table) -> dict:
         found = dict(vars(table))
         block = found.pop("participation", None)

@@ -427,6 +427,21 @@ class TestInputColumns:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, field", [
+        (["fit"], "winner_points"), (["report", "--alpha", "0.8722"], "category"),
+    ], ids=["fit-required", "report-optional"])
+    def test_empty_schema_value(self, runner, tmp_path, command, field):
+        # an empty column name is refused, whether the field is required or not
+        schema = tmp_path / "schema.cfg"
+        schema.write_text(f"round=round\n{field}=\n")
+        out = tmp_path / "run"
+        result = runner.invoke(main, [command[0], MATCHES, *command[1:], "--schema", str(schema),
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"{schema}:2: schema field '{field}' names no column\n" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
 
 def write_without(path: Path, columns: list[str], source: Path = SAMPLE_MATCHES) -> None:
     """A bundled sample file, the archive by default, without ``columns``."""

@@ -233,9 +233,12 @@ def awkward_table() -> MatchTable:
 
 class TestRawRows:
     def test_category_column_parsed(self):
-        rows = load_raw_rows([SAMPLE_MATCHES], participation=True)
-        categories = set(rows.participation.category) - {""}
-        assert len(categories) >= 3
+        # the counted events in id order: 2014-501, 2015-402, 2015-502 and
+        # 2015-900, which alone names no category; 2014-780's level "A" rows
+        # name grand_slam, so they are not counted as 250s
+        block = load_raw_rows([SAMPLE_MATCHES], participation=True).participation
+        assert block.event_category.tolist() == ["tour_250", "tour_500", "tour_250", "tour_250"]
+        assert block.event_resolved.tolist() == [True, True, True, False]
 
     def test_row_order_matches_file(self):
         rows = load_raw_rows([SAMPLE_MATCHES], participation=True)
@@ -243,7 +246,7 @@ class TestRawRows:
             lines = list(csv.DictReader(fp))
         # one table entry per data line (the first on line 2), in file order
         assert len(rows) == len(lines)
-        assert rows.participation.event.tolist() == [r["tourney_id"] for r in lines]
+        assert rows.level.tolist() == [r["tourney_level"] for r in lines]
         assert rows.score.tolist() == [r["score"] for r in lines]
 
 

@@ -6,16 +6,16 @@ import datetime
 import io
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import atppoints.ingest
 from atppoints.errors import DomainError
 from atppoints.ingest import RankingTable, load_rankings, load_raw_rows
-from atppoints.model import MatchTable, Participation
 from atppoints.points import Category
 from atppoints.report import (
     PARTICIPATION_BANDS,
@@ -215,11 +215,10 @@ class TestRankStats:
 
 
 class TestParticipation:
-    def test_empty_rows_zero_histograms(self):
-        text, rank = np.empty(0, dtype=object), np.empty(0)
-        table = participation_table(replace(pairs(), participation=Participation(
-            event=text, winner_id=text, loser_id=text, winner_rank=rank, loser_rank=rank,
-            category=text)))
+    def test_empty_rows_zero_histograms(self, tmp_path):
+        path = write_archive(tmp_path / "empty.csv", [])
+        table = participation_table(load_raw_rows([path], participation=True))
+        assert table.unresolved_events == 0
         for band in PARTICIPATION_BANDS:
             for category in (Category.TOUR_500, Category.TOUR_250):
                 assert table.histograms[(band, category)] == [0] * 7
@@ -288,30 +287,67 @@ def reference_rank_stats(table, bands):
     return stats, skipped
 
 
-def reference_participation(table, bands):
+class Row(NamedTuple):
+    """One archive row of a participation fixture; None is a blank field."""
+
+    tourney_id: str
+    tourney_name: str
+    winner_id: str
+    loser_id: str
+    winner_rank: int | None
+    loser_rank: int | None
+    category: str              # a Category value, or "" for none
+    level: str
+    date: datetime.date | None
+
+
+_ARCHIVE_HEADER = ("tourney_id,tourney_name,tourney_level,tourney_date,round,winner_id,"
+                   "winner_rank,winner_rank_points,loser_id,loser_rank,loser_rank_points,"
+                   "score,category\n")
+
+
+def write_archive(path, rows):
+    """An archive file of fixture rows, in the default schema's columns."""
+    def field(value) -> str:
+        if value is None:
+            return ""
+        return value.strftime("%Y%m%d") if isinstance(value, datetime.date) else str(value)
+
+    path.write_text(_ARCHIVE_HEADER + "".join(
+        f"{r.tourney_id},{r.tourney_name},{r.level},{field(r.date)},F,{r.winner_id},"
+        f"{field(r.winner_rank)},1000,{r.loser_id},{field(r.loser_rank)},900,6-4 6-4,"
+        f"{r.category}\n" for r in rows))
+    return path
+
+
+def load_split(tmp_path, rows, at):
+    """participation_table of ``rows`` written as two files split at row ``at``."""
+    paths = [write_archive(tmp_path / "a.csv", rows[:at]),
+             write_archive(tmp_path / "b.csv", rows[at:])]
+    return participation_table(load_raw_rows(paths, participation=True))
+
+
+def reference_participation(rows, bands):
     """participation_table by per-row and per-player loops."""
     counted = (Category.TOUR_500.value, Category.TOUR_250.value)
     event_category, event_resolved, entrants = {}, {}, {}
-    block = table.participation
-    for k in range(len(table)):
-        category = block.category[k] or ("tour_250" if table.level[k] == "A" else "")
+    for r in rows:
+        category = r.category or ("tour_250" if r.level == "A" else "")
         if category in counted:
-            event = block.event[k]
+            event = r.tourney_id or r.tourney_name
             event_category[event] = category  # the last counted row decides
-            event_resolved[event] = block.category[k] != ""
-            entrants.setdefault(event, set()).update((block.winner_id[k], block.loser_id[k]))
+            event_resolved[event] = r.category != ""
+            entrants.setdefault(event, set()).update((r.winner_id, r.loser_id))
     played = {c: {} for c in counted}
     for event, players in entrants.items():
         for player in players:
             tally = played[event_category[event]]
             tally[player] = tally.get(player, 0) + 1
     rank_of, seen_on = {}, {}
-    for k in range(len(table)):
-        date = table.date[k]
-        for player, rank in ((block.winner_id[k], block.winner_rank[k]),
-                             (block.loser_id[k], block.loser_rank[k])):
-            if not np.isnat(date) and not math.isnan(rank) and not date < seen_on.get(player, date):
-                rank_of[player], seen_on[player] = rank, date
+    for r in rows:
+        for player, rank in ((r.winner_id, r.winner_rank), (r.loser_id, r.loser_rank)):
+            if r.date is not None and rank is not None and not r.date < seen_on.get(player, r.date):
+                rank_of[player], seen_on[player] = rank, r.date
     histograms, means = {}, {}
     for band in bands:
         members = [p for p, r in rank_of.items() if r <= band]
@@ -323,26 +359,29 @@ def reference_participation(table, bands):
     return histograms, means, sum(not r for r in event_resolved.values())
 
 
-def random_archive(seed: int) -> MatchTable:
+def assert_matches_reference(result, rows):
+    histograms, means, unresolved = reference_participation(rows, PARTICIPATION_BANDS)
+    assert result.histograms == histograms
+    assert result.means == means
+    assert result.unresolved_events == unresolved
+
+
+def random_archive(seed: int) -> list[Row]:
     rng = np.random.default_rng(seed)
     n = int(rng.choice([0, 1, 40, 600]))
-    pick = lambda values: rng.choice(np.array(values, dtype=object), n)  # noqa: E731
-    dates = np.datetime64("2015-01-05") + rng.integers(0, 6, n).astype("timedelta64[D]")
-    dates[rng.random(n) < 0.1] = np.datetime64("NaT")
+    pick = lambda values: rng.choice(values, n).tolist()  # noqa: E731
+    day = datetime.date(2015, 1, 5)
+    dates = [None if rng.random() < 0.1 else day + datetime.timedelta(days=int(k))
+             for k in rng.integers(0, 6, n)]
     players = [f"P{k}" for k in range(int(rng.choice([2, 12, 80])))] + [""]
-    ranks = [rng.integers(1, 90, n).astype(float) for _ in range(2)]
-    for r in ranks:
-        r[rng.random(n) < 0.15] = np.nan
-    return MatchTable(
-        date=dates, winner_points=np.ones(n), loser_points=np.ones(n),
-        level=pick(["A", "A", "G", "M", ""]), round=pick(["F"]), score=pick([""]),
-        participation=Participation(
-            event=pick([f"E{k}" for k in range(int(rng.choice([1, 6, 30])))]),
-            winner_id=pick(players), loser_id=pick(players),
-            winner_rank=ranks[0], loser_rank=ranks[1],
-            category=pick(["tour_500", "tour_250", "", "", "grand_slam", "masters_1000"]),
-        ),
-    )
+    ranks = [[None if rng.random() < 0.15 else int(k) for k in rng.integers(1, 90, n)]
+             for _ in range(2)]
+    # a blank id falls back on the name, which may equal another event's id
+    ids = [f"E{k}" for k in range(int(rng.choice([1, 6, 30])))] + [""]
+    return [Row(*fields) for fields in zip(
+        pick(ids), pick(["N0", "N1", "E0"]), pick(players), pick(players), *ranks,
+        pick(["tour_500", "tour_250", "", "", "grand_slam", "masters_1000"]),
+        pick(["A", "A", "G", "M", ""]), dates)]
 
 
 class TestScalarReference:
@@ -365,13 +404,12 @@ class TestScalarReference:
         assert skipped == expected_skipped
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_participation_matches_loop(self, seed):
-        table = random_archive(seed)
-        result = participation_table(table)
-        histograms, means, unresolved = reference_participation(table, (8, 16, 30, 64))
-        assert result.histograms == histograms
-        assert result.means == means
-        assert result.unresolved_events == unresolved
+    def test_participation_matches_loop(self, monkeypatch, tmp_path, seed):
+        rows = random_archive(seed)
+        at = int(np.random.default_rng(seed).integers(0, len(rows) + 1))
+        for chunk_rows in (3, 1024):
+            monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", chunk_rows)
+            assert_matches_reference(load_split(tmp_path, rows, at), rows)
 
     @pytest.mark.parametrize("rows", [
         # event, winner, loser, winner rank, loser rank, category, level
@@ -385,27 +423,50 @@ class TestScalarReference:
          ("E10", "P1", "P10", 5, 1, "", "A"), ("E1", "P10", "P1", 1, 5, "tour_500", "A"),
          ("E9", "P1", "P9", 5, 2, "tour_500", "A"), ("", "", "P9", 30, 2, "tour_250", "A")],
     ], ids=["numeric-ids", "reverse-sorted", "prefixed"])
-    def test_participation_first_seen_order(self, rows):
+    def test_participation_first_seen_order(self, tmp_path, rows):
         # first-seen order of the event and player ids is not their sorted order
         event, winner, loser, wrank, lrank, category, level = (list(c) for c in zip(*rows))
         sides = [p for pair in zip(winner, loser) for p in pair]
         assert list(dict.fromkeys(event)) != sorted(set(event))
         assert list(dict.fromkeys(sides)) != sorted(set(sides))
-        text = lambda values: np.array(values, dtype=object)  # noqa: E731
-        n = len(rows)
-        table = MatchTable(
-            date=np.datetime64("2015-01-05") + np.arange(n).astype("timedelta64[D]"),
-            winner_points=np.ones(n), loser_points=np.ones(n), level=text(level),
-            round=text(["F"] * n), score=text([""] * n), participation=Participation(
-                event=text(event), winner_id=text(winner), loser_id=text(loser),
-                winner_rank=np.array(wrank, float), loser_rank=np.array(lrank, float),
-                category=text(category)),
-        )
-        result = participation_table(table)
-        histograms, means, unresolved = reference_participation(table, (8, 16, 30, 64))
-        assert result.histograms == histograms
-        assert result.means == means
-        assert result.unresolved_events == unresolved
+        day = datetime.date(2015, 1, 5)
+        rows = [Row(e, "T", w, lo, wr, lr, c, lv, day + datetime.timedelta(days=k))
+                for k, (e, w, lo, wr, lr, c, lv) in enumerate(rows)]
+        assert_matches_reference(load_split(tmp_path, rows, len(rows)), rows)
+
+
+#: A two-file fixture whose rows cross chunk and file boundaries at every
+#: chunk size of ``TestTallyAcrossChunks``.
+D1, D2, D3 = (datetime.date(2015, 1, d) for d in (5, 12, 19))
+BOUNDARY_ROWS = [
+    # file a
+    Row("E1", "Open", "A", "B", 5, 9, "tour_500", "A", D2),
+    Row("E1", "Open", "A", "C", 4, 12, "tour_500", "A", D2),
+    Row("", "Cup", "B", "", 20, 5, "", "A", D2),               # a blank id ranks 5; event "Cup"
+    Row("E2", "Cup", "C", "E", 11, 3, "", "A", None),          # NaT: E never ranks
+    Row("E2", "Cup", "D", "B", 38, 8, "tour_250", "A", D3),    # B's latest: 8
+    Row("E3", "Slam", "A", "D", 2, 39, "grand_slam", "G", D3),  # A's latest: 2
+    # file b: every id again
+    Row("E1", "Open", "C", "A", 10, 12, "tour_250", "A", D1),  # E1 ends a 250; A's date is older
+    Row("Cup", "X", "", "C", None, 20, "", "A", D3),           # NaN rank: the blank id keeps 5
+    Row("E2", "Cup", "D", "C", 41, 14, "", "M", D3),           # not counted; C ties on D3: 14
+]
+
+
+class TestTallyAcrossChunks:
+    """The tally read a few rows at a time equals the per-row reference."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1024])
+    def test_boundary_fixture(self, monkeypatch, tmp_path, chunk_rows):
+        monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", chunk_rows)
+        result = load_split(tmp_path, BOUNDARY_ROWS, 6)
+        assert_matches_reference(result, BOUNDARY_ROWS)
+        # A (rank 2), the blank id (5) and B (8) are the top 8, and C (14) joins them in the
+        # top 16: a later side wins a tie, an older date, a NaT date or a NaN rank does not
+        assert sum(result.histograms[(8, Category.TOUR_500)]) == 3
+        assert sum(result.histograms[(16, Category.TOUR_500)]) == 4
+        # "Cup" alone: E1 and E2 name their category in their last counted row
+        assert result.unresolved_events == 1
 
 
 class TestEmission:

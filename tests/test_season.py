@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atppoints.errors import DomainError
-from atppoints.points import BEST_N, Category
+from atppoints.points import BEST_N, TABLES, Category
 from atppoints.season import (
     CalendarEvent,
     SeasonConfig,
@@ -152,6 +152,15 @@ def test_update_best_equals_full_partition(window, first_slot, weeks):
         window[:, slot] = column[:len(window)]
         _update_best(points, window, slot, left)
         assert np.array_equal(points, _full_best_18(window))
+
+
+def test_best_18_sum_fits_16_bits():
+    """``_ranked_order`` sorts the 16-bit key ``65535 - points``: no best-18
+    sum reaches 2**16, even 18 of the largest entry of any point table."""
+    largest = max(max([*table.points_by_round.values(), *table.alternates.values()])
+                  for table in TABLES.values())
+    assert largest == 2000
+    assert BEST_N * largest < 2**16
 
 
 class TestRunSeason:
