@@ -46,9 +46,10 @@ LIBRARY = {
     "manifest": ("build_manifest", "dataset_fingerprint", "write_manifest"),
     "model": ("baseline_brier", "brier_score", "fit_alpha"),
     "points": ("RANK_BANDS", "expected_points"),
-    "report": ("bin_by_ratio", "calibration_curve", "format_participation",
-               "format_rank_stats", "participation_table", "rank_stats", "write_curve_csv",
-               "write_curve_svg", "write_participation_csv", "write_rank_stats_csv"),
+    "report": ("ParticipationTally", "bin_by_ratio", "calibration_curve",
+               "format_participation", "format_rank_stats", "participation_table",
+               "rank_stats", "write_curve_csv", "write_curve_svg", "write_participation_csv",
+               "write_rank_stats_csv"),
     "season": ("SeasonConfig", "load_calendar_file", "load_season_config", "run_season"),
 }
 
@@ -289,10 +290,11 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     """Emit figures and tables: ratio curve, calibration, rank stats, participation."""
     alpha = _resolve_alpha(alpha, params)
     selection = _scope(**scope)
-    raw = load_raw_rows(match_files, selection.pop("schema"), participation=True)
+    tally = ParticipationTally()
+    raw = load_raw_rows(match_files, selection.pop("schema"), tally)
     observations, ingest_report = select_matches(raw, **selection)
-    table = participation_table(raw)
     del raw  # the raw rows are selected and tallied
+    table = participation_table(tally)
     if not observations:
         raise DomainError("no matches after filtering")
     ratio_curve = bin_by_ratio(observations, alpha, n_bins=ratio_bins)

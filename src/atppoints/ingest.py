@@ -123,11 +123,15 @@ class IngestReport:
 
 
 def _parse_date(text: str) -> datetime.date | None:
+    """A date written yyyymmdd or yyyy-mm-dd in ASCII digits; any other
+    form (an ISO week date, say) does not parse."""
     text = text.strip()
+    if len(text) == 10 and text[4] == text[7] == "-":
+        text = text[:4] + text[5:7] + text[8:]
+    if len(text) != 8 or not (text.isascii() and text.isdigit()):
+        return None
     try:
-        if len(text) == 8 and text.isdigit():
-            return datetime.date(int(text[:4]), int(text[4:6]), int(text[6:8]))
-        return datetime.date.fromisoformat(text)
+        return datetime.date(int(text[:4]), int(text[4:6]), int(text[6:]))
     except ValueError:
         return None
 
@@ -140,10 +144,9 @@ def _parse_float(text: str) -> float | None:
 
 
 def _parse_int(text: str) -> int | None:
-    try:
-        return int(float(text))
-    except (ValueError, OverflowError):
-        return None
+    """A whole number, written as an integer or a float (``32.0``, ``1e30``)."""
+    value = _parse_float(text)
+    return int(value) if value is not None and value.is_integer() else None
 
 
 def _each_distinct(fn: Callable, values: Sequence, memo: dict | None = None) -> list:
@@ -281,43 +284,34 @@ def _load_columns(
             for name, (dtype, _) in columns.items() if dtype is not None}, sizes
 
 
-#: The logical fields of a MatchTable's own columns and of its participation
-#: tally, and those of each that a file must have (a tuple: one of them).
+#: The logical fields of a MatchTable's columns, and those a file must have.
 _MODEL_FIELDS = ("date", "level", "round", "score", "winner_points", "loser_points")
 _REQUIRED_FIELDS = ("date", "level", "round", "winner_points", "loser_points")
-_REQUIRED_PARTICIPATION = (("tournament_id", "tournament_name"), "winner_id", "loser_id",
-                           "winner_rank", "loser_rank")
 
 
 def load_raw_rows(
     paths: Sequence[str | Path],
     schema: dict[str, str] | None = None,
-    participation: bool = False,
+    tally=None,
 ) -> MatchTable:
     """Parse archive files into one table, in file-argument and row order.
 
     Every row is kept, parsed or not; ``select_matches`` decides which rows
-    the model sees.  Only the fields of the table's own columns are parsed,
-    and, when ``participation`` is asked for, those its participation tally
-    reads, folded chunk by chunk as the rows stream, so no per-row column of
-    them is built.  The fields a part needs must each have a column
-    (``category`` need not).  ``draw_size`` is a valid schema key but is not
-    read.
+    the model sees.  Only the fields of the table's columns are parsed, and,
+    given a ``tally`` (a ``report.ParticipationTally``), the fields of its
+    ``columns``, which its ``add`` folds chunk by chunk as the rows stream,
+    so no per-row column of them is built.  A file must have a column for
+    each field the table needs and each of the tally's ``required`` ones.
+    ``draw_size`` is a valid schema key but is not read.
     """
     columns = {name: _COLUMNS[name] for name in _MODEL_FIELDS}
     required = _REQUIRED_FIELDS
-    tally = None
-    if participation:
-        # imported here, so a command that never tallies (fit, simulate) does
-        # not load its code: compiling a module costs memory when no bytecode
-        # is cached
-        from .report import _ParticipationTally
-        tally = _ParticipationTally()
+    if tally is not None:
         columns.update(tally.columns)
-        required += _REQUIRED_PARTICIPATION
+        required += tally.required
     table, _ = _load_columns(paths, schema or DEFAULT_SCHEMA, columns, required,
                              tally and tally.add)
-    return MatchTable(**table, participation=tally and tally.result())
+    return MatchTable(**table)
 
 
 def _is_walkover(score: str) -> bool:
@@ -337,8 +331,7 @@ def select_matches(
     Filter precedence per row: level, qualifying round, walkover (when the
     flag is set), missing or non-finite date/points, date range, zero
     points.  A row is counted by the first filter that drops it.  Kept rows
-    stay in input order, without the participation tally: it counts every
-    raw row, so it is read from the raw table alone.
+    stay in input order.
     """
     report = IngestReport()
     left = np.ones(len(table), dtype=bool)
@@ -363,7 +356,7 @@ def select_matches(
     report.dropped_zero_points = drop((wp <= 0) | (lp <= 0))
     report.kept = int(np.count_nonzero(left))
 
-    kept = replace(table, participation=None)[left]
+    kept = table[left]
     tags = _each_distinct(lambda letter: LEVEL_TAGS.get(letter, "other"), kept.level)
     rounds = np.where(kept.round == "", "unknown", kept.round)
     return replace(kept, level=np.array(tags, dtype=object), round=rounds), report

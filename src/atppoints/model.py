@@ -32,28 +32,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class Participation:
-    """Who played which 500s and 250s, and at what rank: an archive's
-    participation fields tallied while its rows stream, the one part of a
-    ``MatchTable`` that only ``report.participation_table`` reads.  Players
-    and counted events (those with a 500 or 250 row) are numbered in the
-    sorted order of their ids."""
-
-    rank: np.ndarray            # float64 per player: rank at their latest dated side, else NaN
-    event_category: np.ndarray  # object per event: "tour_500" or "tour_250", as its last row
-    event_resolved: np.ndarray  # bool per event: that row named its category
-    pair_event: np.ndarray      # int64: the distinct (event, player) pairs, sorted
-    pair_player: np.ndarray     # int64
-
-
-@dataclass(frozen=True)
 class MatchTable:
     """Equal-length numpy columns, one entry per match; index by mask or slice.
 
     ``ingest.load_raw_rows`` keeps every archive row (NaT, NaN or "" where a
-    field is absent or does not parse; ``level`` is the archive's letter),
-    with the ``participation`` tally, which holds no per-row column and does
-    not index, when asked for it.
+    field is absent or does not parse; ``level`` is the archive's letter).
     ``ingest.select_matches`` keeps the rows the model sees: finite positive
     points, ``level`` as its tag, an empty round as "unknown".
     """
@@ -64,23 +47,19 @@ class MatchTable:
     level: np.ndarray           # object (str), as are round and score
     round: np.ndarray
     score: np.ndarray
-    participation: Participation | None = None
 
     def __len__(self) -> int:
         return len(self.date)
 
     def __getitem__(self, rows) -> MatchTable:
-        columns = {f.name: getattr(self, f.name) for f in fields(self)}
-        return MatchTable(**{name: None if column is None else column[rows]
-                             for name, column in columns.items()})
+        return MatchTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     @classmethod
     def from_points(cls, winner_points: Sequence[float], loser_points: Sequence[float],
                     date: datetime.date) -> MatchTable:
         """Winner-first point pairs, every row on ``date`` with level "other",
-        round "unknown", no score and no participation tally.  Points must be
-        positive and finite; ingestion drops (and counts) archive rows where
-        they are not.
+        round "unknown" and no score.  Points must be positive and finite;
+        ingestion drops (and counts) archive rows where they are not.
         """
         winners = np.array(winner_points, dtype=np.float64)
         losers = np.array(loser_points, dtype=np.float64)

@@ -5,7 +5,8 @@ Each curve emits both match orientations: a match at ratio r contributes a
 win at r and a loss at 1/r, which makes the ratio axis two-sided and the
 frequency curve symmetric around r = 1.  The match data arrives as one
 ``model.MatchTable`` and ranking snapshots as an ``ingest.RankingTable``;
-both are binned and tallied as whole columns.
+both are binned and tallied as whole columns.  Participation arrives as a
+``ParticipationTally`` folded while the archive streams.
 Outputs are delimited text plus a self-contained SVG per figure so results
 are viewable with no extra toolchain.
 """
@@ -24,7 +25,7 @@ from .defaults import DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS
 from .errors import DomainError
 from .formula import _require_positive, win_probability
 from .ingest import RankingTable, _parse_int
-from .model import MatchTable, Participation, _nonempty
+from .model import MatchTable, _nonempty
 from .points import RANK_BANDS, Category, expected_points, expected_ratio_to_32
 
 #: Point-ratio range of ``bin_by_ratio``'s log-spaced bins.
@@ -265,17 +266,22 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-class _ParticipationTally:
-    """An archive's participation fields, folded one chunk of rows at a time.
+class ParticipationTally:
+    """An archive's participation fields, folded one chunk of rows at a time
+    as ``ingest.load_raw_rows(paths, schema, tally)`` reads them.
 
     A row counts when it is a 500 or a 250 (a level "A" row that names no
     category counts as a 250).  The tally keeps each player's rank at their
     latest dated side, a later side breaking a tie; each counted event's
     category and whether its row named it, from its last counted row; and
     the (event, player) pairs of the counted rows, distinct within each
-    chunk until ``result`` merges them.  An event is its tournament id, or
-    its name where the id is blank.  Players and events are coded as their
-    ids are first parsed, in no particular order."""
+    chunk until ``participation_table`` merges them.  An event is its
+    tournament id, or its name where the id is blank.  Players and events
+    are coded as their ids are first parsed, in no particular order."""
+
+    #: The fields a file must have for the tally (a tuple: one of them).
+    required = (("tournament_id", "tournament_name"), "winner_id", "loser_id",
+                "winner_rank", "loser_rank")
 
     def __init__(self) -> None:
         self.players: dict[str, int] = {}
@@ -326,26 +332,6 @@ class _ParticipationTally:
         self.pairs.append(_distinct((event[counted].astype(np.int64) << 32).repeat(2)
                                     | sides[counted].ravel()))
 
-    def result(self) -> Participation:
-        """The tally with players and counted events numbered in the sorted
-        order of their ids, so it does not depend on the order of parsing."""
-        players, events = list(self.players), list(self.events)
-        player_order = sorted(range(len(players)), key=players.__getitem__)
-        event_order = sorted(np.flatnonzero(self.category >= 0).tolist(),
-                             key=events.__getitem__)
-        player_code = np.empty(len(players), np.int64)
-        player_code[player_order] = np.arange(len(players))
-        event_code = np.full(len(events), -1, np.int64)
-        event_code[event_order] = np.arange(len(event_order))
-        pairs = np.concatenate([np.empty(0, np.int64), *self.pairs])
-        pairs = _distinct((event_code[pairs >> 32] << 32) | player_code[pairs & 0xFFFFFFFF])
-        values = np.array([c.value for c in _COUNTED], dtype=object)
-        return Participation(
-            rank=self.rank[player_order],
-            event_category=values[self.category[event_order]],
-            event_resolved=self.resolved[event_order],
-            pair_event=pairs >> 32, pair_player=pairs & 0xFFFFFFFF)
-
 
 @dataclass
 class ParticipationTable:
@@ -357,27 +343,26 @@ class ParticipationTable:
     unresolved_events: int = 0
 
 
-def participation_table(table: MatchTable) -> ParticipationTable:
+def participation_table(tally: ParticipationTally) -> ParticipationTable:
     """Count 500 and 250 events played per player, bucketed by the top-N
     bands of ``PARTICIPATION_BANDS`` (8, 16, 30, 64).
 
-    ``table`` is the raw archive table with its participation tally
-    (``ingest.load_raw_rows(..., participation=True)``), which already holds
-    who played which event; this turns it into histograms and means.  A
-    player "played" a tournament if they appear in any of its rows.  Band
-    membership uses each player's rank at their latest dated match.  Events
-    whose category cannot be resolved (stock archives tag both series "A")
-    count as 250s and are tallied in ``unresolved_events``.
+    ``tally`` has folded an archive's rows (``ingest.load_raw_rows(paths,
+    schema, tally)``), so it already holds who played which event; this
+    turns it into histograms and means.  A player "played" a tournament if
+    they appear in any of its rows.  Band membership uses each player's rank
+    at their latest dated match.  Events whose category cannot be resolved
+    (stock archives tag both series "A") count as 250s and are tallied in
+    ``unresolved_events``.
     """
-    block = table.participation
-    played = {}  # category -> events of it each player played
-    for c in (Category.TOUR_500, Category.TOUR_250):
-        of_c = (block.event_category == c.value)[block.pair_event]
-        played[c] = np.bincount(block.pair_player[of_c], minlength=len(block.rank))
+    pairs = _distinct(np.concatenate([np.empty(0, np.int64), *tally.pairs]))
+    category = tally.category[pairs >> 32]
+    played = {c: np.bincount(pairs[category == code] & 0xFFFFFFFF, minlength=len(tally.rank))
+              for code, c in enumerate(_COUNTED)}  # category -> events of it each player played
     result = ParticipationTable()
-    result.unresolved_events = int(np.count_nonzero(~block.event_resolved))
+    result.unresolved_events = int(np.count_nonzero(~tally.resolved[tally.category >= 0]))
     for band in PARTICIPATION_BANDS:
-        members = block.rank <= band
+        members = tally.rank <= band
         for c, count in played.items():
             counts = count[members]
             result.histograms[(band, c)] = np.bincount(

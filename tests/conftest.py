@@ -18,8 +18,10 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+from atppoints.ingest import load_raw_rows
 from atppoints.model import MatchTable
 from atppoints.points import BEST_N, Category
+from atppoints.report import ParticipationTable, ParticipationTally, participation_table
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "atppoints" / "data"
 
@@ -64,20 +66,20 @@ def pairs(*points: tuple[float, float]) -> MatchTable:
     return MatchTable.from_points([w for w, _ in points], [lo for _, lo in points], DAY)
 
 
+def tallied(paths, schema=None) -> tuple[MatchTable, ParticipationTable]:
+    """The raw table of archive ``paths`` read with a participation tally,
+    and the tally's participation table."""
+    tally = ParticipationTally()
+    return load_raw_rows(paths, schema, tally), participation_table(tally)
+
+
 def tables_equal(a, b) -> bool:
     """Two MatchTables or RankingTables hold the same columns, NaN and NaT
-    equal to themselves, and the same participation tally or none."""
-    def columns(table) -> dict:
-        found = dict(vars(table))
-        block = found.pop("participation", None)
-        if block is not None:
-            found.update({f"participation.{k}": v for k, v in vars(block).items()})
-        return found
-
+    equal to themselves."""
     def same(x, y) -> bool:
         return x.dtype == y.dtype and np.array_equal(x, y, equal_nan=x.dtype.kind in "fmM")
 
-    ours, theirs = columns(a), columns(b)
+    ours, theirs = vars(a), vars(b)
     return ours.keys() == theirs.keys() and all(same(ours[k], theirs[k]) for k in ours)
 
 

@@ -21,7 +21,7 @@ import atppoints.manifest
 from atppoints.cli import main
 from atppoints.errors import SchemaError
 from atppoints.ingest import load_rankings, load_raw_rows, load_schema
-from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal
+from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal, tallied
 
 MATCHES = str(SAMPLE_MATCHES)
 RANKINGS = str(SAMPLE_RANKINGS)
@@ -951,6 +951,8 @@ def _load_outcome(load, path: Path, **kwargs):
 def _same_outcome(whole, chunked) -> bool:
     if isinstance(whole, str) or isinstance(chunked, str):
         return whole == chunked
+    if isinstance(whole, tuple):  # a raw table and its participation table
+        return tables_equal(whole[0], chunked[0]) and whole[1] == chunked[1]
     return tables_equal(whole, chunked)
 
 
@@ -969,11 +971,11 @@ class TestChunkedReadFuzz:
                 (Path(tmp) / "schema.cfg").write_bytes(schema)
                 columns = _load_outcome(lambda paths: load_schema(paths[0]),
                                         Path(tmp) / "schema.cfg")
-            kwargs = dict(schema=columns if isinstance(columns, dict) else None,
-                          participation=participation)
-            whole = _load_outcome(load_raw_rows, path, **kwargs)
+            load = tallied if participation else load_raw_rows
+            kwargs = dict(schema=columns if isinstance(columns, dict) else None)
+            whole = _load_outcome(load, path, **kwargs)
             with mock.patch.object(atppoints.ingest, "_CHUNK_ROWS", 3):
-                chunked = _load_outcome(load_raw_rows, path, **kwargs)
+                chunked = _load_outcome(load, path, **kwargs)
             assert _same_outcome(whole, chunked)
             assert gc.isenabled()
 

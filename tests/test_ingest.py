@@ -6,7 +6,6 @@ import csv
 import datetime
 import gc
 import io
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +24,8 @@ from atppoints.ingest import (
 )
 from atppoints.model import MatchTable
 from atppoints.season import default_calendar, load_calendar_file
-from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal
+from atppoints.report import _COUNTED, ParticipationTally
+from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal, tallied
 
 # Counted once by an independent script over the bundled sample, frozen.
 GOLDEN = dict(kept=184, zero=2, missing=1, filtered=3, total=190)
@@ -233,15 +233,20 @@ def awkward_table() -> MatchTable:
 
 class TestRawRows:
     def test_category_column_parsed(self):
-        # the counted events in id order: 2014-501, 2015-402, 2015-502 and
-        # 2015-900, which alone names no category; 2014-780's level "A" rows
-        # name grand_slam, so they are not counted as 250s
-        block = load_raw_rows([SAMPLE_MATCHES], participation=True).participation
-        assert block.event_category.tolist() == ["tour_250", "tour_500", "tour_250", "tour_250"]
-        assert block.event_resolved.tolist() == [True, True, True, False]
+        # the counted events: 2014-501, 2015-402, 2015-502 and 2015-900, which
+        # alone names no category; 2014-780's level "A" rows name grand_slam,
+        # so they are not counted as 250s
+        tally = ParticipationTally()
+        load_raw_rows([SAMPLE_MATCHES], tally=tally)
+        events = ["2014-501", "2015-402", "2015-502", "2015-900"]
+        assert sorted(e for e, code in tally.events.items() if tally.category[code] >= 0) == events
+        codes = [tally.events[e] for e in events]
+        assert [_COUNTED[c].value for c in tally.category[codes]] == [
+            "tour_250", "tour_500", "tour_250", "tour_250"]
+        assert tally.resolved[codes].tolist() == [True, True, True, False]
 
     def test_row_order_matches_file(self):
-        rows = load_raw_rows([SAMPLE_MATCHES], participation=True)
+        rows = load_raw_rows([SAMPLE_MATCHES])
         with open(SAMPLE_MATCHES, newline="") as fp:
             lines = list(csv.DictReader(fp))
         # one table entry per data line (the first on line 2), in file order
@@ -370,6 +375,29 @@ class TestLoadRankings:
         assert table.points.tolist() == [900.0, 880.5, 700.0]
         assert set(table.date.tolist()) == {datetime.date(2015, 1, 5)}
 
+    def test_rank_must_be_whole(self, tmp_path):
+        # 16.9 is no rank, not a second copy of rank 16; 32.0 is rank 32
+        path = tmp_path / "snap.csv"
+        path.write_text("ranking_date,rank,player,points\n"
+                        "20150105,16,AA,2425\n20150105,16.9,BB,2400\n"
+                        "20150105,32.0,CC,1265\n20150105,64,DD,773\n")
+        table = load_rankings([path])
+        assert table.rank.tolist() == [16, 32, 64]
+        assert table.points.tolist() == [2425.0, 1265.0, 773.0]
+
+    @pytest.mark.parametrize("text", ["2015-W02-1", "2015W021", "2015-002", "2015-1-5",
+                                      "2015/01/05", "２０１５０１０５"])
+    def test_other_date_forms_skipped(self, tmp_path, text):
+        # yyyymmdd and yyyy-mm-dd alone are dates, whatever the Python version's
+        # date.fromisoformat accepts
+        path = tmp_path / "snap.csv"
+        path.write_text("ranking_date,rank,player,points\n"
+                        f"20150105,1,AA,900\n 2015-01-05 ,2,BB,880\n{text},3,CC,870\n",
+                        encoding="utf-8")
+        table = load_rankings([path])
+        assert table.rank.tolist() == [1, 2]
+        assert set(table.date.tolist()) == {datetime.date(2015, 1, 5)}
+
 
 @pytest.fixture
 def small_chunks(monkeypatch):
@@ -386,10 +414,14 @@ class TestChunkedReads:
 
     @pytest.mark.parametrize("participation", [False, True], ids=["model", "all"])
     def test_raw_rows_equal_one_chunk(self, monkeypatch, participation):
+        # with a tally, its participation table must not depend on the chunks either
+        load = tallied if participation else lambda paths: (load_raw_rows(paths), None)
         paths = [SAMPLE_MATCHES, SAMPLE_MATCHES]
-        whole = load_raw_rows(paths, participation=participation)
+        whole, table = load(paths)
         monkeypatch.setattr(atppoints.ingest, "_CHUNK_ROWS", 3)
-        assert tables_equal(load_raw_rows(paths, participation=participation), whole)
+        chunked, chunked_table = load(paths)
+        assert tables_equal(chunked, whole)
+        assert chunked_table == table
 
     def test_rankings_equal_one_chunk(self, monkeypatch):
         whole = load_rankings([SAMPLE_RANKINGS])
@@ -405,10 +437,8 @@ class TestChunkedReads:
         assert load_calendar_file(path) == whole == default_calendar()
 
     def test_projected_columns_equal_full_read(self, small_chunks):
-        full = load_raw_rows([SAMPLE_MATCHES], participation=True)
-        model = load_raw_rows([SAMPLE_MATCHES])
-        assert model.participation is None
-        assert tables_equal(model, replace(full, participation=None))
+        full, _ = tallied([SAMPLE_MATCHES])
+        assert tables_equal(load_raw_rows([SAMPLE_MATCHES]), full)
 
     @pytest.mark.parametrize("blank_lines", [0, 1, 5])
     def test_duplicate_rank_in_later_chunk(self, small_chunks, tmp_path, blank_lines):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import atppoints.ingest
 from atppoints.errors import DomainError
-from atppoints.ingest import RankingTable, load_rankings, load_raw_rows
+from atppoints.ingest import RankingTable, load_rankings
 from atppoints.points import Category
 from atppoints.report import (
     PARTICIPATION_BANDS,
@@ -23,14 +23,13 @@ from atppoints.report import (
     calibration_curve,
     format_participation,
     format_rank_stats,
-    participation_table,
     rank_stats,
     write_curve_csv,
     write_curve_svg,
     write_participation_csv,
     write_rank_stats_csv,
 )
-from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, pairs, synth_matches
+from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, pairs, synth_matches, tallied
 
 
 class TestBinByRatio:
@@ -217,7 +216,7 @@ class TestRankStats:
 class TestParticipation:
     def test_empty_rows_zero_histograms(self, tmp_path):
         path = write_archive(tmp_path / "empty.csv", [])
-        table = participation_table(load_raw_rows([path], participation=True))
+        _, table = tallied([path])
         assert table.unresolved_events == 0
         for band in PARTICIPATION_BANDS:
             for category in (Category.TOUR_500, Category.TOUR_250):
@@ -242,8 +241,7 @@ class TestParticipation:
             + row("E3", "tour_250", "A", 3, "C", 40)
             + row("E4", "tour_250", "C", 40, "Y", 80)
         )
-        rows = load_raw_rows([path], participation=True)
-        table = participation_table(rows)
+        _, table = tallied([path])
         # hand count: top 8 = {A}: 500-count 2, 250-count 1
         assert table.histograms[(8, Category.TOUR_500)][2] == 1
         assert table.means[(8, Category.TOUR_500)] == 2.0
@@ -254,9 +252,16 @@ class TestParticipation:
         # top 64 = {A, B, C(40)}: C has two 250s? no: C played E3 and E4 -> 2
         assert table.histograms[(64, Category.TOUR_250)][2] == 1
 
+    def test_fractional_rank_is_unranked(self, tmp_path):
+        # a rank that is not a whole number does not parse: A is in no band
+        day = datetime.date(2015, 1, 5)
+        rows = [Row("E1", "Open", "A", "B", "7.5", 3, "tour_500", "A", day)]
+        _, table = tallied([write_archive(tmp_path / "a.csv", rows)])
+        for band in PARTICIPATION_BANDS:
+            assert table.histograms[(band, Category.TOUR_500)] == [0, 1, 0, 0, 0, 0, 0]
+
     def test_sample_archive_runs(self):
-        rows = load_raw_rows([SAMPLE_MATCHES], participation=True)
-        table = participation_table(rows)
+        _, table = tallied([SAMPLE_MATCHES])
         # every real sample event carries an explicit category; only the
         # qualifier stub (level A, no category column value) is unresolved
         assert table.unresolved_events == 1
@@ -324,7 +329,7 @@ def load_split(tmp_path, rows, at):
     """participation_table of ``rows`` written as two files split at row ``at``."""
     paths = [write_archive(tmp_path / "a.csv", rows[:at]),
              write_archive(tmp_path / "b.csv", rows[at:])]
-    return participation_table(load_raw_rows(paths, participation=True))
+    return tallied(paths)[1]
 
 
 def reference_participation(rows, bands):
