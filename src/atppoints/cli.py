@@ -40,7 +40,7 @@ from .errors import DomainError, SchemaError
 
 #: library module -> the names the commands call from it
 LIBRARY = {
-    "formula": ("ModelParams", "_read_key_values", "predict"),
+    "formula": ("ModelParams", "_parse_number", "_read_key_values", "predict"),
     "ingest": ("dump_observations", "load_matches", "load_raw_rows", "load_rankings",
                "load_schema", "select_matches"),
     "manifest": ("build_manifest", "dataset_fingerprint", "write_manifest"),
@@ -175,7 +175,7 @@ def read_params_file(path: str | Path) -> ModelParams:
         if key != "alpha" and text in ("", "None"):
             return None
         try:
-            return kind(text)
+            return _parse_number(kind, text)
         except ValueError:
             raise SchemaError(f"{path}: missing or invalid {key} field") from None
 

@@ -1,4 +1,4 @@
-"""The paper's match formula and the key=value reader, without numpy.
+"""The paper's match formula and the key=value and number readers, without numpy.
 
 Player i beats player j with probability
 
@@ -79,6 +79,13 @@ def predict(alpha: float, r_i: float, r_j: float) -> Prediction:
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _parse_number(kind: type, text: str):
+    """``kind(text)`` for a number in ASCII without ``_``; other text is a ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
 
 
 def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:

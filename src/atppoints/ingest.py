@@ -28,7 +28,7 @@ import numpy as np
 
 from .defaults import DEFAULT_LEVELS
 from .errors import SchemaError
-from .formula import _ENCODING, _read_key_values
+from .formula import _ENCODING, _parse_number, _read_key_values
 from .model import MatchTable
 
 #: Logical field -> column name in the archive files.
@@ -138,7 +138,7 @@ def _parse_date(text: str) -> datetime.date | None:
 
 def _parse_float(text: str) -> float | None:
     try:
-        return float(text)
+        return _parse_number(float, text)
     except ValueError:
         return None
 
@@ -157,13 +157,13 @@ def _each_distinct(fn: Callable, values: Sequence, memo: dict | None = None) -> 
     return list(map(memo.__getitem__, values))
 
 
-#: Logical field -> (column dtype, parser of one field); a parser's None
-#: becomes NaN in a float64 column.
+#: Logical field -> (column dtype, parser of one field), in the order a
+#: MatchTable's columns are built; a parser's None becomes NaN in float64.
 _COLUMNS: dict[str, tuple[object, Callable[[str], object]]] = {
     "date": ("datetime64[D]", lambda t: np.datetime64(_parse_date(t) or "NaT", "D")),
+    **{name: (object, str.strip) for name in ("level", "round", "score")},
     "winner_points": (np.float64, _parse_float),
     "loser_points": (np.float64, _parse_float),
-    **{name: (object, str.strip) for name in ("level", "round", "score")},
 }
 
 
@@ -284,8 +284,7 @@ def _load_columns(
             for name, (dtype, _) in columns.items() if dtype is not None}, sizes
 
 
-#: The logical fields of a MatchTable's columns, and those a file must have.
-_MODEL_FIELDS = ("date", "level", "round", "score", "winner_points", "loser_points")
+#: The logical fields a file must have for a MatchTable.
 _REQUIRED_FIELDS = ("date", "level", "round", "winner_points", "loser_points")
 
 
@@ -304,7 +303,7 @@ def load_raw_rows(
     each field the table needs and each of the tally's ``required`` ones.
     ``draw_size`` is a valid schema key but is not read.
     """
-    columns = {name: _COLUMNS[name] for name in _MODEL_FIELDS}
+    columns = dict(_COLUMNS)
     required = _REQUIRED_FIELDS
     if tally is not None:
         columns.update(tally.columns)

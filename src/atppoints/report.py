@@ -37,17 +37,12 @@ class BinnedCurve:
     """Binned empirical outcomes with the model curve for comparison."""
 
     edges: np.ndarray
+    centers: np.ndarray         # geometric midpoints of log-scale bins, else midpoints
     counts: np.ndarray
     freq: np.ndarray            # empirical win frequency; NaN where empty
     mean_predicted: np.ndarray  # mean model probability of members; NaN where empty
     model_value: np.ndarray     # curve value to plot against each bin
     log_scale: bool
-
-    @property
-    def centers(self) -> np.ndarray:
-        if self.log_scale:
-            return np.sqrt(self.edges[:-1] * self.edges[1:])
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def _bin_oriented(
@@ -101,7 +96,7 @@ def bin_by_ratio(
     centers = np.sqrt(edges[:-1] * edges[1:])
     model = np.array([win_probability(alpha, float(c)) for c in centers])
     return BinnedCurve(
-        edges=edges, counts=counts, freq=freq, mean_predicted=mean_pred,
+        edges=edges, centers=centers, counts=counts, freq=freq, mean_predicted=mean_pred,
         model_value=model, log_scale=True,
     )
 
@@ -123,8 +118,8 @@ def calibration_curve(
     _, outcomes, predicted = _oriented_ratios(matches, alpha)
     counts, freq, mean_pred = _bin_oriented(predicted, outcomes, predicted, edges)
     return BinnedCurve(
-        edges=edges, counts=counts, freq=freq, mean_predicted=mean_pred,
-        model_value=mean_pred.copy(), log_scale=False,
+        edges=edges, centers=0.5 * (edges[:-1] + edges[1:]), counts=counts, freq=freq,
+        mean_predicted=mean_pred, model_value=mean_pred.copy(), log_scale=False,
     )
 
 
@@ -145,24 +140,24 @@ def _num(value: float) -> str:
 # --- rank-band statistics ----------------------------------------------------
 
 
+#: The rank-band statistics, in the order of their columns and rows.
+STATS = ("max", "mean", "min", "std")
+
+
 @dataclass(frozen=True)
 class RankStats:
-    """Point statistics for one rank band across snapshot dates."""
+    """Point statistics for one rank band across snapshot dates: ``points`` and
+    ``ratio`` (to rank 32) map each name in ``STATS``, in order, to its value."""
 
     n_dates: int
-    points_max: float
-    points_mean: float
-    points_min: float
-    points_std: float
-    ratio_max: float
-    ratio_mean: float
-    ratio_min: float
-    ratio_std: float
+    points: dict[str, float]
+    ratio: dict[str, float]
 
 
 def rank_stats(table: RankingTable) -> tuple[dict[int, RankStats], list[datetime.date]]:
-    """Max/mean/min/std of points and of the ratio to rank 32, per rank band
-    of ``points.RANK_BANDS`` (16, 32, 64).
+    """``RankStats(n_dates, points, ratio)`` per rank band of ``points.RANK_BANDS``
+    (16, 32, 64): the ``STATS`` (max, mean, min, std) of points and of their
+    ratio to rank 32.
 
     Snapshot dates missing any band are skipped and returned in date order.
     Std is the population standard deviation.
@@ -179,48 +174,33 @@ def rank_stats(table: RankingTable) -> tuple[dict[int, RankStats], list[datetime
     stats: dict[int, RankStats] = {}
     for band, pts in zip(RANK_BANDS, usable):
         ratio = pts / usable[RANK_BANDS.index(32)]
-        stats[band] = RankStats(len(pts), *_summary(pts), *_summary(ratio))
+        stats[band] = RankStats(len(pts), _summary(pts), _summary(ratio))
     return stats, dates[~complete].tolist()
 
 
-def _summary(values: np.ndarray) -> tuple[float, float, float, float]:
-    """Max, mean, min and population std: the order of RankStats' fields."""
-    return float(values.max()), float(values.mean()), float(values.min()), float(values.std())
+def _summary(values: np.ndarray) -> dict[str, float]:
+    """The ``STATS`` of ``values``, each by the ndarray method of its name."""
+    return {name: float(getattr(values, name)()) for name in STATS}
 
 
 def write_rank_stats_csv(stats: Mapping[int, RankStats], fp: IO[str]) -> None:
     writer = csv.writer(fp)
-    writer.writerow([
-        "band", "n_dates", "expected_points",
-        "points_max", "points_mean", "points_min", "points_std",
-        "expected_ratio_to_32", "ratio_max", "ratio_mean", "ratio_min", "ratio_std",
-    ])
+    writer.writerow(["band", "n_dates", "expected_points", *(f"points_{n}" for n in STATS),
+                     "expected_ratio_to_32", *(f"ratio_{n}" for n in STATS)])
     for band in sorted(stats):
         s = stats[band]
-        writer.writerow([
-            band, s.n_dates, expected_points(band),
-            repr(s.points_max), repr(s.points_mean), repr(s.points_min), repr(s.points_std),
-            repr(expected_ratio_to_32(band)),
-            repr(s.ratio_max), repr(s.ratio_mean), repr(s.ratio_min), repr(s.ratio_std),
-        ])
+        writer.writerow([band, s.n_dates, expected_points(band), *map(repr, s.points.values()),
+                         repr(expected_ratio_to_32(band)), *map(repr, s.ratio.values())])
 
 
 def format_rank_stats(stats: Mapping[int, RankStats]) -> str:
     """Aligned plain-text table, ideal-schedule reference row included."""
     bands = sorted(stats)
     head = "rank band          " + "".join(f"{b:>12}" for b in bands)
-    rows = [
-        ("expected", [float(expected_points(b)) for b in bands]),
-        ("max", [stats[b].points_max for b in bands]),
-        ("mean", [stats[b].points_mean for b in bands]),
-        ("min", [stats[b].points_min for b in bands]),
-        ("std", [stats[b].points_std for b in bands]),
-        ("ratio expected", [expected_ratio_to_32(b) for b in bands]),
-        ("ratio max", [stats[b].ratio_max for b in bands]),
-        ("ratio mean", [stats[b].ratio_mean for b in bands]),
-        ("ratio min", [stats[b].ratio_min for b in bands]),
-        ("ratio std", [stats[b].ratio_std for b in bands]),
-    ]
+    rows = [("expected", [float(expected_points(b)) for b in bands]),
+            *((n, [stats[b].points[n] for b in bands]) for n in STATS),
+            ("ratio expected", [expected_ratio_to_32(b) for b in bands]),
+            *((f"ratio {n}", [stats[b].ratio[n] for b in bands]) for n in STATS)]
     lines = [head]
     for name, values in rows:
         lines.append(f"{name:<19}" + "".join(f"{v:>12.4f}" for v in values))
@@ -381,7 +361,7 @@ def write_participation_csv(table: ParticipationTable, fp: IO[str]) -> None:
 
 def format_participation(table: ParticipationTable) -> str:
     header = ("band  category   " + "".join(f"{k:>5}" for k in range(_HIST_CAP))
-              + f"{'6+':>5}   mean")
+              + f"{f'{_HIST_CAP}+':>5}   mean")
     lines = [header]
     for (band, category), hist in table.histograms.items():
         lines.append(

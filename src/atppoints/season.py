@@ -27,7 +27,7 @@ import numpy as np
 
 from .bracket import SEEDS_FOR_DRAW, _exit_results, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
-from .formula import _read_key_values
+from .formula import _parse_number, _read_key_values
 from .ingest import _csv_field, _load_columns
 from .points import BEST_N, Category
 
@@ -346,7 +346,7 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
     """Read a calendar CSV with columns week, category, draw_size.
 
     A missing column is a SchemaError; a week or draw size that is not an
-    integer, or an unknown category, is a DomainError.
+    ASCII integer (no ``_``), or an unknown category, is a DomainError.
     """
     names = ("week", "category", "draw_size")
     texts, _ = _load_columns([path], {name: name for name in names},
@@ -354,7 +354,8 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
     events = []
     for week, category, draw_size in zip(*texts.values()):
         try:
-            events.append(CalendarEvent(int(week), Category(category), int(draw_size)))
+            events.append(CalendarEvent(_parse_number(int, week), Category(category),
+                                        _parse_number(int, draw_size)))
         except ValueError:
             raise DomainError(f"{path}: bad calendar row: week={week!r}, "
                               f"category={category!r}, draw_size={draw_size!r}") from None
@@ -363,7 +364,8 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
 
 def load_season_config(path: str | Path) -> tuple[SeasonConfig, Path | None]:
     """Parse a flat key=value config file (keys: the SeasonConfig fields);
-    unknown keys are rejected.  ``calendar`` is relative to the file.
+    unknown keys are rejected, as are numbers ``formula._parse_number``
+    refuses.  ``calendar`` is relative to the file.
     Returns the config and the calendar file it was read from, if any."""
     config = SeasonConfig()
     calendar_path = None
@@ -381,7 +383,7 @@ def load_season_config(path: str | Path) -> tuple[SeasonConfig, Path | None]:
             config = replace(config, **{key: value.lower() == "true"})
         elif kind in (int, float):
             try:
-                config = replace(config, **{key: kind(value)})
+                config = replace(config, **{key: _parse_number(kind, value)})
             except ValueError:
                 raise DomainError(f"{where}: {key} must be {kind.__name__}, "
                                   f"got {value!r}") from None

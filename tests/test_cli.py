@@ -203,6 +203,15 @@ class TestPredict:
         assert result.exit_code == 0
         assert "probability 0.500000" in result.output
 
+    @pytest.mark.parametrize("text", ["alpha=0.8_7", "alpha=０.87", "alpha=0.87\nn_matches=1_84"],
+                             ids=["alpha-underscore", "alpha-fullwidth", "n-matches-underscore"])
+    def test_params_number_must_be_ascii(self, runner, tmp_path, text):
+        params = tmp_path / "params.txt"
+        params.write_text(text + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--params", str(params), "1500", "1000"])
+        assert result.exit_code == 3, result.output
+        assert f"{params}: missing or invalid" in result.output
+
     def test_requires_alpha_or_params(self, runner):
         result = runner.invoke(main, ["predict", "100", "200"])
         assert result.exit_code == 2
@@ -574,10 +583,13 @@ class TestSimulate:
             assert inputs[name] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
                                     for path in (config, read)}
 
-    @pytest.mark.parametrize("line", ["alpha=abc", "n_players=x", "burn_in=1.5"])
+    # numbers are ASCII without digit-group underscores
+    @pytest.mark.parametrize("line", ["alpha=abc", "n_players=x", "burn_in=1.5",
+                                      pytest.param("n_players=３００", id="n_players-fullwidth"),
+                                      "alpha=0.8_7"])
     def test_bad_config_value_is_domain_error(self, runner, tmp_path, line):
         config = tmp_path / "season.cfg"
-        config.write_text(f"n_seasons=2\n{line}\n")
+        config.write_text(f"n_seasons=2\n{line}\n", encoding="utf-8")
         result = runner.invoke(main, [
             "simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
         ])
@@ -628,17 +640,19 @@ class TestSimulate:
         ("week,category,draw_size\n3,slam,128\n", 5, "'slam'"),
         ("week,category\n3,grand_slam\n", 3, "draw_size"),
         ("week,category,draw_size\nx,grand_slam,128\n", 5, "'x'"),
+        ("week,category,draw_size\n1_0,tour_250,3_2\n", 5, "'1_0'"),
+        ("week,category,draw_size\n１０,tour_250,32\n", 5, "'１０'"),
         ("week,category,draw_size\n53,grand_slam,128\n", 5, "calendar week 53 outside 1..52"),
         ("week,category,draw_size\n", 5, "calendar is empty"),
         # 64 players fill each week's draw, but the top 30 may enter only
         # their picked 250s, so week 1 runs short
         ("week,category,draw_size\n" + "".join(f"{w},tour_250,64\n" for w in range(1, 8)),
          5, "week 1: only 47 entrants for a 64-draw event"),
-    ], ids=["draw96", "category", "no-draw-size", "week", "week53", "header-only",
-            "short-draw"])
+    ], ids=["draw96", "category", "no-draw-size", "week", "week-underscore", "week-fullwidth",
+            "week53", "header-only", "short-draw"])
     def test_bad_calendar_exit_code(self, runner, tmp_path, content, code, named):
         calendar = tmp_path / "cal.csv"
-        calendar.write_text(content)
+        calendar.write_text(content, encoding="utf-8")
         result = runner.invoke(main, [
             "simulate", "--players", "64", "--calendar", str(calendar),
             "--out", str(tmp_path / "sim"),

@@ -91,6 +91,18 @@ class TestLoadMatches:
         assert np.isfinite(observations.winner_points).all()
         assert np.isfinite(observations.loser_points).all()
 
+    @pytest.mark.parametrize("bad", ["1_200", "１２００"], ids=["underscore", "fullwidth"])
+    def test_non_ascii_or_grouped_points_counted_missing(self, tmp_path, bad):
+        # only ASCII numbers without digit-group underscores parse
+        path = tmp_path / "grouped.csv"
+        path.write_text(
+            "tourney_date,tourney_level,round,winner_rank_points,loser_rank_points\n"
+            f"20140113,A,R32,{bad},900\n20140113,A,R32,900,{bad}\n20140113,A,R32,1200,800\n",
+            encoding="utf-8")
+        observations, report = load_matches([path])
+        assert report.dropped_missing == 2
+        assert observations.winner_points.tolist() == [1200.0]
+
     def test_missing_columns_listed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("tourney_date,round\n20140101,F\n")
@@ -384,6 +396,16 @@ class TestLoadRankings:
         table = load_rankings([path])
         assert table.rank.tolist() == [16, 32, 64]
         assert table.points.tolist() == [2425.0, 1265.0, 773.0]
+
+    def test_rank_and_points_ascii_without_underscores(self, tmp_path):
+        # 3_2, a fullwidth 8 and 7_73 points are no numbers: their rows are skipped
+        path = tmp_path / "snap.csv"
+        path.write_text("ranking_date,rank,player,points\n20150105,16,AA,2425\n"
+                        "20150105,3_2,BB,1265\n20150105,８,CC,3000\n20150105,64,DD,7_73\n",
+                        encoding="utf-8")
+        table = load_rankings([path])
+        assert table.rank.tolist() == [16]
+        assert table.points.tolist() == [2425.0]
 
     @pytest.mark.parametrize("text", ["2015-W02-1", "2015W021", "2015-002", "2015-1-5",
                                       "2015/01/05", "２０１５０１０５"])

@@ -156,9 +156,9 @@ class TestRankStats:
             self.entries([(date, 16, 2425), (date, 32, 1265), (date, 64, 773)])
         )
         assert skipped == []
-        assert stats[16].ratio_mean == pytest.approx(1.9170, abs=1e-4)
-        assert stats[32].ratio_mean == 1.0
-        assert stats[64].ratio_mean == pytest.approx(0.6111, abs=1e-4)
+        assert stats[16].ratio["mean"] == pytest.approx(1.9170, abs=1e-4)
+        assert stats[32].ratio["mean"] == 1.0
+        assert stats[64].ratio["mean"] == pytest.approx(0.6111, abs=1e-4)
 
     def test_two_identical_snapshots_zero_std(self):
         d1, d2 = datetime.date(2015, 1, 5), datetime.date(2016, 1, 4)
@@ -167,14 +167,15 @@ class TestRankStats:
             rows += [(date, 16, 2000), (date, 32, 1000), (date, 64, 600)]
         stats, _ = rank_stats(self.entries(rows))
         for band in (16, 32, 64):
-            assert stats[band].points_std == 0.0
+            assert stats[band].points["std"] == 0.0
             assert stats[band].n_dates == 2
 
     def test_band_32_ratio_column_degenerate(self):
         entries = load_rankings([SAMPLE_RANKINGS])
         stats, _ = rank_stats(entries)
         s = stats[32]
-        assert (s.ratio_max, s.ratio_mean, s.ratio_min, s.ratio_std) == (1.0, 1.0, 1.0, 0.0)
+        assert (s.ratio["max"], s.ratio["mean"], s.ratio["min"], s.ratio["std"]) == (
+            1.0, 1.0, 1.0, 0.0)
 
     def test_incomplete_dates_skipped_with_report(self):
         d1, d2 = datetime.date(2015, 1, 5), datetime.date(2016, 1, 4)
@@ -188,8 +189,8 @@ class TestRankStats:
         entries = load_rankings([SAMPLE_RANKINGS])
         stats, _ = rank_stats(entries)
         for s in stats.values():
-            assert s.points_min <= s.points_mean <= s.points_max
-            assert s.points_std >= 0
+            assert s.points["min"] <= s.points["mean"] <= s.points["max"]
+            assert s.points["std"] >= 0
 
     def test_no_usable_date_raises(self):
         rows = [(datetime.date(2015, 1, 5), 16, 2000)]
@@ -402,8 +403,9 @@ class TestScalarReference:
         )
         expected, expected_skipped = reference_rank_stats(table, (16, 32, 64))
         stats, skipped = rank_stats(table)
-        got = {b: (s.n_dates, s.points_max, s.points_mean, s.points_min, s.points_std,
-                   s.ratio_max, s.ratio_mean, s.ratio_min, s.ratio_std)
+        got = {b: (s.n_dates, s.points["max"], s.points["mean"], s.points["min"],
+                   s.points["std"], s.ratio["max"], s.ratio["mean"], s.ratio["min"],
+                   s.ratio["std"])
                for b, s in stats.items()}
         assert got == expected
         assert skipped == expected_skipped
