@@ -5,11 +5,13 @@ with a header row, dates as 8-digit yyyymmdd, single-letter tournament
 level codes, and winner/loser rank-point columns.  A flat key=value schema
 file can remap any column name for other archives.
 
-An archive loads into one ``MatchTable`` in a single pass.  Rows are then
-dropped (and counted) when a player's rank points are missing, non-finite
-or zero, or when the row falls outside the requested date/level/round scope.
-Ranking snapshot files load the same way into one ``RankingTable``, keeping
-the rows whose date and rank parse and whose points are finite and positive.
+An archive loads into one ``MatchTable`` in a single pass, its ``score``
+text read as a walkover flag.  Rows are then dropped (and counted) when a
+player's rank points are missing, non-finite or zero, or when the row falls
+outside the requested date/level/round/walkover scope.  Ranking snapshots
+load the same way into one ``RankingTable``, keeping the rows whose date and
+rank parse and whose points are finite and positive.  A row that is not CSV
+(an unclosed quote, say) is a SchemaError.
 """
 
 from __future__ import annotations
@@ -157,14 +159,23 @@ def _each_distinct(fn: Callable, values: Sequence, memo: dict | None = None) -> 
     return list(map(memo.__getitem__, values))
 
 
+def _is_walkover(score: str) -> bool:
+    needle = score.strip().replace(" ", "").replace(".", "").upper()
+    return "W/O" in needle or "WO" == needle or "WALKOVER" in needle
+
+
 #: Logical field -> (column dtype, parser of one field), in the order a
 #: MatchTable's columns are built; a parser's None becomes NaN in float64.
 _COLUMNS: dict[str, tuple[object, Callable[[str], object]]] = {
     "date": ("datetime64[D]", lambda t: np.datetime64(_parse_date(t) or "NaT", "D")),
-    **{name: (object, str.strip) for name in ("level", "round", "score")},
+    **{name: (object, str.strip) for name in ("level", "round")},
+    "score": (bool, _is_walkover),
     "winner_points": (np.float64, _parse_float),
     "loser_points": (np.float64, _parse_float),
 }
+#: Fields whose parse memo lasts a chunk, not the read: an archive has about
+#: one distinct score per match; every other field repeats a few texts.
+_CHUNK_MEMO = frozenset({"score"})
 
 
 #: Rows of a CSV file held as lists at once: a read's transient memory is
@@ -182,10 +193,11 @@ def _read_chunks(
     width are ignored.  Before any row is read, the header must hold each
     ``required`` field (a tuple: one of its fields), and each column a named
     field reads must appear in it at most once and be read by one field.
+    A row csv cannot read (an unclosed quote, say) is a SchemaError.
     ``_line_of_row`` finds the file line of a row when an error names it."""
     try:
         with open(path, newline="", encoding=_ENCODING) as fp:
-            reader = csv.reader(fp)
+            reader = csv.reader(fp, strict=True)
             header = next(reader, [])
             missing = [" or ".join(schema[f] for f in group) for group in
                        ((f,) if isinstance(f, str) else f for f in required)
@@ -215,6 +227,8 @@ def _read_chunks(
                 yield [("",) * n_rows if i is None else next(read) for i in at]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{_line_of_bad_row(path)}: not valid CSV ({exc})") from None
 
 
 def _columns_of(rows: Iterator[list[str]], at: list[int]) -> tuple[list[tuple[str, ...]], int]:
@@ -247,10 +261,20 @@ def _line_of_row(path: str | Path, row: int) -> int:
     """The file line that row ``row`` (from 0, as ``_read_chunks`` counts
     rows) ends on, as ``csv.reader.line_num`` counts lines."""
     with open(path, newline="", encoding=_ENCODING) as fp:
-        reader = csv.reader(fp)
+        reader = csv.reader(fp, strict=True)
         next(reader, [])
         next(islice(filter(None, reader), row, None))
         return reader.line_num
+
+
+def _line_of_bad_row(path: str | Path) -> int:
+    """The file line on which the first row that csv cannot read starts."""
+    with open(path, newline="", encoding=_ENCODING) as fp:
+        reader, line = csv.reader(fp, strict=True), 1
+        with contextlib.suppress(csv.Error):
+            for _ in reader:
+                line = reader.line_num + 1
+        return line
 
 
 def _load_columns(
@@ -262,17 +286,17 @@ def _load_columns(
 ) -> tuple[dict[str, np.ndarray], list[int]]:
     """Each of ``columns`` parsed from every file and joined in file-argument
     and row order, and the number of rows of each file.  A column's parsed
-    values gather in one list across chunks and files, and each distinct
-    text is parsed once per call.  ``fold``, when given, takes each chunk's
-    parsed values by field as they stream; a column whose dtype is None is
-    parsed for it alone and never joined."""
-    memos: dict[str, dict] = {name: {} for name in columns}
+    values gather in one list across chunks and files; each distinct text is
+    parsed once per call, or per chunk for a ``_CHUNK_MEMO`` field.  ``fold``,
+    when given, takes each chunk's parsed values by field as they stream; a
+    column whose dtype is None is parsed for it alone and never joined."""
+    memos: dict[str, dict] = {name: {} for name in columns if name not in _CHUNK_MEMO}
     values = {name: [] for name, (dtype, _) in columns.items() if dtype is not None}
     sizes = []
     for path in paths:
         sizes.append(0)
         for texts in _read_chunks(path, schema, columns, required):
-            chunk = {name: _each_distinct(parse, text, memos[name])
+            chunk = {name: _each_distinct(parse, text, memos.get(name))
                      for (name, (_, parse)), text in zip(columns.items(), texts)}
             if fold:
                 fold(chunk)
@@ -310,12 +334,7 @@ def load_raw_rows(
         required += tally.required
     table, _ = _load_columns(paths, schema or DEFAULT_SCHEMA, columns, required,
                              tally and tally.add)
-    return MatchTable(**table)
-
-
-def _is_walkover(score: str) -> bool:
-    needle = score.replace(" ", "").replace(".", "").upper()
-    return "W/O" in needle or "WO" == needle or "WALKOVER" in needle
+    return MatchTable(walkover=table.pop("score"), **table)
 
 
 def select_matches(
@@ -346,7 +365,7 @@ def select_matches(
         by["round"] = drop(np.array(
             _each_distinct(_QUALIFYING_ROUNDS.__contains__, table.round), dtype=bool))
     if drop_walkovers:
-        by["walkover"] = drop(np.array(_each_distinct(_is_walkover, table.score), dtype=bool))
+        by["walkover"] = drop(table.walkover)
     wp, lp = table.winner_points, table.loser_points
     report.dropped_missing = drop(np.isnat(table.date) | ~np.isfinite(wp) | ~np.isfinite(lp))
     # an open end is NaT, which no date is before or after

@@ -44,9 +44,9 @@ class MatchTable:
     date: np.ndarray            # datetime64[D]
     winner_points: np.ndarray   # float64
     loser_points: np.ndarray    # float64
-    level: np.ndarray           # object (str), as are round and score
+    level: np.ndarray           # object (str), as is round
     round: np.ndarray
-    score: np.ndarray
+    walkover: np.ndarray        # bool: the row's score marks a walkover
 
     def __len__(self) -> int:
         return len(self.date)
@@ -58,7 +58,7 @@ class MatchTable:
     def from_points(cls, winner_points: Sequence[float], loser_points: Sequence[float],
                     date: datetime.date) -> MatchTable:
         """Winner-first point pairs, every row on ``date`` with level "other",
-        round "unknown" and no score.  Points must be positive and finite;
+        round "unknown" and no walkover.  Points must be positive and finite;
         ingestion drops (and counts) archive rows where they are not.
         """
         winners = np.array(winner_points, dtype=np.float64)
@@ -74,7 +74,7 @@ class MatchTable:
         return cls(
             date=np.full(n, date, dtype="datetime64[D]"), winner_points=winners,
             loser_points=losers, level=np.full(n, "other", dtype=object),
-            round=np.full(n, "unknown", dtype=object), score=np.full(n, "", dtype=object),
+            round=np.full(n, "unknown", dtype=object), walkover=np.zeros(n, dtype=bool),
         )
 
 

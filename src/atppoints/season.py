@@ -29,11 +29,12 @@ from .bracket import SEEDS_FOR_DRAW, _exit_results, fill_unseeded, place_seeds, 
 from .errors import DomainError
 from .formula import _parse_number, _read_key_values
 from .ingest import _csv_field, _load_columns
-from .points import BEST_N, Category
+from .points import BEST_N, IDEAL_SCHEDULE, Category
 
 WEEKS_PER_SEASON = 52
 TOP_N_MANDATORY = 30
-MANDATORY_MASTERS = 8  # of the 9 on the calendar, as the entry rules demand
+MANDATORY_MASTERS = IDEAL_SCHEDULE[Category.MASTERS_1000]  # of the 9 on the calendar
+_OPTIONAL_EVENTS = IDEAL_SCHEDULE[Category.TOUR_500] + IDEAL_SCHEDULE[Category.TOUR_250]
 
 #: Simulated draw size per category (the supported power-of-two sizes).
 DRAW_FOR_CATEGORY = {
@@ -90,8 +91,8 @@ class SeasonConfig:
 
     calendar: list[CalendarEvent] = field(default_factory=default_calendar)
     top30_mandatory: bool = True
-    n_500_choices: int = 3
-    n_250_choices: int = 3
+    n_500_choices: int = IDEAL_SCHEDULE[Category.TOUR_500]
+    n_250_choices: int = IDEAL_SCHEDULE[Category.TOUR_250]
     alpha: float = 0.8722
     rng_seed: int = 0
     n_players: int = 300
@@ -99,9 +100,9 @@ class SeasonConfig:
     burn_in: int = 0
     points_floor: float = 1.0
     # free-entry appetite: beyond this many events a player only adds
-    # Grand Slams and Masters, mirroring the 18 countable results that
-    # determine the ranking
-    max_events_per_season: int = 18
+    # Grand Slams and Masters, mirroring the BEST_N (18) countable results
+    # that determine the ranking
+    max_events_per_season: int = BEST_N
 
     def validate(self) -> None:
         if not 0 <= self.alpha < math.inf:
@@ -110,10 +111,9 @@ class SeasonConfig:
             raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
         if self.n_500_choices < 0 or self.n_250_choices < 0:
             raise DomainError("optional-event choices must be nonnegative")
-        if self.top30_mandatory and self.n_500_choices + self.n_250_choices < 6:
-            raise DomainError(
-                "mandatory top-30 entry requires at least 6 optional 500/250 choices"
-            )
+        if self.top30_mandatory and self.n_500_choices + self.n_250_choices < _OPTIONAL_EVENTS:
+            raise DomainError(f"mandatory top-30 entry requires at least {_OPTIONAL_EVENTS} "
+                              f"optional 500/250 choices")
         if self.n_seasons < 1:
             raise DomainError("n_seasons must be at least 1")
         if not 0 <= self.burn_in < self.n_seasons:

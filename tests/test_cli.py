@@ -21,6 +21,7 @@ import atppoints.manifest
 from atppoints.cli import main
 from atppoints.errors import SchemaError
 from atppoints.ingest import load_rankings, load_raw_rows, load_schema
+from atppoints.season import default_calendar
 from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal, tallied
 
 MATCHES = str(SAMPLE_MATCHES)
@@ -436,6 +437,21 @@ class TestInputColumns:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_schema_remaps_score(self, runner, tmp_path):
+        # the score column under another name still marks the sample's one walkover
+        matches, schema = tmp_path / "matches.csv", tmp_path / "schema.cfg"
+        matches.write_bytes(SAMPLE_MATCHES.read_bytes().replace(b",score,", b",result,", 1))
+        schema.write_text("score=result\n")
+        counts = {}
+        for name, extra in (("remapped", ["--schema", str(schema)]), ("unmapped", [])):
+            out = tmp_path / name
+            result = runner.invoke(main, ["fit", str(matches), "--drop-walkovers", *extra,
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            report = (out / "report.txt").read_text()
+            counts[name] = report.split("  by walkover", 1)[1].split()[0]
+        assert counts == {"remapped": "1", "unmapped": "0"}
+
     @pytest.mark.parametrize("command, field", [
         (["fit"], "winner_points"), (["report", "--alpha", "0.8722"], "category"),
     ], ids=["fit-required", "report-optional"])
@@ -448,6 +464,39 @@ class TestInputColumns:
                                       "--out", str(out)])
         assert result.exit_code == 3, result.output
         assert f"{schema}:2: schema field '{field}' names no column\n" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
+def _stray_quote_input(kind: str) -> tuple[list[str], list[str], int]:
+    """The arguments before the input file, the input's lines (header first)
+    and the data row that a stray quote opens."""
+    archive = SAMPLE_MATCHES.read_text().splitlines()
+    calendar = [f"{ev.week},{ev.category.value},{ev.draw_size}" for ev in default_calendar()]
+    return {
+        "small-archive": (["fit"], archive, 5),
+        # the quoted field outgrows csv's field size limit before the file ends
+        "large-archive": (["fit"], archive[:1] + archive[1:] * 27, 100),
+        "rankings": (["report", MATCHES, "--alpha", "0.8722", "--rankings"],
+                     SAMPLE_RANKINGS.read_text().splitlines(), 3),
+        "calendar": (["simulate", "--calendar"], ["week,category,draw_size", *calendar], 2),
+    }[kind]
+
+
+class TestStrayQuote:
+    """A quote that opens a field and never closes is a schema error naming
+    the line its row starts on, not a silently shortened read."""
+
+    @pytest.mark.parametrize("kind", ["small-archive", "large-archive", "rankings", "calendar"])
+    def test_exit_code_and_line(self, runner, tmp_path, kind):
+        args, lines, row = _stray_quote_input(kind)
+        assert len(lines) > row + 1 and '"' not in "".join(lines)
+        lines[row] = '"' + lines[row]
+        path, out = tmp_path / "input.csv", tmp_path / "out"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [*args, str(path), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"{path}:{row + 1}: not valid CSV (" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 
@@ -859,7 +908,7 @@ class TestSeasonInputFuzz:
 _ARCHIVE_VALUES = {
     "tourney_date": (["20150105", "2015-03-02", "20161231"], ["bad", "", "20151340"]),
     "tourney_level": (["G", "M", "A", "A"], ["Q", "", "g"]),
-    "round": (["R32", "QF", "F", "R128"], ["Q1", "", "RR"]),
+    "round": (["R32", "QF", "F", "R128"], ["Q1", "", "RR", '"']),
     "winner_rank_points": (["2425", "1265", "773.5", "10"], ["0", "-40", "nan", "inf", "1e400",
                                                           "1e-300", "abc", ""]),
     "loser_rank_points": (["1800", "650", "31", "5000"], ["0", "-1", "nan", "-inf", "x", ""]),
@@ -868,7 +917,7 @@ _ARCHIVE_VALUES = {
     "winner_id": (["1", "2", " 3 "], [""]),
     "loser_id": (["4", "5"], [""]),
     "tourney_id": (["2015-1", "2015-2"], [""]),
-    "score": (["6-4 6-4", "W/O", "RET"], [""]),
+    "score": (["6-4 6-4", "W/O", "RET"], ["", '"']),
     "category": (["tour_250", "tour_500", "grand_slam"], ["slam", ""]),
 }
 

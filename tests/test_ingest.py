@@ -16,6 +16,7 @@ from atppoints.errors import SchemaError
 from atppoints.ingest import (
     DEFAULT_LEVELS,
     _format_points,
+    _is_walkover,
     dump_observations,
     load_matches,
     load_rankings,
@@ -239,7 +240,7 @@ def awkward_table() -> MatchTable:
     return MatchTable(
         date=np.datetime64("2009-12-31") + np.arange(n).astype("timedelta64[D]"),
         winner_points=np.array(points), loser_points=np.array(points[::-1]),
-        level=text, round=text[::-1].copy(), score=text,
+        level=text, round=text[::-1].copy(), walkover=np.arange(n) % 2 == 1,
     )
 
 
@@ -264,7 +265,27 @@ class TestRawRows:
         # one table entry per data line (the first on line 2), in file order
         assert len(rows) == len(lines)
         assert rows.level.tolist() == [r["tourney_level"] for r in lines]
-        assert rows.score.tolist() == [r["score"] for r in lines]
+        assert rows.walkover.tolist() == [_is_walkover(r["score"]) for r in lines]
+
+    def test_walkover_is_a_bool_column(self):
+        rows = load_raw_rows([SAMPLE_MATCHES])
+        assert rows.walkover.dtype == bool
+        assert np.count_nonzero(rows.walkover) == 1  # the sample's one "W/O" row
+        made = MatchTable.from_points([3000, 800], [1500, 2400], datetime.date(2014, 5, 5))
+        assert made.walkover.dtype == bool
+        assert not made.walkover.any()
+
+    def test_quoted_fields_with_commas_parse(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            "tourney_name,tourney_date,tourney_level,round,winner_rank_points,"
+            "loser_rank_points,score\n"
+            '"Open, Paris",20140113,A,R32,1200,900,"6-4, 6-4"\n'
+            '"Open, Paris",20140113,"A","R16",1100,"800","W/O, inj."\n')
+        rows = load_raw_rows([path])
+        assert rows.round.tolist() == ["R32", "R16"]
+        assert rows.loser_points.tolist() == [900.0, 800.0]
+        assert rows.walkover.tolist() == [False, True]
 
 
 class TestLoadRankings:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from atppoints.errors import DomainError
 from atppoints.points import (
     BEST_N,
+    IDEAL_SCHEDULE,
     Category,
     dump_tables,
     expected_points,
@@ -157,6 +158,10 @@ class TestBest18:
 
 
 class TestExpectedPoints:
+    def test_ideal_schedule_fills_the_best_n(self):
+        # 4 Grand Slams, 8 Masters, 3 500s and 3 250s: the 18 results that count
+        assert sum(IDEAL_SCHEDULE.values()) == BEST_N == 18
+
     def test_band_totals(self):
         assert expected_points(16) == 2430
         assert expected_points(32) == 1260
