@@ -121,7 +121,8 @@ def ingest_options(fn):
                       help="Drop rows whose score marks a walkover.")(fn)
     fn = click.option("--schema", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="key=value column-mapping file.")(fn)
-    return fn
+    return click.argument("match_files", nargs=-1, required=True,
+                          type=click.Path(exists=True, dir_okay=False))(fn)
 
 
 def _scope(date_from, date_to, levels, include_qualifying, drop_walkovers, schema) -> dict:
@@ -198,8 +199,6 @@ def main() -> None:
 
 
 @main.command()
-@click.argument("match_files", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False))
 @ingest_options
 @click.option("--search-lo", default=DEFAULT_SEARCH_LO, show_default=True)
 @click.option("--search-hi", default=DEFAULT_SEARCH_HI, show_default=True)
@@ -251,8 +250,6 @@ def predict_cmd(alpha, params_path, r_i, r_j):
 
 
 @main.command()
-@click.argument("match_files", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False))
 @ingest_options
 @click.option("--alpha", type=float, default=None)
 @click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
@@ -275,8 +272,6 @@ def evaluate(match_files, alpha, params, out, **scope):
 
 
 @main.command()
-@click.argument("match_files", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False))
 @ingest_options
 @click.option("--rankings", multiple=True, type=click.Path(exists=True, dir_okay=False),
               help="Ranking snapshot files for the rank-band tables.")
@@ -354,8 +349,7 @@ def simulate(config, calendar, out, **overrides):
     if season.n_players < deepest:  # the summary reads every band's final standing
         raise DomainError(f"no final standing for season {season.burn_in + 1}, rank {deepest} "
                           f"from a player pool of {season.n_players}")
-    players = [f"P{i + 1:03d}" for i in range(season.n_players)]
-    result = run_season(season, players)
+    result = run_season(season)
     summary = (f"seasons      {season.n_seasons} (burn-in {season.burn_in})\n"
                f"players      {season.n_players}\n"
                f"alpha        {season.alpha:.6f}\n"
@@ -374,8 +368,6 @@ def simulate(config, calendar, out, **overrides):
 
 
 @main.command("ingest-dump")
-@click.argument("match_files", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False))
 @ingest_options
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors("ingest", "manifest")

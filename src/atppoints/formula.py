@@ -90,17 +90,21 @@ def _parse_number(kind: type, text: str):
 
 def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, key, value) from a flat key=value file, skipping
-    blank and ``#`` lines; any other line without ``=`` is a SchemaError."""
+    blank and ``#`` lines; any other line without ``=``, or a key given
+    twice, is a SchemaError."""
     try:
         with open(path, encoding=_ENCODING) as fp:
             lines = fp.readlines()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    first_line: dict[str, int] = {}  # key -> the line that first gave it
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise SchemaError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        yield line_no, key.strip(), value.strip()
+        key, _, value = map(str.strip, line.partition("="))
+        if first_line.setdefault(key, line_no) != line_no:
+            raise SchemaError(f"{path}:{line_no}: key {key!r} repeats line {first_line[key]}")
+        yield line_no, key, value

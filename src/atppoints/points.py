@@ -3,7 +3,9 @@
 Winner points double per category step (250, 500, 1000, 2000) and each win
 within a category multiplies points by 2 or 5/3.  A player's ranking points
 are the sum of their 18 best results in the trailing 52 weeks; ``season``
-applies that rule week by week.
+applies that rule week by week.  ``Category`` is declared by prestige, Grand
+Slams first; the 500s and 250s are the optional categories, the ones a
+top-30 player picks and the participation tables count.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ class Category(str, Enum):
     MASTERS_1000 = "masters_1000"
     TOUR_500 = "tour_500"
     TOUR_250 = "tour_250"
+
+
+#: The categories a player may skip, 500 before 250.
+OPTIONAL_CATEGORIES = (Category.TOUR_500, Category.TOUR_250)
 
 
 #: Round tags from champion down to first round, plus qualifying.

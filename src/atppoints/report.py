@@ -26,7 +26,8 @@ from .errors import DomainError
 from .formula import _require_positive, win_probability
 from .ingest import RankingTable, _parse_int
 from .model import MatchTable, _nonempty
-from .points import RANK_BANDS, Category, expected_points, expected_ratio_to_32
+from .points import (OPTIONAL_CATEGORIES, RANK_BANDS, Category, expected_points,
+                     expected_ratio_to_32)
 
 #: Point-ratio range of ``bin_by_ratio``'s log-spaced bins.
 RATIO_SPAN = (0.01, 100.0)
@@ -214,11 +215,10 @@ PARTICIPATION_BANDS = (8, 16, 30, 64)
 _HIST_CAP = 6  # histogram cells 0..5 plus "6 or more"
 
 
-#: The categories a participation tally counts, and each category's code:
-#: its index here, or ``len(_COUNTED)`` when it is not counted.
-_COUNTED = (Category.TOUR_500, Category.TOUR_250)
-_CATEGORY_CODES = {c.value: _COUNTED.index(c) if c in _COUNTED else len(_COUNTED)
-                   for c in Category}
+#: A participation tally counts the ``OPTIONAL_CATEGORIES``; a category's
+#: code is its index there, or that tuple's length when it is not counted.
+_CATEGORY_CODES = {c.value: OPTIONAL_CATEGORIES.index(c) if c in OPTIONAL_CATEGORIES
+                   else len(OPTIONAL_CATEGORIES) for c in Category}
 
 
 def _coder(codes: dict[str, int]) -> Callable[[str], int]:
@@ -286,8 +286,8 @@ class ParticipationTally:
         event = np.where(ids != 0, ids, chunk["tournament_name"])
         named = np.array(chunk["category"], np.intp)
         tour = np.array([level == "A" for level in chunk["level"]], bool)
-        category = np.where(named >= 0, named,
-                            np.where(tour, _COUNTED.index(Category.TOUR_250), len(_COUNTED)))
+        category = np.where(named >= 0, named, np.where(
+            tour, OPTIONAL_CATEGORIES.index(Category.TOUR_250), len(OPTIONAL_CATEGORIES)))
         sides = np.array((chunk["winner_id"], chunk["loser_id"]), np.intp).T
         self.rank = _padded(self.rank, len(self.players), np.nan)
         self.date = _padded(self.date, len(self.players), np.datetime64("NaT"))
@@ -306,7 +306,7 @@ class ParticipationTally:
         later = ~(date < self.date[player])  # NaT: any date is later
         self.date[player[later]], self.rank[player[later]] = date[later], rank[later]
 
-        counted = np.flatnonzero(category < len(_COUNTED))
+        counted = np.flatnonzero(category < len(OPTIONAL_CATEGORIES))
         last = counted[_last_of_each(event[counted])]
         self.category[event[last]], self.resolved[event[last]] = category[last], named[last] >= 0
         self.pairs.append(_distinct((event[counted].astype(np.int64) << 32).repeat(2)
@@ -338,7 +338,7 @@ def participation_table(tally: ParticipationTally) -> ParticipationTable:
     pairs = _distinct(np.concatenate([np.empty(0, np.int64), *tally.pairs]))
     category = tally.category[pairs >> 32]
     played = {c: np.bincount(pairs[category == code] & 0xFFFFFFFF, minlength=len(tally.rank))
-              for code, c in enumerate(_COUNTED)}  # category -> events of it each player played
+              for code, c in enumerate(OPTIONAL_CATEGORIES)}  # c -> each player's events of c
     result = ParticipationTable()
     result.unresolved_events = int(np.count_nonzero(~tally.resolved[tally.category >= 0]))
     for band in PARTICIPATION_BANDS:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -29,12 +29,12 @@ from .bracket import SEEDS_FOR_DRAW, _exit_results, fill_unseeded, place_seeds, 
 from .errors import DomainError
 from .formula import _parse_number, _read_key_values
 from .ingest import _csv_field, _load_columns
-from .points import BEST_N, IDEAL_SCHEDULE, Category
+from .points import BEST_N, IDEAL_SCHEDULE, OPTIONAL_CATEGORIES, Category
 
 WEEKS_PER_SEASON = 52
 TOP_N_MANDATORY = 30
 MANDATORY_MASTERS = IDEAL_SCHEDULE[Category.MASTERS_1000]  # of the 9 on the calendar
-_OPTIONAL_EVENTS = IDEAL_SCHEDULE[Category.TOUR_500] + IDEAL_SCHEDULE[Category.TOUR_250]
+_OPTIONAL_EVENTS = sum(IDEAL_SCHEDULE[category] for category in OPTIONAL_CATEGORIES)
 
 #: Simulated draw size per category (the supported power-of-two sizes).
 DRAW_FOR_CATEGORY = {
@@ -44,12 +44,7 @@ DRAW_FOR_CATEGORY = {
     Category.TOUR_250: 32,
 }
 
-_PRESTIGE = {
-    Category.GRAND_SLAM: 0,
-    Category.MASTERS_1000: 1,
-    Category.TOUR_500: 2,
-    Category.TOUR_250: 3,
-}
+_PRESTIGE = {category: rank for rank, category in enumerate(Category)}  # declared by prestige
 
 @dataclass(frozen=True)
 class CalendarEvent:
@@ -107,8 +102,9 @@ class SeasonConfig:
     def validate(self) -> None:
         if not 0 <= self.alpha < math.inf:
             raise DomainError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
-        if self.rng_seed < 0:
-            raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
+        for name, value in (("rng_seed", self.rng_seed), ("n_players", self.n_players)):
+            if value < 0:
+                raise DomainError(f"{name} must be nonnegative, got {value!r}")
         if self.n_500_choices < 0 or self.n_250_choices < 0:
             raise DomainError("optional-event choices must be nonnegative")
         if self.top30_mandatory and self.n_500_choices + self.n_250_choices < _OPTIONAL_EVENTS:
@@ -224,8 +220,8 @@ def _entry_plan(config: SeasonConfig, n_top: int) -> np.ndarray:
     field_size = plan.sum(axis=1)
     choices = [
         (np.flatnonzero([ev.category == category for ev in calendar]), wanted)
-        for category, wanted in ((Category.TOUR_500, config.n_500_choices),
-                                 (Category.TOUR_250, config.n_250_choices))
+        for category, wanted in zip(OPTIONAL_CATEGORIES,
+                                    (config.n_500_choices, config.n_250_choices))
     ]
     for slot in range(n_top):
         busy = np.zeros(WEEKS_PER_SEASON + 1, dtype=bool)
@@ -239,8 +235,9 @@ def _entry_plan(config: SeasonConfig, n_top: int) -> np.ndarray:
     return plan
 
 
-def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
-    """Simulate ``config.n_seasons`` consecutive 52-week seasons.
+def run_season(config: SeasonConfig) -> SeasonReport:
+    """Simulate ``config.n_seasons`` consecutive 52-week seasons of a pool of
+    ``config.n_players`` players, named ``P001``, ``P002``, ... in index order.
 
     The best-18 window rolls across season boundaries, so later seasons run
     in a stationary regime; ``config.burn_in`` marks how many initial seasons
@@ -253,10 +250,7 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
     so a pool too small for the calendar fails in season 1.
     """
     config.validate()
-    players = list(players)
-    if len(set(players)) != len(players):
-        raise DomainError("player ids must be distinct")
-    n = len(players)
+    n = config.n_players
     calendar = config.calendar
 
     season_streams = np.random.SeedSequence(config.rng_seed).spawn(config.n_seasons)
@@ -272,9 +266,8 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
     ranked_players = np.empty((n_weeks, n), dtype=np.intp)
     ranked_points = np.empty((n_weeks, n), dtype=np.int64)
 
-    events_by_week: dict[int, list[int]] = {}
-    for idx in sorted(range(len(calendar)),
-                      key=lambda i: (_PRESTIGE[calendar[i].category], i)):
+    events_by_week: dict[int, list[int]] = {}  # by prestige, then calendar order
+    for idx in sorted(range(len(calendar)), key=lambda i: _PRESTIGE[calendar[i].category]):
         events_by_week.setdefault(calendar[idx].week, []).append(idx)
     n_top = min(TOP_N_MANDATORY, n) if config.top30_mandatory else 0
     plan = _entry_plan(config, n_top)
@@ -286,11 +279,9 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
     for season in range(1, config.n_seasons + 1):
         rng = np.random.Generator(np.random.PCG64(season_streams[season - 1]))
         order = _ranked_order(points, rng.random(n))
-        committed = np.zeros((len(calendar), n), dtype=bool)  # event x player
-        committed[:, order[:n_top]] = plan
-        # the top 30 enter only their plan, so no free player is committed
-        restricted = np.zeros(n, dtype=bool)
-        restricted[order[:n_top]] = True
+        top = order[:n_top]  # the k-th of them enters the events of plan column k
+        restricted = np.zeros(n, dtype=bool)  # the top 30 enter only their plan
+        restricted[top] = True
 
         events_played = np.zeros(n, dtype=np.int64)
         for week in range(1, WEEKS_PER_SEASON + 1):
@@ -299,20 +290,19 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
             left = window[:, slot].copy()  # the results 52 weeks old leave
             window[:, slot] = 0
             played = np.zeros(n, dtype=bool)
-            open_ranks = ~restricted[order]  # free entry still open, in rank order
             ratings = np.maximum(points, config.points_floor, dtype=float).tolist()  # by player
             for idx in events_by_week.get(week, ()):
                 ev = calendar[idx]
-                have = committed[idx] > played  # committed and not yet playing
-                free = order[open_ranks]
-                if _PRESTIGE[ev.category] >= 2:
+                have = np.zeros(n, dtype=bool)
+                have[top[plan[idx] & ~played[top]]] = True  # committed, not yet playing
+                free = order[~(restricted | played)[order]]  # in rank order
+                if ev.category in OPTIONAL_CATEGORIES:
                     # a 500 or 250 takes players under the appetite cap
                     # first (nobody skips a Grand Slam or Masters over it)
                     capped = events_played[free] >= config.max_events_per_season
                     free = free[np.argsort(capped, kind="stable")]
                 have[free[:ev.draw_size - np.count_nonzero(have)]] = True
-                entering = have[order]
-                entrants = order[entering].tolist()  # in rank order
+                entrants = order[have[order]].tolist()  # in rank order
                 if len(entrants) < ev.draw_size:
                     raise DomainError(
                         f"week {week}: only {len(entrants)} entrants for a "
@@ -329,13 +319,13 @@ def run_season(config: SeasonConfig, players: Sequence[str]) -> SeasonReport:
                 window[entered, slot] = exit_points[idx]
                 events_played += have
                 played |= have
-                open_ranks[entering] = False
 
             _update_best(points, window, slot, left)
             order = _ranked_order(points, rng.random(n))
             ranked_players[abs_week - 1] = order
             ranked_points[abs_week - 1] = points[order]
 
+    players = [f"P{i + 1:03d}" for i in range(n)]
     return SeasonReport(config=config, players=players, ranked_players=ranked_players,
                         ranked_points=ranked_points, results=results)
 
@@ -375,6 +365,8 @@ def load_season_config(path: str | Path) -> tuple[SeasonConfig, Path | None]:
         where = f"{path}:{line_no}"
         kind = kinds.get(key)
         if key == "calendar":
+            if not value:
+                raise DomainError(f"{where}: calendar names no file")
             calendar_path = base / value
             config = replace(config, calendar=load_calendar_file(calendar_path))
         elif kind is bool:

@@ -208,9 +208,8 @@ def test_criterion_6_calibration_at_scale():
 )
 @pytest.mark.slow
 def test_criterion_7_season_plausibility():
-    config = SeasonConfig(alpha=0.8722, rng_seed=0, n_seasons=24, burn_in=4)
-    players = [f"P{i:03d}" for i in range(300)]
-    report = run_season(config, players)
+    config = SeasonConfig(alpha=0.8722, rng_seed=0, n_players=300, n_seasons=24, burn_in=4)
+    report = run_season(config)
     assert len(report.measured_seasons()) >= 20
     median = report.rank_summary(32)["median"]
     assert 1102 <= median <= 1395, median

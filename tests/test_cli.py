@@ -213,6 +213,14 @@ class TestPredict:
         assert result.exit_code == 3, result.output
         assert f"{params}: missing or invalid" in result.output
 
+    def test_params_key_given_twice(self, runner, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_text("alpha=0.5\nalpha=0.9\n", encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--params", str(params), "2000", "1000"])
+        assert result.exit_code == 3, result.output
+        assert f"{params}:2: key 'alpha' repeats line 1" in result.output
+        assert "probability" not in result.output
+
     def test_requires_alpha_or_params(self, runner):
         result = runner.invoke(main, ["predict", "100", "200"])
         assert result.exit_code == 2
@@ -788,9 +796,21 @@ class TestFailedRunWritesNothing:
          ["s.cfg:1: top30_mandatory must be true or false"]),
         (["evaluate", MATCHES, "--params", "p.txt"], {"p.txt": "alpha=0.8722\nn_matches=-3\n"},
          5, ["n_matches"]),
+        (["simulate", "--players", "-1"], {}, 5, ["n_players must be nonnegative, got -1"]),
+        (["simulate", "--config", "s.cfg"], {"s.cfg": "n_seasons=2\ncalendar=\n"}, 5,
+         ["s.cfg:2: calendar names no file"]),
+        # a key given twice is refused in every key=value file
+        (["simulate", "--config", "s.cfg"], {"s.cfg": "n_seasons=2\nn_seasons=3\n"}, 3,
+         ["s.cfg:2: key 'n_seasons' repeats line 1"]),
+        (["evaluate", MATCHES, "--params", "p.txt"], {"p.txt": "alpha=0.5\nalpha=0.9\n"}, 3,
+         ["p.txt:2: key 'alpha' repeats line 1"]),
+        (["fit", MATCHES, "--schema", "s.cfg"],
+         {"s.cfg": "date=tourney_date\n# again\n date = tourney_date\n"}, 3,
+         ["s.cfg:3: key 'date' repeats line 1"]),
     ], ids=["alpha-nan", "ratio-bins-1", "duplicate-rank", "no-rank-64", "no-rank-64-sim",
             "short-pool", "prob-bins-1", "seasons-0", "n500-negative", "max-events-0",
-            "config-bool", "params-n-matches"])
+            "config-bool", "params-n-matches", "players-negative", "config-calendar-empty",
+            "config-key-twice", "params-key-twice", "schema-key-twice"])
     def test_exit_code_and_no_output_dir(self, runner, tmp_path, monkeypatch,
                                          args, files, code, named):
         monkeypatch.chdir(tmp_path)

@@ -24,8 +24,9 @@ from atppoints.ingest import (
     load_schema,
 )
 from atppoints.model import MatchTable
+from atppoints.points import OPTIONAL_CATEGORIES
 from atppoints.season import default_calendar, load_calendar_file
-from atppoints.report import _COUNTED, ParticipationTally
+from atppoints.report import ParticipationTally
 from conftest import SAMPLE_MATCHES, SAMPLE_RANKINGS, tables_equal, tallied
 
 # Counted once by an independent script over the bundled sample, frozen.
@@ -254,7 +255,7 @@ class TestRawRows:
         events = ["2014-501", "2015-402", "2015-502", "2015-900"]
         assert sorted(e for e, code in tally.events.items() if tally.category[code] >= 0) == events
         codes = [tally.events[e] for e in events]
-        assert [_COUNTED[c].value for c in tally.category[codes]] == [
+        assert [OPTIONAL_CATEGORIES[c].value for c in tally.category[codes]] == [
             "tour_250", "tour_500", "tour_250", "tour_250"]
         assert tally.resolved[codes].tolist() == [True, True, True, False]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import io
 import os
@@ -39,9 +40,14 @@ def small_calendar() -> list[CalendarEvent]:
     return events
 
 
+#: The player pool of ``small_config``.
+N_PLAYERS = 140
+
+
 def small_config(**overrides) -> SeasonConfig:
     defaults = dict(
         calendar=small_calendar(),
+        n_players=N_PLAYERS,
         top30_mandatory=False,
         alpha=0.8722,
         rng_seed=11,
@@ -50,8 +56,6 @@ def small_config(**overrides) -> SeasonConfig:
     defaults.update(overrides)
     return SeasonConfig(**defaults)
 
-
-PLAYERS = [f"P{i:03d}" for i in range(140)]
 
 #: Anchor date for the best-18 oracle; week 1 of season 1 maps to this Monday.
 SEASON_EPOCH = datetime.date(2000, 1, 3)
@@ -89,6 +93,12 @@ def _reference_write_csv(report, fp) -> None:
 #: Player ids csv must quote (or, for the empty id, must not), and some it
 #: leaves alone.
 AWKWARD_IDS = ["a,b", 'a"b', "a\nb", " a ", "", "é", "c\r", '"', "x,y\r\n\"z\""]
+
+
+def awkward_report() -> SeasonReport:
+    """Real standings under ids csv must quote in place of the first few."""
+    report = run_season(small_config())
+    return dataclasses.replace(report, players=AWKWARD_IDS + report.players[len(AWKWARD_IDS):])
 
 
 def synthetic_report(players, n_seasons: int, burn_in: int = 0, seed: int = 0) -> SeasonReport:
@@ -165,34 +175,35 @@ def test_best_18_sum_fits_16_bits():
 
 class TestRunSeason:
     def test_standings_shape(self):
-        report = run_season(small_config(), PLAYERS)
-        expected_rows = len(PLAYERS) * WEEKS_PER_SEASON * 2
+        report = run_season(small_config())
+        expected_rows = N_PLAYERS * WEEKS_PER_SEASON * 2
         assert report.ranked_players.shape == report.ranked_points.shape
         assert report.ranked_points.size == expected_rows
         rows = standings(report)
         assert len(rows) == expected_rows
         week_one = [r for r in rows if r.season == 1 and r.week == 1]
-        assert sorted(r.rank for r in week_one) == list(range(1, len(PLAYERS) + 1))
-        assert sorted(report.ranked_players[0]) == list(range(len(PLAYERS)))
+        assert sorted(r.rank for r in week_one) == list(range(1, N_PLAYERS + 1))
+        assert sorted(report.ranked_players[0]) == list(range(N_PLAYERS))
 
     def test_repeat_run_is_identical(self):
-        a = run_season(small_config(), PLAYERS)
-        b = run_season(small_config(), PLAYERS)
+        a = run_season(small_config())
+        b = run_season(small_config())
         assert np.array_equal(a.ranked_players, b.ranked_players)
         assert np.array_equal(a.ranked_points, b.ranked_points)
         assert standings(a) == standings(b)
 
     def test_different_seed_differs(self):
-        a = run_season(small_config(), PLAYERS)
-        b = run_season(small_config(rng_seed=12), PLAYERS)
+        a = run_season(small_config())
+        b = run_season(small_config(rng_seed=12))
         assert standings(a) != standings(b)
 
     def test_points_match_best_18_rule(self):
         # dual route: the simulator's rolling window against the date-based
         # best-18 rule applied to the recorded per-player results; on the
         # full calendar players hold more than 18 results in a window
-        for config in (small_config(), SeasonConfig(rng_seed=11, n_seasons=2)):
-            report = run_season(config, PLAYERS)
+        for config in (small_config(), SeasonConfig(rng_seed=11, n_seasons=2,
+                                                    n_players=N_PLAYERS)):
+            report = run_season(config)
             by_player = {p: idx for idx, p in enumerate(report.players)}
             checked = 0
             for row in standings(report):
@@ -203,7 +214,7 @@ class TestRunSeason:
                 assert row.points == expected
                 checked += 1
             assert checked > 50
-        entries = np.bincount(report.results[:, 0], minlength=len(PLAYERS))
+        entries = np.bincount(report.results[:, 0], minlength=N_PLAYERS)
         assert entries[::17].max() > 2 * BEST_N
 
     @pytest.mark.parametrize("config", [
@@ -214,13 +225,12 @@ class TestRunSeason:
         SeasonConfig(rng_seed=11, n_seasons=2),
     ], ids=["free", "top30", "gs-week-250s", "default-calendar"])
     def test_results_log_invariants(self, config):
-        players = [f"P{i:03d}" for i in range(config.n_players)]
-        report = run_season(config, players)
+        report = run_season(config)
         player, abs_week, event, points = report.results.T
         calendar = config.calendar
         assert len(report.results) == config.n_seasons * sum(ev.draw_size for ev in calendar)
         # each week holds at most one row per player
-        week_player = abs_week * len(players) + player
+        week_player = abs_week * config.n_players + player
         assert len(np.unique(week_player)) == len(week_player)
         # each event is played once a season, in its calendar week, with one
         # row per entrant, and hands out its draw's point-table total
@@ -237,23 +247,35 @@ class TestRunSeason:
 
     def test_pool_too_small_raises(self):
         with pytest.raises(DomainError, match="pool"):
-            run_season(small_config(), PLAYERS[:100])
+            run_season(small_config(n_players=100))
 
-    def test_duplicate_players_raise(self):
-        with pytest.raises(DomainError, match="distinct"):
-            run_season(small_config(), ["A"] * 140)
+    @pytest.mark.parametrize("n_players", [N_PLAYERS, 150, 1000])
+    def test_pool_is_config_n_players(self, n_players):
+        report = run_season(small_config(n_players=n_players, n_seasons=1))
+        assert report.config.n_players == n_players
+        assert report.players == [f"P{i:03d}" for i in range(1, n_players + 1)]
+        assert report.ranked_players.shape == (WEEKS_PER_SEASON, n_players)
+        assert report.results[:, 0].max() < n_players
+
+    def test_default_calendar_pool_of_100_fails_in_week_1(self):
+        # the default calendar's week 1 needs 96 entrants, and the top 30
+        # enter only their planned events
+        with pytest.raises(DomainError, match=r"^week 1: only \d+ entrants for a 32-draw "
+                                              r"event from a player pool of 100$"):
+            run_season(SeasonConfig(n_players=100, n_seasons=24))
 
     def test_alpha_zero_everyone_exchangeable(self):
         # pure coin flips, no mandatory entries: no player index should be
         # systematically favored
         config = small_config(alpha=0.0, n_seasons=4, rng_seed=5)
-        report = run_season(config, PLAYERS)
-        finals = np.zeros(len(PLAYERS))
+        report = run_season(config)
+        by_player = {p: idx for idx, p in enumerate(report.players)}
+        finals = np.zeros(N_PLAYERS)
         rows = standings(report)
         for row in rows:
             if row.week == WEEKS_PER_SEASON:
-                finals[int(row.player[1:])] += row.points
-        idx = np.arange(len(PLAYERS))
+                finals[by_player[row.player]] += row.points
+        idx = np.arange(N_PLAYERS)
         corr = np.corrcoef(idx, finals)[0, 1]
         assert abs(corr) < 0.25
         champions = {
@@ -267,7 +289,7 @@ class TestRunSeason:
         config = small_config(
             top30_mandatory=True, n_500_choices=3, n_250_choices=3, n_seasons=2
         )
-        report = run_season(config, PLAYERS)
+        report = run_season(config)
         by_player = {p: idx for idx, p in enumerate(report.players)}
         top30 = [
             by_player[row.player]
@@ -276,7 +298,7 @@ class TestRunSeason:
         ]
         season2_start = WEEKS_PER_SEASON + 1  # absolute week
         player, abs_week, _, _ = report.results.T
-        counts = np.bincount(player[abs_week >= season2_start], minlength=len(PLAYERS))
+        counts = np.bincount(player[abs_week >= season2_start], minlength=N_PLAYERS)
         # restricted players enter Grand Slam + both Masters + their picks
         # only: the small calendar offers 2 of 3 wanted 500s and 3 250s
         for idx in top30:
@@ -285,7 +307,7 @@ class TestRunSeason:
 
     def test_mandatory_top30_in_grand_slam(self):
         config = small_config(top30_mandatory=True, n_seasons=2, rng_seed=3)
-        report = run_season(config, PLAYERS)
+        report = run_season(config)
         by_player = {p: idx for idx, p in enumerate(report.players)}
         # season 2 enters from the final season-1 standings, ties broken by a
         # fresh draw: everyone with more points than rank 31 is in its top 30
@@ -309,7 +331,7 @@ class TestRunSeason:
 
     @pytest.mark.parametrize("season, rank", [(1, 0), (1, 141), (3, 1), (0, 1)])
     def test_points_at_rank_out_of_range(self, season, rank):
-        report = run_season(small_config(), PLAYERS)
+        report = run_season(small_config())
         assert report.points_at_rank(2, 140) >= 0
         with pytest.raises(DomainError, match="no final standing"):
             report.points_at_rank(season, rank)
@@ -317,9 +339,9 @@ class TestRunSeason:
 
 class TestSeasonReport:
     @pytest.mark.parametrize("make", [
-        lambda: run_season(small_config(), AWKWARD_IDS + PLAYERS[len(AWKWARD_IDS):]),
-        lambda: run_season(small_config(top30_mandatory=True, rng_seed=3), PLAYERS),
-        lambda: run_season(SeasonConfig(rng_seed=11), [f"P{i + 1:03d}" for i in range(200)]),
+        awkward_report,
+        lambda: run_season(small_config(top30_mandatory=True, rng_seed=3)),
+        lambda: run_season(SeasonConfig(rng_seed=11, n_players=200)),
         lambda: synthetic_report(AWKWARD_IDS, n_seasons=2, seed=1),
         lambda: synthetic_report([""], n_seasons=1),
         lambda: synthetic_report([], n_seasons=1),
@@ -368,6 +390,10 @@ class TestSeasonConfig:
 
     def test_non_mandatory_skips_choice_floor(self):
         SeasonConfig(top30_mandatory=False, n_500_choices=0, n_250_choices=0).validate()
+
+    def test_negative_pool_rejected(self):
+        with pytest.raises(DomainError, match="n_players must be nonnegative, got -1"):
+            SeasonConfig(n_players=-1).validate()
 
     def test_burn_in_bounds(self):
         with pytest.raises(DomainError, match="burn_in"):
