@@ -138,17 +138,19 @@ def fit_alpha(
 ) -> ModelParams:
     """Minimize the Brier score over alpha in [search_lo, search_hi].
 
-    Golden-section search, run until the bracket width drops below tol.
-    The objective is smooth and empirically unimodal on real data; tests
-    cross-check against a dense grid scan.  Deterministic for fixed inputs.
+    Golden-section search, run until the bracket width drops below tol, which
+    lies in ``[ulp(search_hi), search_hi - search_lo)``: the bracket stalls
+    one ulp of alpha wide.  The objective is smooth and empirically unimodal
+    on real data; tests cross-check against a dense grid scan.  Deterministic for fixed inputs.
     """
     table = _nonempty(matches)
     if not (0 < search_lo < search_hi < math.inf):
         raise DomainError(
             f"invalid search bracket [{search_lo!r}, {search_hi!r}]: need 0 < lo < hi < inf"
         )
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not math.ulp(search_hi) <= tol < search_hi - search_lo:
+        raise DomainError(f"tol must lie in [ulp(search_hi), search_hi - search_lo) = "
+                          f"[{math.ulp(search_hi)!r}, {search_hi - search_lo!r}), got {tol!r}")
 
     logs = _log_ratios(table)
 

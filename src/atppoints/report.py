@@ -285,7 +285,7 @@ class ParticipationTally:
         ids = np.array(chunk["tournament_id"], np.intp)
         event = np.where(ids != 0, ids, chunk["tournament_name"])
         named = np.array(chunk["category"], np.intp)
-        tour = np.array([level == "A" for level in chunk["level"]], bool)
+        tour = np.array(chunk["level"], object) == "A"
         category = np.where(named >= 0, named, np.where(
             tour, OPTIONAL_CATEGORIES.index(Category.TOUR_250), len(OPTIONAL_CATEGORIES)))
         sides = np.array((chunk["winner_id"], chunk["loser_id"]), np.intp).T

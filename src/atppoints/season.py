@@ -25,10 +25,10 @@ from typing import IO
 
 import numpy as np
 
-from .bracket import SEEDS_FOR_DRAW, _exit_results, fill_unseeded, place_seeds, run_tournament
+from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
 from .formula import _parse_number, _read_key_values
-from .ingest import _csv_field, _load_columns
+from .ingest import _load_columns
 from .points import BEST_N, IDEAL_SCHEDULE, OPTIONAL_CATEGORIES, Category
 
 WEEKS_PER_SEASON = 52
@@ -138,19 +138,18 @@ class SeasonReport:
     ``ranked_points`` holds their ranking points.  ``results`` has one row
     per tournament entry, in the order the draws were played, and four
     integer columns: player index, absolute week ``(season - 1) * 52 + week``,
-    index of the event in ``config.calendar``, and points won.
+    index of the event in ``config.calendar``, and points won.  The pool is
+    ``config.n_players`` players; only ``write_csv`` names them.
     """
 
     config: SeasonConfig
-    players: list[str]
     ranked_players: np.ndarray
     ranked_points: np.ndarray
     results: np.ndarray
 
     def points_at_rank(self, season: int, rank: int) -> int:
         """Points held at the given rank in the season's final week."""
-        n_seasons = len(self.ranked_points) // WEEKS_PER_SEASON
-        if not (1 <= season <= n_seasons and 1 <= rank <= len(self.players)):
+        if not (1 <= season <= self.config.n_seasons and 1 <= rank <= self.config.n_players):
             raise DomainError(f"no final standing for season {season}, rank {rank}")
         return int(self.ranked_points[season * WEEKS_PER_SEASON - 1, rank - 1])
 
@@ -170,12 +169,13 @@ class SeasonReport:
 
     def write_csv(self, fp: IO[str]) -> None:
         """The weekly standings, byte for byte as ``csv.writer`` writes them:
-        rank order within each week, csv-quoted ids, ``\\r\\n`` row ends.
-        Each week is one string joined from one f-string per row, over pieces
-        made once (quoted ids, rank tails)."""
+        rank order within each week, player index k as ``P`` and k + 1
+        zero-padded to three digits or more (never quoted), ``\\r\\n`` row
+        ends.  Each week is one string joined from one f-string per row,
+        over pieces made once (ids, rank tails)."""
         fp.write("season,week,player,points,rank\r\n")
-        names = [_csv_field(str(player)) for player in self.players]
-        tails = [f",{rank}\r\n" for rank in range(1, len(self.players) + 1)]
+        names = [f"P{k + 1:03d}" for k in range(self.config.n_players)]
+        tails = [f",{rank}\r\n" for rank in range(1, self.config.n_players + 1)]
         for row, (ranked, points) in enumerate(zip(self.ranked_players, self.ranked_points)):
             season, week = divmod(row, WEEKS_PER_SEASON)
             prefix = f"{season + 1},{week + 1},"
@@ -237,7 +237,7 @@ def _entry_plan(config: SeasonConfig, n_top: int) -> np.ndarray:
 
 def run_season(config: SeasonConfig) -> SeasonReport:
     """Simulate ``config.n_seasons`` consecutive 52-week seasons of a pool of
-    ``config.n_players`` players, named ``P001``, ``P002``, ... in index order.
+    ``config.n_players`` players, known by their indices.
 
     The best-18 window rolls across season boundaries, so later seasons run
     in a stationary regime; ``config.burn_in`` marks how many initial seasons
@@ -271,10 +271,6 @@ def run_season(config: SeasonConfig) -> SeasonReport:
         events_by_week.setdefault(calendar[idx].week, []).append(idx)
     n_top = min(TOP_N_MANDATORY, n) if config.top30_mandatory else 0
     plan = _entry_plan(config, n_top)
-    # run_tournament lists players in order of exit, so the k-th player it
-    # lists for an event always wins the same points
-    exit_points = [np.array([res.points for res in _exit_results(ev.category, ev.draw_size)])
-                   for ev in calendar]
 
     for season in range(1, config.n_seasons + 1):
         rng = np.random.Generator(np.random.PCG64(season_streams[season - 1]))
@@ -313,10 +309,12 @@ def run_season(config: SeasonConfig) -> SeasonReport:
                 br = fill_unseeded(br, entrants[n_seeds:], rng)
                 outcome = run_tournament(br, ratings, config.alpha, ev.category, rng)
                 entered = np.fromiter(outcome, np.intp, ev.draw_size)
+                won = np.fromiter((res.points for res in outcome.values()), np.int64,
+                                  ev.draw_size)
                 log = results[n_results:n_results + ev.draw_size]
                 n_results += ev.draw_size
-                log[:, 0], log[:, 1:3], log[:, 3] = entered, (abs_week, idx), exit_points[idx]
-                window[entered, slot] = exit_points[idx]
+                log[:, 0], log[:, 1:3], log[:, 3] = entered, (abs_week, idx), won
+                window[entered, slot] = won
                 events_played += have
                 played |= have
 
@@ -325,8 +323,7 @@ def run_season(config: SeasonConfig) -> SeasonReport:
             ranked_players[abs_week - 1] = order
             ranked_points[abs_week - 1] = points[order]
 
-    players = [f"P{i + 1:03d}" for i in range(n)]
-    return SeasonReport(config=config, players=players, ranked_players=ranked_players,
+    return SeasonReport(config=config, ranked_players=ranked_players,
                         ranked_points=ranked_points, results=results)
 
 

@@ -167,6 +167,16 @@ class TestFit:
         assert "Traceback" not in result.output
         assert not (out / "params.txt").exists()
 
+    @pytest.mark.parametrize("tol", ["1e-300", "inf"])
+    def test_tol_outside_ulp_to_bracket_width_is_domain_error(self, runner, tmp_path, tol):
+        # below one ulp of search_hi the search never ends; inf searches nothing
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit", MATCHES, "--tol", tol, "--out", str(out)])
+        assert result.exit_code == 5, result.output
+        assert "error: tol must lie in" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
 
 class TestPredict:
     def test_even_points(self, runner):
@@ -874,12 +884,18 @@ def _value(draw, choices: tuple[list[str], list[str]]) -> str:
     return draw(st.sampled_from(valid if valid and draw(st.integers(0, 4)) else invalid))
 
 
-def _key_value_file(draw, values: dict[str, tuple[list[str], list[str]]]) -> bytes:
-    """A key=value file over the keys of ``values``, one line in twenty
-    missing its ``=`` and, sometimes, bytes that are not UTF-8."""
+def _key_value_file(draw, values: dict[str, tuple[list[str], list[str]]],
+                    taken: tuple[str, ...] = ()) -> bytes:
+    """A key=value file over distinct keys of ``values`` other than those
+    ``taken``, one line in twenty missing its ``=`` and, sometimes, bytes
+    that are not UTF-8.  One file in ten repeats one of its keys, which is
+    rejected before any value is read."""
+    keys = draw(st.lists(st.sampled_from(sorted(set(values) - set(taken))),
+                         max_size=6, unique=True))
+    if keys and not draw(st.integers(0, 9)):
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
     lines = []
-    for _ in range(draw(st.integers(0, 6))):
-        key = draw(st.sampled_from(sorted(values)))
+    for key in keys:
         value = _value(draw, values[key])
         lines.append(f"{key}={value}" if draw(st.integers(0, 19)) else f"{key} {value}")
     return _maybe_not_utf8(draw, ("\n".join(lines) + "\n").encode())
@@ -984,8 +1000,10 @@ def malformed_schema(draw) -> bytes:
 def malformed_params(draw) -> bytes:
     """A params file with unknown keys and bad, nan, inf, negative and
     overflowing values; most name an alpha, so the later checks are reached."""
-    alpha = f"alpha={_value(draw, _PARAMS_VALUES['alpha'])}\n" if draw(st.integers(0, 4)) else ""
-    return alpha.encode() + _key_value_file(draw, _PARAMS_VALUES)
+    if not draw(st.integers(0, 4)):
+        return _key_value_file(draw, _PARAMS_VALUES)
+    alpha = f"alpha={_value(draw, _PARAMS_VALUES['alpha'])}\n"
+    return alpha.encode() + _key_value_file(draw, _PARAMS_VALUES, taken=("alpha",))
 
 
 class TestArchiveInputFuzz:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from atppoints.model import (
 )
 from atppoints.report import _oriented_ratios, bin_by_ratio
 from conftest import DAY, SAMPLE_MATCHES, pairs, synth_matches
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # Evaluated once with 50-digit decimal arithmetic: 10^0.8722 / (1 + 10^0.8722).
@@ -213,10 +219,36 @@ class TestFitAlpha:
             fit_alpha(pairs())
 
     @pytest.mark.parametrize("lo,hi,tol",
-                             [(0, 5, 1e-6), (2, 1, 1e-6), (0.1, 5, 0), (0.1, math.inf, 1e-6)])
+                             [(0, 5, 1e-6), (2, 1, 1e-6), (0.1, 5, 0), (0.1, math.inf, 1e-6),
+                              (0.1, 5, math.inf), (0.1, 5, 10), (0.01, 5, 4.99)])
     def test_invalid_bracket_raises(self, lo, hi, tol):
         with pytest.raises(DomainError):
             fit_alpha(pairs((100, 50)), search_lo=lo, search_hi=hi, tol=tol)
+
+    def test_tol_below_one_ulp_raises_and_one_ulp_ends(self):
+        # the bracket stalls one ulp of alpha wide, so a smaller tol would
+        # never end the search; run apart, so a hang fails on the timeout
+        code = (
+            "import math\n"
+            "from atppoints.errors import DomainError\n"
+            "from atppoints.ingest import load_matches\n"
+            "from atppoints.model import fit_alpha\n"
+            f"matches, _ = load_matches([{str(SAMPLE_MATCHES)!r}])\n"
+            "try:\n"
+            "    fit_alpha(matches, tol=1e-300)\n"
+            "except DomainError as exc:\n"
+            "    assert 'tol' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('tol=1e-300 was accepted')\n"
+            "for lo, hi in [(1.0, 1.0 + 1e-12), (0.5, 2.0), (0.01, 5.0), (1e-6, 100.0)]:\n"
+            "    for k in (1, 2):\n"
+            "        fit_alpha(matches, search_lo=lo, search_hi=hi, tol=k * math.ulp(hi))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestModelParams:
