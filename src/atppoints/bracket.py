@@ -41,40 +41,25 @@ def _draw_size(draw_size: int) -> int:
 
 
 def seed_slot_groups(draw_size: int) -> list[list[int]]:
-    """Ballot slot sets per seed group: [[1], [N], {3-4 slots}, {5-8 slots}, ...].
+    """Ballot slot sets per seed group, each in ascending order.
 
-    Seeds 1 and 2 take the extreme slots.  Each later group gets one slot
-    per bracket section: the group {3-4} sits at the near end of its free
-    half-section, every group after that at the far end from the section's
-    existing seed.  Reproduces the published 32-draw slots and extends them
-    to 64 and 128 draws, each with its ``SEEDS_FOR_DRAW`` seeds.
+    Seeds 1 and 2 take slots 1 and N, seeds 3 and 4 take slots N/4 + 1 and
+    3N/4.  Each later group takes both slots on either side of every
+    boundary between sections N/4 wide, then N/8, and so on, leaving out
+    the slots an earlier seed holds.  A 32-draw gives [[1], [32], [9, 24],
+    [8, 16, 17, 25]], the published slots; 64 and 128 draws extend the
+    rule to their ``SEEDS_FOR_DRAW`` seeds.
     """
-    draw_size = _draw_size(draw_size)
-    n_seeds = SEEDS_FOR_DRAW[draw_size]
-
-    groups = [[1], [draw_size]]
-    # (lo, hi, anchor): a section whose single seed sits at slot `anchor`,
-    # which is always one of the section's two extremes.
-    sections = [(1, draw_size // 2, 1), (draw_size // 2 + 1, draw_size, draw_size)]
-    placed, stage = 2, 2
-    while placed < n_seeds:
-        slots: list[int] = []
-        next_sections: list[tuple[int, int, int]] = []
-        for lo, hi, anchor in sections:
-            mid = (lo + hi) // 2
-            if anchor == lo:
-                free_lo, free_hi = mid + 1, hi
-                slot = free_lo if stage == 2 else free_hi
-                next_sections += [(lo, mid, anchor), (free_lo, free_hi, slot)]
-            else:
-                free_lo, free_hi = lo, mid
-                slot = free_hi if stage == 2 else free_lo
-                next_sections += [(free_lo, free_hi, slot), (mid + 1, hi, anchor)]
-            slots.append(slot)
-        groups.append(slots)
-        sections = next_sections
-        placed += len(slots)
-        stage += 1
+    n = _draw_size(draw_size)
+    groups = [[1], [n], [n // 4 + 1, 3 * n // 4]]
+    held = {slot for group in groups for slot in group}
+    width = n // 4
+    while len(held) < SEEDS_FOR_DRAW[n]:
+        group = [slot for edge in range(width, n, width) for slot in (edge, edge + 1)
+                 if slot not in held]
+        groups.append(group)
+        held.update(group)
+        width //= 2
     return groups
 
 

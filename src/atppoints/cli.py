@@ -286,7 +286,8 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     alpha = _resolve_alpha(alpha, params)
     selection = _scope(**scope)
     tally = ParticipationTally()
-    raw = load_raw_rows(match_files, selection.pop("schema"), tally)
+    raw = load_raw_rows(match_files, selection.pop("schema"), tally,
+                        require_score=selection["drop_walkovers"])
     observations, ingest_report = select_matches(raw, **selection)
     del raw  # the raw rows are selected and tallied
     table = participation_table(tally)

@@ -316,6 +316,7 @@ def load_raw_rows(
     paths: Sequence[str | Path],
     schema: dict[str, str] | None = None,
     tally=None,
+    require_score: bool = False,
 ) -> MatchTable:
     """Parse archive files into one table, in file-argument and row order.
 
@@ -324,11 +325,13 @@ def load_raw_rows(
     given a ``tally`` (a ``report.ParticipationTally``), the fields of its
     ``columns``, which its ``add`` folds chunk by chunk as the rows stream,
     so no per-row column of them is built.  A file must have a column for
-    each field the table needs and each of the tally's ``required`` ones.
-    ``draw_size`` is a valid schema key but is not read.
+    each field the table needs and each of the tally's ``required`` ones,
+    and for ``score`` too when ``require_score`` is set (a walkover mask
+    read from no column would drop nothing).  ``draw_size`` is a valid
+    schema key but is not read.
     """
     columns = dict(_COLUMNS)
-    required = _REQUIRED_FIELDS
+    required = _REQUIRED_FIELDS + (("score",) if require_score else ())
     if tally is not None:
         columns.update(tally.columns)
         required += tally.required
@@ -389,8 +392,8 @@ def load_matches(
     schema: dict[str, str] | None = None,
 ) -> tuple[MatchTable, IngestReport]:
     """Load archives and keep the rows that reach the model (``select_matches``)."""
-    return select_matches(load_raw_rows(paths, schema), date_range, levels,
-                          include_qualifying, drop_walkovers)
+    return select_matches(load_raw_rows(paths, schema, require_score=drop_walkovers),
+                          date_range, levels, include_qualifying, drop_walkovers)
 
 
 def dump_observations(table: MatchTable, fp) -> None:

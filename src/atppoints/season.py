@@ -56,28 +56,18 @@ class CalendarEvent:
 def default_calendar() -> list[CalendarEvent]:
     """Tour calendar with the standard category counts (4, 9, 13, 40).
 
-    Grand Slams and Masters get exclusive weeks; 500s run alongside a 250;
-    every remaining week holds at least one 250.
+    Grand Slams and Masters hold weeks of their own.  Of the free weeks,
+    every third one from the first holds a 500, each holds a 250, and the
+    first holds a second 250.  Events are listed by week, then prestige.
     """
-    draw = DRAW_FOR_CATEGORY
     gs_weeks = (3, 21, 27, 35)
     masters_weeks = (10, 12, 15, 18, 20, 32, 41, 43, 45)
-    events = [CalendarEvent(w, Category.GRAND_SLAM, draw[Category.GRAND_SLAM])
-              for w in gs_weeks]
-    events += [CalendarEvent(w, Category.MASTERS_1000, draw[Category.MASTERS_1000])
-               for w in masters_weeks]
-    free_weeks = [
-        w for w in range(1, WEEKS_PER_SEASON + 1)
-        if w not in gs_weeks and w not in masters_weeks
-    ]
-    five_hundred_weeks = free_weeks[::3]
-    events += [CalendarEvent(w, Category.TOUR_500, draw[Category.TOUR_500])
-               for w in five_hundred_weeks]
-    events += [CalendarEvent(w, Category.TOUR_250, draw[Category.TOUR_250])
-               for w in free_weeks]
-    events.append(CalendarEvent(free_weeks[0], Category.TOUR_250, draw[Category.TOUR_250]))
-    events.sort(key=lambda e: (e.week, _PRESTIGE[e.category]))
-    return events
+    free = [w for w in range(1, WEEKS_PER_SEASON + 1) if w not in gs_weeks + masters_weeks]
+    weeks = {Category.GRAND_SLAM: gs_weeks, Category.MASTERS_1000: masters_weeks,
+             Category.TOUR_500: free[::3], Category.TOUR_250: [free[0], *free]}
+    # a stable sort keeps each week's events in the table's prestige order
+    return sorted((CalendarEvent(w, category, DRAW_FOR_CATEGORY[category])
+                   for category, ws in weeks.items() for w in ws), key=lambda e: e.week)
 
 
 @dataclass
@@ -140,6 +130,11 @@ class SeasonReport:
     integer columns: player index, absolute week ``(season - 1) * 52 + week``,
     index of the event in ``config.calendar``, and points won.  The pool is
     ``config.n_players`` players; only ``write_csv`` names them.
+
+    Each array is stored at its natural width: ``ranked_players`` as the
+    smallest unsigned type that holds ``n_players - 1`` (``uint16`` up to
+    65,536 players), ``ranked_points`` as ``uint16`` (a best-18 sum stays
+    below 2**16) and ``results`` as ``int32``.
     """
 
     config: SeasonConfig
@@ -255,7 +250,7 @@ def run_season(config: SeasonConfig) -> SeasonReport:
 
     season_streams = np.random.SeedSequence(config.rng_seed).spawn(config.n_seasons)
     results = np.empty((config.n_seasons * sum(ev.draw_size for ev in calendar), 4),
-                       dtype=np.int64)
+                       dtype=np.int32)
     n_results = 0
     # Each player's result in each of the last 52 weeks, in column
     # abs_week % 52 (a player plays at most one event a week); the best-18
@@ -263,8 +258,8 @@ def run_season(config: SeasonConfig) -> SeasonReport:
     window = np.zeros((n, WEEKS_PER_SEASON), dtype=np.int64)
     points = np.zeros(n, dtype=np.int64)
     n_weeks = config.n_seasons * WEEKS_PER_SEASON
-    ranked_players = np.empty((n_weeks, n), dtype=np.intp)
-    ranked_points = np.empty((n_weeks, n), dtype=np.int64)
+    ranked_players = np.empty((n_weeks, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    ranked_points = np.empty((n_weeks, n), dtype=np.uint16)  # best-18 sums fit 16 bits
 
     events_by_week: dict[int, list[int]] = {}  # by prestige, then calendar order
     for idx in sorted(range(len(calendar)), key=lambda i: _PRESTIGE[calendar[i].category]):

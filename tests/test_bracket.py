@@ -88,12 +88,16 @@ def _reference_run_tournament(slots, ratings, alpha, category, rng):
 
 class TestSeedSlots:
     def test_published_32_draw_slots(self):
+        # each draw literally, list order included: place_seeds shuffles
+        # each group as listed, so the order is part of the stream
         groups = seed_slot_groups(32)
-        assert groups[0] == [1]
-        assert groups[1] == [32]
-        assert sorted(groups[2]) == [9, 24]
-        assert sorted(groups[3]) == [8, 16, 17, 25]
+        assert groups == [[1], [32], [9, 24], [8, 16, 17, 25]]
         assert seed_slot_groups(np.int64(32)) == groups
+        assert seed_slot_groups(64) == [[1], [64], [17, 48], [16, 32, 33, 49],
+                                        [8, 9, 24, 25, 40, 41, 56, 57]]
+        assert seed_slot_groups(128) == [
+            [1], [128], [33, 96], [32, 64, 65, 97], [16, 17, 48, 49, 80, 81, 112, 113],
+            [8, 9, 24, 25, 40, 41, 56, 57, 72, 73, 88, 89, 104, 105, 120, 121]]
 
     def test_anchors_for_any_draw(self):
         for draw in (32, 64, 128):

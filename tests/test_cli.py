@@ -456,19 +456,40 @@ class TestInputColumns:
         assert not out.exists()
 
     def test_schema_remaps_score(self, runner, tmp_path):
-        # the score column under another name still marks the sample's one walkover
+        # the score column under another name still marks the sample's one
+        # walkover; unmapped, --drop-walkovers finds no score column
         matches, schema = tmp_path / "matches.csv", tmp_path / "schema.cfg"
         matches.write_bytes(SAMPLE_MATCHES.read_bytes().replace(b",score,", b",result,", 1))
         schema.write_text("score=result\n")
-        counts = {}
-        for name, extra in (("remapped", ["--schema", str(schema)]), ("unmapped", [])):
-            out = tmp_path / name
-            result = runner.invoke(main, ["fit", str(matches), "--drop-walkovers", *extra,
-                                          "--out", str(out)])
-            assert result.exit_code == 0, result.output
-            report = (out / "report.txt").read_text()
-            counts[name] = report.split("  by walkover", 1)[1].split()[0]
-        assert counts == {"remapped": "1", "unmapped": "0"}
+        out = tmp_path / "remapped"
+        result = runner.invoke(main, ["fit", str(matches), "--drop-walkovers",
+                                      "--schema", str(schema), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "  by walkover       1\n" in (out / "report.txt").read_text()
+        out = tmp_path / "unmapped"
+        result = runner.invoke(main, ["fit", str(matches), "--drop-walkovers", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"{matches}: missing required columns: score\n" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["evaluate", "--alpha", "0.8722"], ["report", "--alpha", "0.8722"],
+        ["ingest-dump"],
+    ], ids=["fit", "evaluate", "report", "ingest-dump"])
+    def test_drop_walkovers_needs_score(self, runner, tmp_path, command):
+        # without the flag no score column is needed; with it, an archive
+        # without one would drop no walkover, so the run exits 3
+        matches = tmp_path / "matches.csv"
+        write_without(matches, ["score"])
+        done = runner.invoke(main, [*command, str(matches), "--out", str(tmp_path / "plain")])
+        assert done.exit_code == 0, done.output
+        out = tmp_path / "dropped"
+        result = runner.invoke(main, [*command, str(matches), "--drop-walkovers",
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output.endswith(f"{matches}: missing required columns: score\n")
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, field", [
         (["fit"], "winner_points"), (["report", "--alpha", "0.8722"], "category"),

@@ -15,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from atppoints.bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from atppoints.errors import DomainError
 from atppoints.points import BEST_N, TABLES, Category
 from atppoints.season import (
+    DRAW_FOR_CATEGORY,
     CalendarEvent,
     SeasonConfig,
     SeasonReport,
@@ -92,6 +94,114 @@ def _reference_write_csv(report, fp) -> None:
         season, week = divmod(row, WEEKS_PER_SEASON)
         writer.writerows(zip(repeat(season + 1), repeat(week + 1),
                              players[ranked].tolist(), points.tolist(), ranks))
+
+
+def _reference_plan(config: SeasonConfig, n_top: int) -> list[set[int]]:
+    """Each top rank slot's committed calendar indices: every Grand Slam,
+    the first eight Masters, then its 500s and 250s.  Slots in rank order
+    take the events with the fewest slots committed so far, ties to the
+    earlier week, then the earlier entry.  The weeks a slot already plays
+    are set aside once per category, before any pick, so two 250s of one
+    week can both be picked; ``run_season`` then plays one of them
+    (ROADMAP.md, item 2: a week should hold one pick)."""
+    calendar = config.calendar
+    masters = [i for i, ev in enumerate(calendar) if ev.category == Category.MASTERS_1000]
+    mandatory = {i for i, ev in enumerate(calendar) if ev.category == Category.GRAND_SLAM}
+    mandatory.update(masters[:8])
+    committed = [0] * len(calendar)
+    plan = []
+    for _ in range(n_top):
+        events = set(mandatory)
+        for category, wanted in ((Category.TOUR_500, config.n_500_choices),
+                                 (Category.TOUR_250, config.n_250_choices)):
+            busy = {calendar[i].week for i in events}
+            open_events = [i for i, ev in enumerate(calendar)
+                           if ev.category == category and ev.week not in busy]
+            for i in sorted(open_events, key=lambda i: (committed[i], calendar[i].week, i))[
+                    :wanted]:
+                events.add(i)
+                committed[i] += 1
+        plan.append(events)
+    return plan
+
+
+def _reference_season(config: SeasonConfig):
+    """``run_season`` in lists and sets, written from ``season.py``'s module
+    docstring: the results log rows and each week's ranked players and
+    points.  It makes the same bracket calls in the same order, so it draws
+    the same random numbers, and it raises the same ``DomainError``."""
+    config.validate()
+    n, calendar = config.n_players, config.calendar
+    by_week: dict[int, list[int]] = {}  # by prestige, then calendar order
+    for i in sorted(range(len(calendar)), key=lambda i: list(Category).index(
+            calendar[i].category)):
+        by_week.setdefault(calendar[i].week, []).append(i)
+    n_top = min(30, n) if config.top30_mandatory else 0
+    plan = _reference_plan(config, n_top)
+    window = [[0] * WEEKS_PER_SEASON for _ in range(n)]
+    points = [0] * n
+    log, ranked_players, ranked_points = [], [], []
+
+    def ranked(rng):
+        tiebreak = rng.random(n).tolist()
+        return sorted(range(n), key=lambda p: (-points[p], tiebreak[p]))
+
+    for season, stream in enumerate(np.random.SeedSequence(config.rng_seed).spawn(
+            config.n_seasons)):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        order = ranked(rng)
+        top = order[:n_top]
+        entries = [0] * n
+        for week in range(1, WEEKS_PER_SEASON + 1):
+            abs_week = season * WEEKS_PER_SEASON + week
+            slot = abs_week % WEEKS_PER_SEASON
+            for row in window:
+                row[slot] = 0
+            played: set[int] = set()
+            ratings = [max(float(p), config.points_floor) for p in points]
+            for idx in by_week.get(week, []):
+                ev = calendar[idx]
+                entered = {p for k, p in enumerate(top) if idx in plan[k] and p not in played}
+                free = [p for p in order if p not in played and p not in top]
+                if ev.category in (Category.TOUR_500, Category.TOUR_250):
+                    cap = config.max_events_per_season
+                    free = ([p for p in free if entries[p] < cap]
+                            + [p for p in free if entries[p] >= cap])
+                entered.update(free[:ev.draw_size - len(entered)])
+                entrants = [p for p in order if p in entered]
+                if len(entrants) < ev.draw_size:
+                    raise DomainError(f"week {week}: only {len(entrants)} entrants for a "
+                                      f"{ev.draw_size}-draw event from a player pool of {n}")
+                n_seeds = SEEDS_FOR_DRAW[ev.draw_size]
+                slots = place_seeds(ev.draw_size, entrants[:n_seeds], rng)
+                slots = fill_unseeded(slots, entrants[n_seeds:], rng)
+                outcome = run_tournament(slots, ratings, config.alpha, ev.category, rng)
+                for player, result in outcome.items():
+                    log.append((player, abs_week, idx, result.points))
+                    window[player][slot] = result.points
+                    entries[player] += 1
+                played |= entered
+            points = [sum(sorted(row, reverse=True)[:BEST_N]) for row in window]
+            order = ranked(rng)
+            ranked_players.append(order)
+            ranked_points.append([points[p] for p in order])
+    return log, ranked_players, ranked_points
+
+
+def assert_season_equals_reference(config: SeasonConfig) -> None:
+    """``run_season`` and ``_reference_season`` agree on every result and
+    every week's standings, or raise the same ``DomainError``."""
+    try:
+        report = run_season(config)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as reference:
+            _reference_season(config)
+        assert str(reference.value) == str(exc)
+        return
+    log, ranked_players, ranked_points = _reference_season(config)
+    assert report.results.tolist() == [list(row) for row in log]
+    assert report.ranked_players.tolist() == ranked_players
+    assert report.ranked_points.tolist() == ranked_points
 
 
 def synthetic_report(n_players: int, n_seasons: int, burn_in: int = 0,
@@ -178,6 +288,10 @@ class TestRunSeason:
         week_one = [r for r in rows if r.season == 1 and r.week == 1]
         assert sorted(r.rank for r in week_one) == list(range(1, N_PLAYERS + 1))
         assert sorted(report.ranked_players[0]) == list(range(N_PLAYERS))
+        # natural widths: 140 player indices fit a byte
+        assert report.ranked_players.dtype == np.uint8
+        assert report.ranked_points.dtype == np.uint16
+        assert report.results.dtype == np.int32
 
     def test_repeat_run_is_identical(self):
         a = run_season(small_config())
@@ -252,6 +366,18 @@ class TestRunSeason:
         assert [row.player for row in standings(report)[:n_players]] == [ids[k] for k in ranked]
         assert report.ranked_players.shape == (WEEKS_PER_SEASON, n_players)
         assert report.results[:, 0].max() < n_players
+
+    def test_pool_above_16_bit_indices(self):
+        # player index 65,536 needs 17 bits: a bare uint16 would store it as 0
+        n_players = 2**16 + 1
+        report = run_season(SeasonConfig(calendar=[CalendarEvent(1, Category.TOUR_250, 32)],
+                                         n_players=n_players, top30_mandatory=False))
+        assert report.ranked_players.dtype == np.uint32
+        for row in report.ranked_players[[0, -1]]:
+            assert np.array_equal(np.sort(row), np.arange(n_players))
+        champion = report.results[report.results[:, 3] == 250, 0]
+        assert report.ranked_players[0, 0] == champion[0]
+        assert report.ranked_points[0, :3].tolist() == [250, 150, 90]
 
     def test_default_calendar_pool_of_100_fails_in_week_1(self):
         # the default calendar's week 1 needs 96 entrants, and the top 30
@@ -331,6 +457,66 @@ class TestRunSeason:
         assert report.points_at_rank(2, 140) >= 0
         with pytest.raises(DomainError, match="no final standing"):
             report.points_at_rank(season, rank)
+
+
+@st.composite
+def small_season_configs(draw) -> SeasonConfig:
+    """Calendars in weeks 1-6, so optional events often share a week, and
+    pools from a little short of the busiest week's draws to well past it."""
+    events = draw(st.lists(st.tuples(st.integers(1, 6), st.sampled_from(list(Category))),
+                           min_size=1, max_size=8))
+    calendar = [CalendarEvent(week, category, DRAW_FOR_CATEGORY[category])
+                for week, category in events]
+    busiest = max(sum(ev.draw_size for ev in calendar if ev.week == week) for week, _ in events)
+    n_500 = draw(st.integers(0, 4))
+    return SeasonConfig(
+        calendar=calendar,
+        n_players=busiest + draw(st.integers(-8, 100)),
+        top30_mandatory=draw(st.booleans()),
+        n_500_choices=n_500,
+        n_250_choices=6 - n_500 + draw(st.integers(0, 3)),  # the top-30 floor of 6
+        max_events_per_season=draw(st.integers(1, 6)),
+        points_floor=draw(st.sampled_from([0.5, 1.0, 100.0])),
+        alpha=draw(st.sampled_from([0.0, 0.8722, 3.0])),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+        n_seasons=draw(st.integers(1, 2)),
+    )
+
+
+class TestReferenceSeason:
+    """The entry policy (commitments, free pool, appetite cap, entrants in
+    rank order) against the scalar reference season."""
+
+    @pytest.mark.parametrize("config", [
+        SeasonConfig(rng_seed=1, n_players=300, n_seasons=3),
+        SeasonConfig(rng_seed=2, n_players=200, n_seasons=2, top30_mandatory=False),
+        SeasonConfig(rng_seed=3, n_players=300, n_seasons=2, max_events_per_season=5),
+        small_config(),
+        small_config(top30_mandatory=True, n_seasons=3),
+    ], ids=["default-calendar", "no-top30", "cap-5", "small", "small-top30"])
+    def test_fixed_configs(self, config):
+        assert_season_equals_reference(config)
+
+    @pytest.mark.parametrize("config", [
+        SeasonConfig(n_players=100, n_seasons=2),
+        small_config(n_players=100),
+        small_config(n_500_choices=2, n_250_choices=3, top30_mandatory=True),
+    ], ids=["default-calendar-100", "small-100", "too-few-choices"])
+    def test_infeasible_config_raises_the_same_error(self, config):
+        with pytest.raises(DomainError):
+            run_season(config)
+        assert_season_equals_reference(config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(config=small_season_configs())
+    @example(config=SeasonConfig(
+        calendar=[CalendarEvent(1, Category.TOUR_250, 32), CalendarEvent(1, Category.TOUR_250, 32),
+                  CalendarEvent(1, Category.TOUR_500, 32), CalendarEvent(2, Category.TOUR_250, 32),
+                  CalendarEvent(2, Category.MASTERS_1000, 64)],
+        n_players=140, n_500_choices=0, n_250_choices=6, max_events_per_season=2,
+        points_floor=50.0, rng_seed=7, n_seasons=2))
+    def test_small_calendars(self, config):
+        assert_season_equals_reference(config)
 
 
 class TestSeasonReport:
