@@ -12,14 +12,12 @@ Data files are byte-reproducible for identical inputs and seeds; only the
 manifest timestamp differs between reruns.
 
 Start-up: importing this module loads click and no numpy, so ``--version``,
-``--help`` and usage errors stay cheap.  Each command binds, as globals of
-this module, the ``LIBRARY`` names of only the library modules it calls
-(the arguments of its ``handle_errors``) when its body runs, so ``predict``
-loads the numpy-free ``formula`` module alone and ``fit`` never loads
-``report`` or ``season``.  Looking a library name up as an attribute binds
-the module that defines it.  Binding keeps a name that is already set, so a
-function put in its place beforehand (say, a timing wrapper) is the one the
-commands call.
+``--help`` and usage errors stay cheap.  Commands call every library name
+as ``lib.<name>``, an attribute of this module: its first lookup imports
+the defining module and binds all of that module's ``LIBRARY`` names here,
+so ``predict`` loads the numpy-free ``formula`` module alone and ``fit``
+never loads ``report`` or ``season``.  A name set beforehand is kept, so a
+function put in its place (say, a timing wrapper) is the one commands call.
 
 Exit codes: 0 success, 2 usage, 3 schema, 4 I/O, 5 domain.
 """
@@ -41,8 +39,9 @@ from .errors import DomainError, SchemaError
 #: library module -> the names the commands call from it
 LIBRARY = {
     "formula": ("ModelParams", "_parse_number", "_read_key_values", "predict"),
+    # no command calls load_raw_rows; bench/spans.py looks it up here
     "ingest": ("dump_observations", "load_matches", "load_raw_rows", "load_rankings",
-               "load_schema", "select_matches"),
+               "load_schema"),
     "manifest": ("build_manifest", "dataset_fingerprint", "write_manifest"),
     "model": ("baseline_brier", "brier_score", "fit_alpha"),
     "points": ("RANK_BANDS", "expected_points"),
@@ -54,24 +53,18 @@ LIBRARY = {
 }
 
 
-def _bind(*modules: str) -> None:
-    """Import the library ``modules`` and bind their ``LIBRARY`` names here,
-    keeping any name that is already set."""
-    scope = globals()
-    for module in modules:
-        loaded = importlib.import_module(f".{module}", __package__)
-        for name in LIBRARY[module]:
-            scope.setdefault(name, getattr(loaded, name))
-
-
 def __getattr__(name: str):
     # only the library names: the import system probes others (``__path__``)
     for module, names in LIBRARY.items():
         if name in names:
-            _bind(module)
+            loaded = importlib.import_module(f".{module}", __package__)
+            for each in names:
+                globals().setdefault(each, getattr(loaded, each))
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
+lib = sys.modules[__name__]  # this module (``__main__`` under ``python -m``)
 
 EXIT_SCHEMA = 3
 EXIT_IO = 4
@@ -84,28 +77,23 @@ SEASON_FLAGS = {"alpha": "alpha", "seed": "rng_seed", "players": "n_players",
                 "top30_mandatory": "top30_mandatory", "points_floor": "points_floor"}
 
 
-def handle_errors(*modules: str):
-    """A command body that binds the library ``modules`` it calls, then maps
-    the library's errors to exit codes."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            _bind(*modules)
-            try:
-                return fn(*args, **kwargs)
-            except SchemaError as exc:
-                click.echo(f"schema error: {exc}", err=True)
-                sys.exit(EXIT_SCHEMA)
-            except DomainError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_DOMAIN)
-            except OSError as exc:
-                click.echo(f"i/o error: {exc}", err=True)
-                sys.exit(EXIT_IO)
+def handle_errors(fn):
+    """A command body whose library errors map to exit codes."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except SchemaError as exc:
+            click.echo(f"schema error: {exc}", err=True)
+            sys.exit(EXIT_SCHEMA)
+        except DomainError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DOMAIN)
+        except OSError as exc:
+            click.echo(f"i/o error: {exc}", err=True)
+            sys.exit(EXIT_IO)
 
-        return wrapper
-
-    return decorate
+    return wrapper
 
 
 def ingest_options(fn):
@@ -126,11 +114,18 @@ def ingest_options(fn):
 
 
 def _scope(date_from, date_to, levels, include_qualifying, drop_walkovers, schema) -> dict:
-    """load_matches keyword arguments from the six ingest options."""
+    """load_matches keyword arguments from the six ingest options.  An empty
+    level letter or a --from later than --to is a usage error; commands call
+    this before their first ``lib`` lookup, so that error loads no library."""
+    letters = frozenset(letter.strip() for letter in levels.split(","))
+    if "" in letters:
+        raise click.BadParameter(f"empty level letter in {levels!r}", param_hint="'--levels'")
+    if date_from and date_to and date_from > date_to:
+        raise click.UsageError(f"--from {date_from.date()} is later than --to {date_to.date()}")
     dates = tuple(d.date() if d else None for d in (date_from, date_to))
-    return dict(date_range=dates, levels=frozenset(levels.split(",")),
+    return dict(date_range=dates, levels=letters,
                 include_qualifying=include_qualifying, drop_walkovers=drop_walkovers,
-                schema=load_schema(schema) if schema else None)
+                schema=lib.load_schema(schema) if schema else None)
 
 
 def _manifest(command: str, files, resolved: dict | None = None, rng_seed: int | None = None):
@@ -140,8 +135,8 @@ def _manifest(command: str, files, resolved: dict | None = None, rng_seed: int |
     ``files`` that was given."""
     flags = {key: value for key, value in click.get_current_context().params.items()
              if key not in ("match_files", "params")}
-    return build_manifest(command, {**flags, **(resolved or {})},
-                          [path for path in files if path], seed=rng_seed)
+    return lib.build_manifest(command, {**flags, **(resolved or {})},
+                              [path for path in files if path], seed=rng_seed)
 
 
 def _write_run(out: str, manifest: dict, files: dict) -> Path:
@@ -157,7 +152,7 @@ def _write_run(out: str, manifest: dict, files: dict) -> Path:
                 fp.write(content)
             else:
                 content(fp)
-    write_manifest(manifest, out_dir)
+    lib.write_manifest(manifest, out_dir)
     return out_dir
 
 
@@ -168,20 +163,20 @@ def _scores(alpha: float, e2: float, baseline: float, n: int) -> str:
             f"n_matches    {n}\n")
 
 
-def read_params_file(path: str | Path) -> ModelParams:
-    fields = {key: value for _, key, value in _read_key_values(path)}
+def read_params_file(path: str | Path) -> lib.ModelParams:
+    fields = {key: value for _, key, value in lib._read_key_values(path)}
 
     def number(key: str, kind):
         text = fields.get(key, "")
         if key != "alpha" and text in ("", "None"):
             return None
         try:
-            return _parse_number(kind, text)
+            return lib._parse_number(kind, text)
         except ValueError:
             raise SchemaError(f"{path}: missing or invalid {key} field") from None
 
-    return ModelParams(alpha=number("alpha", float), fitted_e2=number("fitted_e2", float),
-                       n_matches=number("n_matches", int))
+    return lib.ModelParams(alpha=number("alpha", float), fitted_e2=number("fitted_e2", float),
+                           n_matches=number("n_matches", int))
 
 
 def _resolve_alpha(alpha: float | None, params: str | None) -> float:
@@ -204,20 +199,21 @@ def main() -> None:
 @click.option("--search-hi", default=DEFAULT_SEARCH_HI, show_default=True)
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors("ingest", "model", "manifest")
+@handle_errors
 def fit(match_files, search_lo, search_hi, tol, out, **scope):
     """Fit the exponent alpha by minimizing the Brier score."""
-    observations, report = load_matches(match_files, **_scope(**scope))
+    selection = _scope(**scope)
+    observations, report = lib.load_matches(match_files, **selection)
     if not observations:
         raise DomainError("no matches after filtering")
-    params = fit_alpha(observations, search_lo=search_lo, search_hi=search_hi, tol=tol)
+    params = lib.fit_alpha(observations, search_lo=search_lo, search_hi=search_hi, tol=tol)
     if min(params.alpha - search_lo, search_hi - params.alpha) <= tol:
         click.echo(f"warning: alpha={params.alpha:.6f} is within tol of the search bound "
                    f"[{search_lo}, {search_hi}]; the minimum may lie outside it", err=True)
-    baseline = baseline_brier(observations)
+    baseline = lib.baseline_brier(observations)
     manifest = _manifest("fit", [*match_files, scope["schema"]])
-    fingerprint = dataset_fingerprint([manifest["inputs"][str(p)] for p in match_files])
-    days = [d.date().isoformat() if d else "" for d in (scope["date_from"], scope["date_to"])]
+    fingerprint = lib.dataset_fingerprint([manifest["inputs"][str(p)] for p in match_files])
+    days = [d.isoformat() if d else "" for d in selection["date_range"]]
     _write_run(out, manifest, {
         "params.txt": f"alpha={params.alpha!r}\n"
                       f"fitted_e2={params.fitted_e2!r}\n"
@@ -237,12 +233,12 @@ def fit(match_files, search_lo, search_hi, tol, out, **scope):
               default=None, help="Fitted-params file from `fit`.")
 @click.argument("r_i", type=float)
 @click.argument("r_j", type=float)
-@handle_errors("formula")
+@handle_errors
 def predict_cmd(alpha, params_path, r_i, r_j):
     """Print win probability for a player with R_I points against R_J."""
     alpha = _resolve_alpha(alpha, params_path)
     try:
-        result = predict(alpha, r_i, r_j)
+        result = lib.predict(alpha, r_i, r_j)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from None
     click.echo(f"ratio       {result.ratio:.6f}")
@@ -255,15 +251,16 @@ def predict_cmd(alpha, params_path, r_i, r_j):
 @click.option("--params", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", default=None, type=click.Path(file_okay=False),
               help="Optional output directory for evaluation.txt.")
-@handle_errors("formula", "ingest", "model", "manifest")
+@handle_errors
 def evaluate(match_files, alpha, params, out, **scope):
     """Brier score of a fitted model on a (held-out) date range."""
     alpha = _resolve_alpha(alpha, params)
-    observations, report = load_matches(match_files, **_scope(**scope))
+    selection = _scope(**scope)
+    observations, report = lib.load_matches(match_files, **selection)
     if not observations:
         raise DomainError("no matches after filtering")
-    lines = _scores(alpha, brier_score(alpha, observations), baseline_brier(observations),
-                    len(observations))
+    lines = _scores(alpha, lib.brier_score(alpha, observations),
+                    lib.baseline_brier(observations), len(observations))
     click.echo(lines, nl=False)
     if out:
         _write_run(out, _manifest("evaluate", [*match_files, scope["schema"], params],
@@ -280,38 +277,35 @@ def evaluate(match_files, alpha, params, out, **scope):
 @click.option("--ratio-bins", default=DEFAULT_RATIO_BINS, show_default=True)
 @click.option("--prob-bins", default=DEFAULT_PROB_BINS, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors("formula", "ingest", "report", "manifest")
+@handle_errors
 def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **scope):
     """Emit figures and tables: ratio curve, calibration, rank stats, participation."""
     alpha = _resolve_alpha(alpha, params)
     selection = _scope(**scope)
-    tally = ParticipationTally()
-    raw = load_raw_rows(match_files, selection.pop("schema"), tally,
-                        require_score=selection["drop_walkovers"])
-    observations, ingest_report = select_matches(raw, **selection)
-    del raw  # the raw rows are selected and tallied
-    table = participation_table(tally)
+    tally = lib.ParticipationTally()
+    observations, ingest_report = lib.load_matches(match_files, **selection, tally=tally)
+    table = lib.participation_table(tally)
     if not observations:
         raise DomainError("no matches after filtering")
-    ratio_curve = bin_by_ratio(observations, alpha, n_bins=ratio_bins)
-    calib = calibration_curve(observations, alpha, n_bins=prob_bins)
-    stats, skipped = rank_stats(load_rankings(rankings)) if rankings else (None, None)
+    ratio_curve = lib.bin_by_ratio(observations, alpha, n_bins=ratio_bins)
+    calib = lib.calibration_curve(observations, alpha, n_bins=prob_bins)
+    stats, skipped = lib.rank_stats(lib.load_rankings(rankings)) if rankings else (None, None)
     files = {
-        "ratio_curve.csv": lambda fp: write_curve_csv(ratio_curve, fp),
-        "ratio_curve.svg": lambda fp: write_curve_svg(
+        "ratio_curve.csv": lambda fp: lib.write_curve_csv(ratio_curve, fp),
+        "ratio_curve.svg": lambda fp: lib.write_curve_svg(
             ratio_curve, fp, "Win frequency vs point ratio", "point ratio"),
-        "calibration.csv": lambda fp: write_curve_csv(calib, fp),
-        "calibration.svg": lambda fp: write_curve_svg(
+        "calibration.csv": lambda fp: lib.write_curve_csv(calib, fp),
+        "calibration.svg": lambda fp: lib.write_curve_svg(
             calib, fp, "Outcome frequency vs predicted probability", "predicted probability"),
     }
     if rankings:
-        files["rank_stats.csv"] = lambda fp: write_rank_stats_csv(stats, fp)
-        files["rank_stats.txt"] = format_rank_stats(stats) + "\n" + (
+        files["rank_stats.csv"] = lambda fp: lib.write_rank_stats_csv(stats, fp)
+        files["rank_stats.txt"] = lib.format_rank_stats(stats) + "\n" + (
             f"\nskipped {len(skipped)} snapshot dates missing a band\n" if skipped else "")
     else:
         click.echo("no ranking files given: rank-band tables skipped", err=True)
-    files["participation.csv"] = lambda fp: write_participation_csv(table, fp)
-    files["participation.txt"] = format_participation(table) + "\n"
+    files["participation.csv"] = lambda fp: lib.write_participation_csv(table, fp)
+    files["participation.txt"] = lib.format_participation(table) + "\n"
     files["ingest_report.txt"] = ingest_report.summary() + "\n"
     out_dir = _write_run(out, _manifest("report", [*match_files, *rankings, scope["schema"],
                                                    params], dict(alpha=alpha)), files)
@@ -335,30 +329,30 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
 @click.option("--calendar", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Calendar CSV (week, category, draw_size).")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors("season", "points", "manifest")
+@handle_errors
 def simulate(config, calendar, out, **overrides):
     """Run the season Monte Carlo and summarize rank-band points."""
-    season, config_calendar = (load_season_config(config) if config
-                               else (SeasonConfig(), None))
+    season, config_calendar = (lib.load_season_config(config) if config
+                               else (lib.SeasonConfig(), None))
     for flag, value in overrides.items():
         if value is not None:
             setattr(season, SEASON_FLAGS[flag], value)
     if calendar is not None:
-        season.calendar = load_calendar_file(calendar)
+        season.calendar = lib.load_calendar_file(calendar)
     season.validate()
-    deepest = max(RANK_BANDS)
+    deepest = max(lib.RANK_BANDS)
     if season.n_players < deepest:  # the summary reads every band's final standing
         raise DomainError(f"no final standing for season {season.burn_in + 1}, rank {deepest} "
                           f"from a player pool of {season.n_players}")
-    result = run_season(season)
+    result = lib.run_season(season)
     summary = (f"seasons      {season.n_seasons} (burn-in {season.burn_in})\n"
                f"players      {season.n_players}\n"
                f"alpha        {season.alpha:.6f}\n"
                f"rng_seed     {season.rng_seed}\n\n"
                "rank band    expected      median        mean         min         max\n")
-    for band in RANK_BANDS:
+    for band in lib.RANK_BANDS:
         s = result.rank_summary(band)
-        summary += (f"{band:<12} {expected_points(band):>9} {s['median']:>11.1f} "
+        summary += (f"{band:<12} {lib.expected_points(band):>9} {s['median']:>11.1f} "
                     f"{s['mean']:>11.1f} {s['min']:>11.1f} {s['max']:>11.1f}\n")
     # the config and the calendar the run used; --calendar replaces the config's
     manifest = _manifest("simulate", [config, calendar or config_calendar],
@@ -371,12 +365,13 @@ def simulate(config, calendar, out, **overrides):
 @main.command("ingest-dump")
 @ingest_options
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@handle_errors("ingest", "manifest")
+@handle_errors
 def ingest_dump(match_files, out, **scope):
     """Normalize archives into (date, level, round, winner_points, loser_points)."""
-    observations, report = load_matches(match_files, **_scope(**scope))
+    selection = _scope(**scope)
+    observations, report = lib.load_matches(match_files, **selection)
     _write_run(out, _manifest("ingest-dump", [*match_files, scope["schema"]]),
-               {"observations.csv": lambda fp: dump_observations(observations, fp)})
+               {"observations.csv": lambda fp: lib.dump_observations(observations, fp)})
     click.echo(report.summary())
 
 

@@ -390,9 +390,11 @@ def load_matches(
     include_qualifying: bool = False,
     drop_walkovers: bool = False,
     schema: dict[str, str] | None = None,
+    tally=None,
 ) -> tuple[MatchTable, IngestReport]:
-    """Load archives and keep the rows that reach the model (``select_matches``)."""
-    return select_matches(load_raw_rows(paths, schema, require_score=drop_walkovers),
+    """Load archives, folding every row into a ``tally`` if given
+    (``load_raw_rows``), and keep the rows that reach the model (``select_matches``)."""
+    return select_matches(load_raw_rows(paths, schema, tally, require_score=drop_walkovers),
                           date_range, levels, include_qualifying, drop_walkovers)
 
 

@@ -329,11 +329,12 @@ def participation_table(tally: ParticipationTally) -> ParticipationTable:
 
     ``tally`` has folded an archive's rows (``ingest.load_raw_rows(paths,
     schema, tally)``), so it already holds who played which event; this
-    turns it into histograms and means.  A player "played" a tournament if
-    they appear in any of its rows.  Band membership uses each player's rank
-    at their latest dated match.  Events whose category cannot be resolved
-    (stock archives tag both series "A") count as 250s and are tallied in
-    ``unresolved_events``.
+    turns it into histograms and means.  The tally folds every row, before
+    any date, level, qualifying or walkover selection.  A player "played" a
+    tournament if they appear in any of its rows.  Band membership uses each
+    player's rank at their latest dated match.  Events whose category
+    cannot be resolved (stock archives tag both series "A") count as 250s
+    and are tallied in ``unresolved_events``.
     """
     pairs = _distinct(np.concatenate([np.empty(0, np.int64), *tally.pairs]))
     category = tally.category[pairs >> 32]

@@ -178,6 +178,55 @@ class TestFit:
         assert not out.exists()
 
 
+class TestScopeOptions:
+    """--levels and --from/--to: spaces around a level letter are ignored,
+    and an empty letter or a reversed date range is a usage error."""
+
+    COMMANDS = {"fit": ("fit", "params.txt"), "ingest-dump": ("ingest-dump", "observations.csv")}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_spaces_around_level_letters(self, runner, tmp_path, command):
+        name, written = self.COMMANDS[command]
+        outputs = []
+        for levels in ("G,M,A", "G, M, A", " G ,M,A "):
+            out = tmp_path / str(len(outputs))
+            result = runner.invoke(main, [name, MATCHES, "--levels", levels, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append((out / written).read_bytes())
+            assert manifest_of(out)["flags"]["levels"] == levels  # the flag text as given
+        assert outputs[1] == outputs[2] == outputs[0]
+        if command == "fit":
+            assert b"n_matches=180\n" in outputs[0]
+
+    @pytest.mark.parametrize("levels", ["", "G,,M", "G,M,", " , G"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_level_letter_is_usage_error(self, runner, tmp_path, command, levels):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, MATCHES, "--levels", levels, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "'--levels': empty level letter" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["evaluate", "--alpha", "0.87"], ["report", "--alpha", "0.87"], ["ingest-dump"],
+    ], ids=["fit", "evaluate", "report", "ingest-dump"])
+    def test_reversed_date_range_is_usage_error(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            *command, MATCHES, "--from", "2015-06-01", "--to", "2014-01-01", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--from 2015-06-01 is later than --to 2014-01-01" in result.output
+        assert not out.exists()
+
+    def test_one_day_range_is_not_reversed(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "ingest-dump", MATCHES, "--from", "2014-01-06", "--to", "2014-01-06",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 0, result.output
+
+
 class TestPredict:
     def test_even_points(self, runner):
         result = runner.invoke(main, ["predict", "--alpha", "0.8722", "1000", "1000"])
@@ -293,6 +342,22 @@ class TestReport:
         ])
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
+
+    def test_participation_ignores_ingest_scope(self, runner, tmp_path):
+        # the tally folds every archive row before the scope selects any
+        outputs = []
+        for scope in ([], ["--from", "2015-01-01", "--levels", "G,M"], ["--include-qualifying"],
+                      ["--drop-walkovers"]):
+            out = tmp_path / str(len(outputs))
+            result = runner.invoke(main, [
+                "report", MATCHES, "--alpha", "0.8722", *scope, "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            outputs.append(tree_bytes(out))
+        for scoped in outputs[1:]:
+            assert scoped["ingest_report.txt"] != outputs[0]["ingest_report.txt"]
+            for name in ("participation.csv", "participation.txt"):
+                assert scoped[name] == outputs[0][name], name
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

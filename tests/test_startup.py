@@ -17,8 +17,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import atppoints
+from atppoints.cli import main
 from conftest import SAMPLE_MATCHES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -26,11 +28,15 @@ LIBRARY = ("bracket", "ingest", "manifest", "model", "points", "report", "season
 HEAVY = ("numpy", *(f"atppoints.{name}" for name in LIBRARY))
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def run_fresh(code: str) -> str:
     """The last stdout line of ``code`` run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -122,6 +128,46 @@ def test_patch_before_first_command_is_kept(tmp_path):
         "print(len(calls))")
     assert calls == "1"
     assert (out / "params.txt").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", str(SAMPLE_MATCHES), "--levels", "G,,M", "--out", "OUT"],
+    ["report", str(SAMPLE_MATCHES), "--alpha", "0.8722", "--from", "2015-06-01",
+     "--to", "2014-01-01", "--out", "OUT"],
+], ids=["empty-level", "reversed-dates"])
+def test_scope_usage_errors_load_no_library(args, tmp_path):
+    args = [str(tmp_path / "out") if arg == "OUT" else arg for arg in args]
+    assert loaded_after(cli_call(args, 2)) == set()
+
+
+def test_first_lookup_binds_the_whole_module():
+    # bench/spans.py wraps atppoints.cli.load_matches, then
+    # atppoints.ingest.load_raw_rows, then atppoints.cli.load_raw_rows; the
+    # last must wrap the plain function, or report's one read counts twice
+    assert run_fresh(
+        "import atppoints.cli as cli, atppoints.ingest as ingest\n"
+        "plain = ingest.load_raw_rows\n"
+        "cli.load_matches\n"
+        "ingest.load_raw_rows = lambda *a, **k: plain(*a, **k)\n"
+        "print(cli.load_raw_rows is plain)") == "True"
+
+
+@pytest.mark.parametrize("args", [
+    ["predict", "--alpha", "0.8722", "3000", "1500"],
+    ["fit", str(SAMPLE_MATCHES), "--out", "OUT"],
+], ids=["predict", "fit"])
+def test_run_as_module(args, tmp_path):
+    # under python -m the commands look library names up on __main__
+    def with_out(name):
+        return [str(tmp_path / name) if arg == "OUT" else arg for arg in args]
+
+    proc = subprocess.run([sys.executable, "-m", "atppoints.cli", *with_out("m")], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == CliRunner().invoke(main, with_out("in")).output
+    if "OUT" in args:
+        assert ((tmp_path / "m" / "params.txt").read_bytes()
+                == (tmp_path / "in" / "params.txt").read_bytes())
 
 
 class TestExports:
