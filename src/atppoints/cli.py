@@ -16,8 +16,10 @@ Start-up: importing this module loads click and no numpy, so ``--version``,
 as ``lib.<name>``, an attribute of this module: its first lookup imports
 the defining module and binds all of that module's ``LIBRARY`` names here,
 so ``predict`` loads the numpy-free ``formula`` module alone and ``fit``
-never loads ``report`` or ``season``.  A name set beforehand is kept, so a
-function put in its place (say, a timing wrapper) is the one commands call.
+never loads ``report`` or ``season``; ``simulate`` loads the CSV reader
+(``ingest``, and ``model`` with it) only for a calendar file.  A name set
+beforehand is kept, so a function put in its place (say, a timing wrapper)
+is the one commands call.
 
 Exit codes: 0 success, 2 usage, 3 schema, 4 I/O, 5 domain.
 """
@@ -115,11 +117,15 @@ def ingest_options(fn):
 
 def _scope(date_from, date_to, levels, include_qualifying, drop_walkovers, schema) -> dict:
     """load_matches keyword arguments from the six ingest options.  An empty
-    level letter or a --from later than --to is a usage error; commands call
-    this before their first ``lib`` lookup, so that error loads no library."""
+    or lower-case level letter or a --from later than --to is a usage error;
+    commands call this before their first ``lib`` lookup, so that error loads
+    no library."""
     letters = frozenset(letter.strip() for letter in levels.split(","))
     if "" in letters:
         raise click.BadParameter(f"empty level letter in {levels!r}", param_hint="'--levels'")
+    if any(letter != letter.upper() for letter in letters):
+        raise click.BadParameter(f"lower-case level letter in {levels!r}",
+                                 param_hint="'--levels'")
     if date_from and date_to and date_from > date_to:
         raise click.UsageError(f"--from {date_from.date()} is later than --to {date_to.date()}")
     dates = tuple(d.date() if d else None for d in (date_from, date_to))

@@ -215,33 +215,25 @@ def _read_chunks(
                 read_by[column] = name
             index = {name: i for i, name in enumerate(header)}
             at = [index.get(schema.get(name) or None) for name in names]
+            # each caller requires 3+ fields, all in the header by now: pick makes tuples
             present = [i for i in at if i is not None]
+            pick, width = itemgetter(*present), max(present) + 1
             rows = filter(None, reader)
             while True:
                 # the row lists die inside the pause, before the caller parses
                 with _cycle_collector_paused():
-                    read, n_rows = _columns_of(rows, present)
+                    chunk = list(islice(rows, _CHUNK_ROWS))
+                    if min(map(len, chunk), default=width) < width:
+                        chunk = [row + [""] * (width - len(row)) for row in chunk]
+                    n_rows, read = len(chunk), iter(list(zip(*map(pick, chunk))))
+                    del chunk
                 if not n_rows:
                     return
-                read = iter(read)
                 yield [("",) * n_rows if i is None else next(read) for i in at]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise SchemaError(f"{path}:{_line_of_bad_row(path)}: not valid CSV ({exc})") from None
-
-
-def _columns_of(rows: Iterator[list[str]], at: list[int]) -> tuple[list[tuple[str, ...]], int]:
-    """Columns ``at`` of the next ``_CHUNK_ROWS`` rows, and the number of rows."""
-    chunk = list(islice(rows, _CHUNK_ROWS))
-    if not chunk or not at:
-        return [], len(chunk)
-    width = max(at) + 1
-    if min(map(len, chunk)) < width:
-        chunk = [row + [""] * (width - len(row)) for row in chunk]
-    pick = itemgetter(*at)
-    return (list(zip(*map(pick, chunk))) if len(at) > 1 else [tuple(map(pick, chunk))],
-            len(chunk))
 
 
 @contextlib.contextmanager
@@ -257,14 +249,18 @@ def _cycle_collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _line_of_row(path: str | Path, row: int) -> int:
-    """The file line that row ``row`` (from 0, as ``_read_chunks`` counts
-    rows) ends on, as ``csv.reader.line_num`` counts lines."""
-    with open(path, newline="", encoding=_ENCODING) as fp:
-        reader = csv.reader(fp, strict=True)
-        next(reader, [])
-        next(islice(filter(None, reader), row, None))
-        return reader.line_num
+def _line_of_row(paths: Sequence[str | Path], row: int) -> tuple[str | Path, int]:
+    """The file that row ``row`` of ``paths`` is in and the file line it ends
+    on, counting rows from 0 across the files in order, as ``_read_chunks``
+    reads them, and lines as ``csv.reader.line_num`` does."""
+    for path in paths:
+        with open(path, newline="", encoding=_ENCODING) as fp:
+            reader = csv.reader(fp, strict=True)
+            next(reader, [])
+            for _ in filter(None, reader):
+                if not row:
+                    return path, reader.line_num
+                row -= 1
 
 
 def _line_of_bad_row(path: str | Path) -> int:
@@ -283,18 +279,16 @@ def _load_columns(
     columns: dict[str, tuple[object, Callable[[str], object]]],
     required: Iterable[str | tuple[str, ...]],
     fold: Callable[[dict[str, list]], None] | None = None,
-) -> tuple[dict[str, np.ndarray], list[int]]:
+) -> dict[str, np.ndarray]:
     """Each of ``columns`` parsed from every file and joined in file-argument
-    and row order, and the number of rows of each file.  A column's parsed
-    values gather in one list across chunks and files; each distinct text is
-    parsed once per call, or per chunk for a ``_CHUNK_MEMO`` field.  ``fold``,
-    when given, takes each chunk's parsed values by field as they stream; a
-    column whose dtype is None is parsed for it alone and never joined."""
+    and row order.  A column's parsed values gather in one list across chunks
+    and files; each distinct text is parsed once per call, or per chunk for a
+    ``_CHUNK_MEMO`` field.  ``fold``, when given, takes each chunk's parsed
+    values by field as they stream; a column whose dtype is None is parsed
+    for it alone and never joined."""
     memos: dict[str, dict] = {name: {} for name in columns if name not in _CHUNK_MEMO}
     values = {name: [] for name, (dtype, _) in columns.items() if dtype is not None}
-    sizes = []
     for path in paths:
-        sizes.append(0)
         for texts in _read_chunks(path, schema, columns, required):
             chunk = {name: _each_distinct(parse, text, memos.get(name))
                      for (name, (_, parse)), text in zip(columns.items(), texts)}
@@ -302,10 +296,9 @@ def _load_columns(
                 fold(chunk)
             for name, column in values.items():
                 column += chunk[name]
-            sizes[-1] += len(texts[0])
     # each list goes as soon as its column is built
     return {name: np.array(values.pop(name), dtype)
-            for name, (dtype, _) in columns.items() if dtype is not None}, sizes
+            for name, (dtype, _) in columns.items() if dtype is not None}
 
 
 #: The logical fields a file must have for a MatchTable.
@@ -335,8 +328,8 @@ def load_raw_rows(
     if tally is not None:
         columns.update(tally.columns)
         required += tally.required
-    table, _ = _load_columns(paths, schema or DEFAULT_SCHEMA, columns, required,
-                             tally and tally.add)
+    table = _load_columns(paths, schema or DEFAULT_SCHEMA, columns, required,
+                          tally and tally.add)
     return MatchTable(walkover=table.pop("score"), **table)
 
 
@@ -461,10 +454,10 @@ def load_rankings(paths: Sequence[str | Path]) -> RankingTable:
     A row is skipped when its date or rank does not parse or its points are
     not a finite positive number.  Ranks must be unique within a date: a
     duplicate raises SchemaError naming the file and line of its later copy.
-    Only that error reads lines: it reads the named file once more to find
-    the line (``_line_of_row``).
+    Only that error reads lines: it reads every file up to the named one
+    once more to find the line (``_line_of_row``).
     """
-    columns, sizes = _load_columns(paths, RANKING_SCHEMA, _RANKING_COLUMNS, _RANKING_COLUMNS)
+    columns = _load_columns(paths, RANKING_SCHEMA, _RANKING_COLUMNS, _RANKING_COLUMNS)
     date, rank, points = columns.values()
     # a rank that is NaN or outside int64 did not parse; NaN points fail both tests
     keep = ~np.isnat(date) & (np.abs(rank) < 2.0**63) & np.isfinite(points) & (points > 0)
@@ -474,10 +467,7 @@ def load_rankings(paths: Sequence[str | Path]) -> RankingTable:
     same = (np.diff(table.rank[order]) == 0) & (np.diff(table.date[order]) == np.timedelta64(0))
     if same.any():
         later = order[1:][same].min()
-        row = int(np.flatnonzero(keep)[later])
-        ends = np.cumsum(sizes)
-        k = int(np.searchsorted(ends, row, side="right"))
-        line = _line_of_row(paths[k], row - int(ends[k] - sizes[k]))
-        raise SchemaError(f"{paths[k]}:{line}: duplicate rank {table.rank[later]} "
+        path, line = _line_of_row(paths, int(np.flatnonzero(keep)[later]))
+        raise SchemaError(f"{path}:{line}: duplicate rank {table.rank[later]} "
                           f"for date {table.date[later]}")
     return table

@@ -28,7 +28,6 @@ import numpy as np
 from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
 from .formula import _parse_number, _read_key_values
-from .ingest import _load_columns
 from .points import BEST_N, IDEAL_SCHEDULE, OPTIONAL_CATEGORIES, Category
 
 WEEKS_PER_SEASON = 52
@@ -330,9 +329,10 @@ def load_calendar_file(path: str | Path) -> list[CalendarEvent]:
     A missing column is a SchemaError; a week or draw size that is not an
     ASCII integer (no ``_``), or an unknown category, is a DomainError.
     """
+    from .ingest import _load_columns  # only here, so simulate without a calendar skips it
     names = ("week", "category", "draw_size")
-    texts, _ = _load_columns([path], {name: name for name in names},
-                             dict.fromkeys(names, (object, str)), names)
+    texts = _load_columns([path], {name: name for name in names},
+                          dict.fromkeys(names, (object, str)), names)
     events = []
     for week, category, draw_size in zip(*texts.values()):
         try:

@@ -180,7 +180,7 @@ class TestFit:
 
 class TestScopeOptions:
     """--levels and --from/--to: spaces around a level letter are ignored,
-    and an empty letter or a reversed date range is a usage error."""
+    and an empty or lower-case letter or a reversed date range is a usage error."""
 
     COMMANDS = {"fit": ("fit", "params.txt"), "ingest-dump": ("ingest-dump", "observations.csv")}
 
@@ -205,6 +205,16 @@ class TestScopeOptions:
         result = runner.invoke(main, [command, MATCHES, "--levels", levels, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "'--levels': empty level letter" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["g", "G,m"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_lower_case_level_letter_is_usage_error(self, runner, tmp_path, command, levels):
+        # the archive's level codes are upper case: "g" would keep no row
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, MATCHES, "--levels", levels, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "'--levels': lower-case level letter" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

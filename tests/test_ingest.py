@@ -354,8 +354,12 @@ class TestLoadRankings:
           "ranking_date,rank,player,points\n\n20150105,5,BB,880\n",
           "ranking_date,rank,player,points\n20150105,5,CC,870\n"],
          "f1.csv:3: duplicate rank 5"),
+        (["ranking_date,rank,player,points\n20150105,5,AA,900\n20150105,6,BB,880\n",
+          "ranking_date,rank,player,points\n",
+          "ranking_date,rank,player,points\n20150105,6,CC,870\n"],
+         "f2.csv:2: duplicate rank 6"),
     ], ids=["blank-lines-before", "crlf", "quoted-newline-before", "quoted-newline-in-row",
-            "second-of-three", "first-row-of-second"])
+            "second-of-three", "first-row-of-second", "past-header-only-file"])
     def test_duplicate_rank_line(self, tmp_path, contents, named):
         # the line csv.reader.line_num gives: where the later copy's row ends
         paths = []

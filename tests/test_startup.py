@@ -96,7 +96,7 @@ def test_predict_loads_no_numpy(option, tmp_path):
     ("report", [str(SAMPLE_MATCHES), "--alpha", "0.8722", "--out", "OUT"],
      ("season", "bracket")),
     ("simulate", ["--players", "128", "--seasons", "2", "--burn-in", "1", "--out", "OUT"],
-     ("report",)),
+     ("report", "ingest", "model")),
 ], ids=["fit", "evaluate", "ingest-dump", "report", "simulate"])
 def test_command_loads_only_what_it_calls(command, args, absent, tmp_path):
     # a fresh interpreter also shows that each command binds every name it calls
@@ -132,9 +132,10 @@ def test_patch_before_first_command_is_kept(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["fit", str(SAMPLE_MATCHES), "--levels", "G,,M", "--out", "OUT"],
+    ["fit", str(SAMPLE_MATCHES), "--levels", "g", "--out", "OUT"],
     ["report", str(SAMPLE_MATCHES), "--alpha", "0.8722", "--from", "2015-06-01",
      "--to", "2014-01-01", "--out", "OUT"],
-], ids=["empty-level", "reversed-dates"])
+], ids=["empty-level", "lower-case-level", "reversed-dates"])
 def test_scope_usage_errors_load_no_library(args, tmp_path):
     args = [str(tmp_path / "out") if arg == "OUT" else arg for arg in args]
     assert loaded_after(cli_call(args, 2)) == set()
