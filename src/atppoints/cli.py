@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .defaults import (DEFAULT_LEVELS, DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS,
@@ -134,6 +135,16 @@ def _scope(date_from, date_to, levels, include_qualifying, drop_walkovers, schem
                 schema=lib.load_schema(schema) if schema else None)
 
 
+def _load_matches(match_files, selection: dict, **extra):
+    """lib.load_matches, with a stderr warning for each --levels letter given
+    on the command line that no row carries (the default set never warns)."""
+    observations, report = lib.load_matches(match_files, **selection, **extra)
+    if click.get_current_context().get_parameter_source("levels") is ParameterSource.COMMANDLINE:
+        for letter in report.absent_levels:
+            click.echo(f"warning: no row of the match files has level {letter}", err=True)
+    return observations, report
+
+
 def _manifest(command: str, files, resolved: dict | None = None, rng_seed: int | None = None):
     """The run's manifest.  ``flags`` are the command's parameters as click
     resolved them, minus the match files and --params (both hashed in
@@ -209,7 +220,7 @@ def main() -> None:
 def fit(match_files, search_lo, search_hi, tol, out, **scope):
     """Fit the exponent alpha by minimizing the Brier score."""
     selection = _scope(**scope)
-    observations, report = lib.load_matches(match_files, **selection)
+    observations, report = _load_matches(match_files, selection)
     if not observations:
         raise DomainError("no matches after filtering")
     params = lib.fit_alpha(observations, search_lo=search_lo, search_hi=search_hi, tol=tol)
@@ -262,7 +273,7 @@ def evaluate(match_files, alpha, params, out, **scope):
     """Brier score of a fitted model on a (held-out) date range."""
     alpha = _resolve_alpha(alpha, params)
     selection = _scope(**scope)
-    observations, report = lib.load_matches(match_files, **selection)
+    observations, report = _load_matches(match_files, selection)
     if not observations:
         raise DomainError("no matches after filtering")
     lines = _scores(alpha, lib.brier_score(alpha, observations),
@@ -289,7 +300,7 @@ def report(match_files, rankings, alpha, params, ratio_bins, prob_bins, out, **s
     alpha = _resolve_alpha(alpha, params)
     selection = _scope(**scope)
     tally = lib.ParticipationTally()
-    observations, ingest_report = lib.load_matches(match_files, **selection, tally=tally)
+    observations, ingest_report = _load_matches(match_files, selection, tally=tally)
     table = lib.participation_table(tally)
     if not observations:
         raise DomainError("no matches after filtering")
@@ -375,7 +386,7 @@ def simulate(config, calendar, out, **overrides):
 def ingest_dump(match_files, out, **scope):
     """Normalize archives into (date, level, round, winner_points, loser_points)."""
     selection = _scope(**scope)
-    observations, report = lib.load_matches(match_files, **selection)
+    observations, report = _load_matches(match_files, selection)
     _write_run(out, _manifest("ingest-dump", [*match_files, scope["schema"]]),
                {"observations.csv": lambda fp: lib.dump_observations(observations, fp)})
     click.echo(report.summary())

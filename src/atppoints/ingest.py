@@ -6,12 +6,13 @@ level codes, and winner/loser rank-point columns.  A flat key=value schema
 file can remap any column name for other archives.
 
 An archive loads into one ``MatchTable`` in a single pass, its ``score``
-text read as a walkover flag.  Rows are then dropped (and counted) when a
-player's rank points are missing, non-finite or zero, or when the row falls
-outside the requested date/level/round/walkover scope.  Ranking snapshots
-load the same way into one ``RankingTable``, keeping the rows whose date and
-rank parse and whose points are finite and positive.  A row that is not CSV
-(an unclosed quote, say) is a SchemaError.
+text read as a walkover flag, its level letters and rounds kept as written
+(only ``dump_observations`` names them).  Rows are then dropped (and
+counted) when a player's rank points are missing, non-finite or zero, or
+when the row falls outside the requested date/level/round/walkover scope.
+Ranking snapshots load the same way into one ``RankingTable``, keeping the
+rows whose date and rank parse and whose points are finite and positive.  A
+row that is not CSV (an unclosed quote, say) is a SchemaError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import contextlib
 import csv
 import datetime
 import gc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -57,16 +58,6 @@ DEFAULT_SCHEMA: dict[str, str] = {
 
 _QUALIFYING_ROUNDS = frozenset({"Q1", "Q2", "Q3", "Q4"})
 
-#: Level letter -> normalized tag on the selected matches.
-LEVEL_TAGS = {
-    "G": "grand_slam",
-    "M": "masters_1000",
-    "A": "tour",
-    "F": "finals",
-    "D": "davis_cup",
-    "O": "olympics",
-}
-
 
 def load_schema(path: str | Path) -> dict[str, str]:
     """Read a key=value schema file; keys must be known logical field names
@@ -88,7 +79,8 @@ class IngestReport:
     kept + dropped_zero_points + dropped_missing + dropped_out_of_range
     equals the number of data rows read.  dropped_out_of_range is the sum of
     the breakdown, which counts the rows each scope filter (level, qualifying
-    rounds, walkovers, date range) dropped.
+    rounds, walkovers, date range) dropped.  absent_levels, the sorted
+    requested level letters that no row read carries, is not in the summary.
     """
 
     kept: int = 0
@@ -97,6 +89,7 @@ class IngestReport:
     out_of_range_breakdown: dict[str, int] = field(
         default_factory=lambda: {"level": 0, "round": 0, "walkover": 0, "date": 0}
     )
+    absent_levels: list[str] = field(default_factory=list)
 
     @property
     def dropped_out_of_range(self) -> int:
@@ -345,7 +338,8 @@ def select_matches(
     Filter precedence per row: level, qualifying round, walkover (when the
     flag is set), missing or non-finite date/points, date range, zero
     points.  A row is counted by the first filter that drops it.  Kept rows
-    stay in input order.
+    stay in input order, each column as the raw table holds it.  The report
+    also lists the requested ``levels`` that no raw row carries.
     """
     report = IngestReport()
     left = np.ones(len(table), dtype=bool)
@@ -356,7 +350,10 @@ def select_matches(
         return int(np.count_nonzero(hit))
 
     by = report.out_of_range_breakdown
-    by["level"] = drop(~np.array(_each_distinct(levels.__contains__, table.level), dtype=bool))
+    seen: dict[str, bool] = {}  # each level letter of the table -> requested
+    by["level"] = drop(~np.array(_each_distinct(levels.__contains__, table.level, seen),
+                                 dtype=bool))
+    report.absent_levels = sorted(levels.difference(seen))
     if not include_qualifying:
         by["round"] = drop(np.array(
             _each_distinct(_QUALIFYING_ROUNDS.__contains__, table.round), dtype=bool))
@@ -370,10 +367,7 @@ def select_matches(
     report.dropped_zero_points = drop((wp <= 0) | (lp <= 0))
     report.kept = int(np.count_nonzero(left))
 
-    kept = table[left]
-    tags = _each_distinct(lambda letter: LEVEL_TAGS.get(letter, "other"), kept.level)
-    rounds = np.where(kept.round == "", "unknown", kept.round)
-    return replace(kept, level=np.array(tags, dtype=object), round=rounds), report
+    return table[left], report
 
 
 def load_matches(
@@ -391,11 +385,16 @@ def load_matches(
                           date_range, levels, include_qualifying, drop_walkovers)
 
 
+#: Level letter -> the tag ``dump_observations`` writes; any other letter is "other".
+LEVEL_TAGS = {"G": "grand_slam", "M": "masters_1000", "A": "tour", "F": "finals",
+              "D": "davis_cup", "O": "olympics"}
+
+
 def dump_observations(table: MatchTable, fp) -> None:
-    """Write normalized matches as ``csv.writer`` would: a header, then one
-    row per match, ``\\r\\n`` row ends, level and round csv-quoted where
-    needed, points as an int when integral and as ``repr`` otherwise.  Rows
-    are formatted and written ``_CHUNK_ROWS`` at a time."""
+    """Write matches as ``csv.writer`` would: a header, then one row per
+    match, ``\\r\\n`` row ends, level as its ``LEVEL_TAGS`` tag, round
+    csv-quoted where needed and "unknown" when empty, points as an int when
+    integral and as ``repr`` otherwise.  Rows go ``_CHUNK_ROWS`` at a time."""
     fp.write("date,level,round,winner_points,loser_points\r\n")
     point_texts, level_texts, round_texts = {}, {}, {}  # memos shared by the chunks
     for start in range(0, len(table), _CHUNK_ROWS):
@@ -405,8 +404,10 @@ def dump_observations(table: MatchTable, fp) -> None:
         fp.write("".join([f"{date},{level},{rnd},{won},{lost}\r\n"
                           for date, level, rnd, won, lost
                           in zip(np.datetime_as_string(rows.date).tolist(),
-                                 _each_distinct(_csv_field, rows.level.tolist(), level_texts),
-                                 _each_distinct(_csv_field, rows.round.tolist(), round_texts),
+                                 _each_distinct(lambda letter: LEVEL_TAGS.get(letter, "other"),
+                                                rows.level.tolist(), level_texts),
+                                 _each_distinct(lambda text: _csv_field(text or "unknown"),
+                                                rows.round.tolist(), round_texts),
                                  points[0::2], points[1::2])]))
 
 

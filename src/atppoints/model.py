@@ -35,10 +35,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class MatchTable:
     """Equal-length numpy columns, one entry per match; index by mask or slice.
 
-    ``ingest.load_raw_rows`` keeps every archive row (NaT, NaN or "" where a
-    field is absent or does not parse; ``level`` is the archive's letter).
-    ``ingest.select_matches`` keeps the rows the model sees: finite positive
-    points, ``level`` as its tag, an empty round as "unknown".
+    Each column holds what the archive row says: ``level`` its level letter,
+    ``round`` its round, each without surrounding spaces; NaT, NaN or "" where
+    a field is absent or does not parse.  ``ingest.load_raw_rows`` keeps every
+    row, ``ingest.select_matches`` the rows the model sees (finite positive
+    points).
     """
 
     date: np.ndarray            # datetime64[D]
@@ -57,8 +58,8 @@ class MatchTable:
     @classmethod
     def from_points(cls, winner_points: Sequence[float], loser_points: Sequence[float],
                     date: datetime.date) -> MatchTable:
-        """Winner-first point pairs, every row on ``date`` with level "other",
-        round "unknown" and no walkover.  Points must be positive and finite;
+        """Winner-first point pairs, every row on ``date`` with no level letter,
+        no round ("") and no walkover.  Points must be positive and finite;
         ingestion drops (and counts) archive rows where they are not.
         """
         winners = np.array(winner_points, dtype=np.float64)
@@ -73,8 +74,8 @@ class MatchTable:
         n = len(winners)
         return cls(
             date=np.full(n, date, dtype="datetime64[D]"), winner_points=winners,
-            loser_points=losers, level=np.full(n, "other", dtype=object),
-            round=np.full(n, "unknown", dtype=object), walkover=np.zeros(n, dtype=bool),
+            loser_points=losers, level=np.full(n, "", dtype=object),
+            round=np.full(n, "", dtype=object), walkover=np.zeros(n, dtype=bool),
         )
 
 

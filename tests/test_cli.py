@@ -217,6 +217,30 @@ class TestScopeOptions:
         assert "'--levels': lower-case level letter" in result.output
         assert not out.exists()
 
+    LOADING = pytest.mark.parametrize("command", [
+        ["fit"], ["evaluate", "--alpha", "0.87"], ["report", "--alpha", "0.87"], ["ingest-dump"],
+    ], ids=["fit", "evaluate", "report", "ingest-dump"])
+
+    @pytest.mark.parametrize("levels, absent, kept", [
+        ("X", ["X"], 0), ("G,X", ["X"], 40), ("GM", ["GM"], 0),  # GM: a typo for G,M
+    ])
+    @LOADING
+    def test_level_no_row_carries_warns(self, runner, tmp_path, command, levels, absent, kept):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*command, MATCHES, "--levels", levels, "--out", str(out)])
+        assert result.exit_code == (0 if kept or command == ["ingest-dump"] else 5), result.output
+        assert [line for line in result.stderr.splitlines() if line.startswith("warning")] == [
+            f"warning: no row of the match files has level {letter}" for letter in absent]
+        if command == ["ingest-dump"]:
+            assert len((out / "observations.csv").read_bytes().splitlines()) == 1 + kept
+
+    @LOADING
+    def test_default_levels_never_warn(self, runner, tmp_path, command):
+        # the sample has no F or O rows, yet the default set is not the user's
+        result = runner.invoke(main, [*command, MATCHES, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert "warning" not in result.stderr
+
     @pytest.mark.parametrize("command", [
         ["fit"], ["evaluate", "--alpha", "0.87"], ["report", "--alpha", "0.87"], ["ingest-dump"],
     ], ids=["fit", "evaluate", "report", "ingest-dump"])

@@ -134,6 +134,9 @@ class TestLoadMatches:
             & np.isfinite(raw.loser_points) & (raw.loser_points != 0)
         ]
         assert raw_kept.winner_points.tolist() == first.winner_points.tolist()
+        # and keep the archive's level letters and rounds as the raw table holds them
+        assert raw_kept.level.tolist() == first.level.tolist()
+        assert raw_kept.round.tolist() == first.round.tolist()
 
     def test_date_range_filter(self):
         observations, report = load_matches(
@@ -146,7 +149,12 @@ class TestLoadMatches:
     def test_level_filter_and_tags(self):
         observations, _ = load_matches([SAMPLE_MATCHES], levels=frozenset({"G"}))
         assert observations
-        assert (observations.level == "grand_slam").all()
+        assert (observations.level == "G").all()  # the table keeps the letter
+        buf = io.StringIO()
+        dump_observations(observations, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))[1:]
+        assert len(rows) == len(observations)
+        assert {row[1] for row in rows} == {"grand_slam"}  # the dump names it
 
     def test_qualifying_excluded_by_default(self):
         excluded, _ = load_matches([SAMPLE_MATCHES])
@@ -202,6 +210,12 @@ class TestLoadMatches:
         # a bool, so that a failure does not diff long strings
         assert (got.getvalue() == want.getvalue()) is True
 
+    def test_dump_level_text_csv_must_quote_as_other(self):
+        # "a,b" is no level letter: it dumps as "other", unquoted
+        buf = io.StringIO()
+        dump_observations(awkward_table()[:1], buf)
+        assert buf.getvalue().split("\r\n")[1] == "2009-12-31,other,tour,0.5,99.99"
+
     @pytest.mark.parametrize("make", [
         lambda: load_matches([SAMPLE_MATCHES])[0],
         lambda: awkward_table(),
@@ -219,12 +233,20 @@ class TestLoadMatches:
         assert max(len(list(csv.reader(io.StringIO(text, newline="")))) for text in writes) == 3
 
 
+#: Level letter -> the tag observations.csv writes, stated apart from ingest's.
+REFERENCE_TAGS = {"G": "grand_slam", "M": "masters_1000", "A": "tour", "F": "finals",
+                  "D": "davis_cup", "O": "olympics"}
+
+
 def _reference_dump_observations(table: MatchTable, fp) -> None:
-    """dump_observations through csv.writer, one row at a time."""
+    """dump_observations through csv.writer, one row at a time: a level
+    letter as its tag, any other level as "other", an empty round as "unknown"."""
     writer = csv.writer(fp)
     writer.writerow(["date", "level", "round", "winner_points", "loser_points"])
     writer.writerows(zip(
-        np.datetime_as_string(table.date).tolist(), table.level.tolist(), table.round.tolist(),
+        np.datetime_as_string(table.date).tolist(),
+        [REFERENCE_TAGS.get(letter, "other") for letter in table.level.tolist()],
+        [text or "unknown" for text in table.round.tolist()],
         map(_format_points, table.winner_points.tolist()),
         map(_format_points, table.loser_points.tolist()),
     ))
