@@ -20,7 +20,7 @@ _EXPORTS = {
         "model": ("MatchTable", "baseline_brier", "brier_curve", "brier_score", "fit_alpha"),
         "points": ("Category", "PointTable", "expected_points", "expected_ratio_to_32",
                    "points_for"),
-        "bracket": ("fill_unseeded", "place_seeds", "run_tournament"),
+        "bracket": ("fill_unseeded", "place_seeds", "run_tournament", "run_tournaments"),
         "season": ("CalendarEvent", "SeasonConfig", "SeasonReport", "run_season"),
     }.items()
     for name in names

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from atppoints.bracket import (
     fill_unseeded,
     place_seeds,
     run_tournament,
+    run_tournaments,
     seed_slot_groups,
 )
 from atppoints.errors import DomainError
@@ -185,6 +187,15 @@ class TestPlaceSeeds:
         with pytest.raises(DomainError):
             place_seeds(32, list("AACDEFGH"), np.random.default_rng(0))
 
+    def test_none_seed_raises_before_any_draw(self):
+        # None marks an open slot: as a seed it used to vanish, leaving 25
+        # open slots for fill_unseeded to ballot a player onto slot 1
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="None marks an open slot"):
+            place_seeds(32, [None, *(f"s{i}" for i in range(7))], rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("draw", [16, 96, 256, [32], 32.0, True, "32"],
                              ids=["16", "96", "256", "list", "float", "bool", "str"])
     def test_unsupported_draw_size_raises(self, draw):
@@ -242,6 +253,14 @@ class TestFillUnseeded:
         state = rng.bit_generator.state
         with pytest.raises(DomainError, match=message):
             fill_unseeded(br, unseeded, rng)
+        assert rng.bit_generator.state == state
+
+    def test_none_player_raises_before_any_draw(self):
+        br = place_seeds(32, list("ABCDEFGH"), np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="None marks an open slot"):
+            fill_unseeded(br, [*(f"u{i}" for i in range(23)), None], rng)
         assert rng.bit_generator.state == state
 
     def test_does_not_mutate_input(self):
@@ -379,6 +398,34 @@ class TestRunTournament:
             run_tournament(br, ratings, 0.8722, T250, rng)
         assert rng.bit_generator.state == state
 
+    def test_negative_id_has_no_rating_in_a_list(self):
+        # a list read player -1's rating from its end, the last player's;
+        # a mapping may key a rating by -1, and playing it first leaves the
+        # memo holding the very slot ratings the list gives
+        rng = np.random.default_rng(12)
+        players = [-1, *range(1, 32)]
+        br = fill_unseeded(place_seeds(32, players[:8], rng), players[8:], rng)
+        ratings = [100.0 + k for k in range(32)]
+        run_tournament(br, {p: ratings[p] for p in players}, 0.8722, T250, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="player -1 has no rating"):
+            run_tournament(br, ratings, 0.8722, T250, rng)
+        assert rng.bit_generator.state == state
+
+    def test_repeat_edited_into_warm_memo_raises(self):
+        # the memo keeps a copy of the slot list, so an edit made in place
+        # after a call is checked again, before any uniform is drawn
+        rng = np.random.default_rng(12)
+        br, players = full_bracket(32, rng)
+        ratings = dict.fromkeys(players, 100.0)
+        for _ in range(3):
+            run_tournament(br, ratings, 0.8722, T250, rng)
+        br[br.index(players[20])] = players[7]
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="repeated player"):
+            run_tournament(br, ratings, 0.8722, T250, rng)
+        assert rng.bit_generator.state == state
+
     def test_fixed_seed_reproduces(self):
         br, players = full_bracket(32, np.random.default_rng(10))
         ratings = {p: float(100 + k) for k, p in enumerate(players)}
@@ -469,14 +516,38 @@ def _calls_season_ids(draw, alpha, rng):
     return calls
 
 
+def _calls_mutated(draw, alpha, rng):
+    # one list object edited in place between calls, by a swap of two slots
+    # or a player replaced: the ratings the memo reads stay equal, the draw does not
+    br, ratings = _random_field(draw, rng)
+    spare = "spare"
+    ratings[spare] = float(rng.lognormal(6.0, 1.0))
+    for k in range(10):
+        yield br, ratings, alpha
+        yield br, ratings, alpha
+        if k % 2:
+            br[0], br[-1] = br[-1], br[0]
+        else:
+            slot = k % draw
+            br[slot], spare = spare, br[slot]
+
+
+def _calls_sequences(draw, alpha, rng):
+    # the same draw as a list, a tuple and an ndarray
+    br, ratings = _random_field(draw, rng, names=int)
+    return [(seq, ratings, alpha) for _ in range(10) for seq in (br, tuple(br), np.array(br))]
+
+
 @pytest.mark.parametrize("calls", [_calls_replayed, _calls_fresh, _calls_alternating,
-                                   _calls_renamed, _calls_alpha_switch, _calls_season_ids],
+                                   _calls_renamed, _calls_alpha_switch, _calls_season_ids,
+                                   _calls_mutated, _calls_sequences],
                          ids=lambda f: f.__name__.removeprefix("_calls_"))
 @pytest.mark.parametrize("alpha", [0.0, 0.8722, 50.0])
 @pytest.mark.parametrize("draw", SUPPORTED_DRAWS)
 def test_run_tournament_equals_reference(draw, alpha, calls):
     """Every call's items, their order and the generator state equal the
-    round-by-round reference, however calls share the probability memo."""
+    round-by-round reference, however calls share the probability memo.
+    A family may edit a slot list it yielded once both calls are made."""
     category = {32: T250, 64: M, 128: GS}[draw]
     rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
     for br, ratings, a in calls(draw, alpha, np.random.default_rng(draw)):
@@ -498,11 +569,67 @@ def test_equal_points_champion_is_uniform():
     ratings = {p: 1000.0 for p in players}
     br = place_seeds(32, players[:8], rng)
     br = fill_unseeded(br, players[8:], rng)
-    n_runs = 1_000_000
-    wins = {p: 0 for p in players}
-    for _ in range(n_runs):
-        # players are listed in order of exit: the champion is last
-        wins[next(reversed(run_tournament(br, ratings, 0.8722, T250, rng)))] += 1
+    n_runs, chunk = 1_000_000, 100_000
+    wins = np.zeros(32, dtype=np.int64)  # by slot
+    for _ in range(n_runs // chunk):
+        # each row lists slots in order of exit: the champion is last
+        wins += np.bincount(run_tournaments(br, ratings, 0.8722, rng, chunk)[:, -1],
+                            minlength=32)
     expected = n_runs / 32
-    chi2 = sum((count - expected) ** 2 / expected for count in wins.values())
+    chi2 = float(((wins - expected) ** 2 / expected).sum())
     assert chi2 < 61.1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.8722, 50.0])
+@pytest.mark.parametrize("draw", SUPPORTED_DRAWS)
+def test_run_tournaments_equals_scalar_calls(draw, alpha):
+    """Row k is the exit order of the k-th scalar call, as slot indices, and
+    the generator ends where those calls leave it, across batched calls."""
+    category = {32: T250, 64: M, 128: GS}[draw]
+    br, ratings = _random_field(draw, np.random.default_rng(draw))
+    slot_of_player = {p: k for k, p in enumerate(br)}
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    for n in (0, 1, 150, 349):
+        got = run_tournaments(br, ratings, alpha, rng, n)
+        want = [[slot_of_player[p] for p in run_tournament(br, ratings, alpha, category, ref_rng)]
+                for _ in range(n)]
+        assert got.shape == (n, draw)
+        assert got.tolist() == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _bad_inputs():
+    br, players = full_bracket(32, np.random.default_rng(0))
+    ratings = dict.fromkeys(players, 100.0)
+    repeated = [*br[:-1], br[0]]
+    low = {**ratings, players[3]: 0.0}
+    yield "open", [None, *br[1:]], ratings, 1.0
+    yield "repeated", repeated, ratings, 1.0
+    yield "size", br[:16], ratings, 1.0
+    yield "alpha", br, ratings, math.nan
+    yield "missing", br, {p: 1.0 for p in players[1:]}, 1.0
+    yield "rating", br, low, 1.0
+    yield "negative", [*range(-1, 31)], [100.0] * 32, 1.0  # a list reads -1 from its end
+
+
+@pytest.mark.parametrize("case", list(_bad_inputs()), ids=lambda case: case[0])
+def test_run_tournaments_checks_as_scalar(case):
+    # one set of checks, so one message; nothing is drawn before it
+    _, slots, ratings, alpha = case
+    with pytest.raises(DomainError) as scalar:
+        run_tournament(slots, ratings, alpha, T250, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
+        run_tournaments(slots, ratings, alpha, rng, 10)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, "3"])
+def test_run_tournaments_needs_a_count(n):
+    br, players = full_bracket(32, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="n must be a nonnegative integer"):
+        run_tournaments(br, dict.fromkeys(players, 100.0), 1.0, rng, n)
+    assert rng.bit_generator.state == state
