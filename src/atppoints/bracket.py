@@ -153,11 +153,11 @@ def _gathered(gather: operator.itemgetter, slots: Sequence[PlayerId],
     """``gather(ratings)``, naming the first slot player without a rating."""
     try:
         return gather(ratings)
-    except LookupError:  # a mapping without the player, or a sequence too short
+    except (LookupError, TypeError):  # a player the ratings lack or cannot index
         for player in slots:
             try:
                 ratings[player]
-            except LookupError:
+            except (LookupError, TypeError):
                 raise DomainError(f"player {player!r} has no rating") from None
         raise
 
@@ -221,7 +221,7 @@ def run_tournament(
     the copy, alpha is equal, and the slot ratings read from a container of
     the same type are equal; a hit skips the input checks, which ran when
     the memo was stored.  Otherwise every input is checked before the first
-    uniform is drawn.
+    uniform is drawn; the category is checked on every call, hit or miss.
     """
     global _memo
     memo_alpha, memo_slots, memo_type, values, gather, first, probs = _memo
@@ -233,6 +233,10 @@ def run_tournament(
         _memo = (alpha, list(slots), type(ratings), values, gather, first, probs)
 
     draw = len(values)
+    try:
+        exit_results = _exit_results(category, draw)
+    except ValueError:
+        raise DomainError(f"unknown category {category!r}") from None
     us = iter(rng.random(draw - 1).tolist())
     # first round: slot a meets a + 1 and wins when its uniform is under p
     alive = [a if u < p else a + 1 for a, u, p in zip(range(0, draw, 2), us, first)]
@@ -247,7 +251,7 @@ def run_tournament(
         alive.append(a)
         exits.append(b)
     exits.append(alive[-1])
-    return dict(zip(operator.itemgetter(*exits)(slots), _exit_results(category, draw)))
+    return dict(zip(operator.itemgetter(*exits)(slots), exit_results))
 
 
 def run_tournaments(

@@ -195,17 +195,19 @@ def _update_best(points: np.ndarray, window: np.ndarray, slot: int, left: np.nda
         :, WEEKS_PER_SEASON - BEST_N:].sum(axis=1)
 
 
-def _entry_plan(config: SeasonConfig, n_top: int) -> np.ndarray:
-    """The season-start top ``n_top``'s commitments, event x rank slot.
+def _entry_plan(config: SeasonConfig, n_top: int) -> dict[int, list[tuple]]:
+    """Each week's events in draw order (prestige, then calendar order) as
+    ``(calendar index, event, top rank slots entering it, open seats)``.
 
-    Each slot commits to every Grand Slam and the first eight Masters, then
-    picks its optional 500s and 250s greedily: slots in rank order take the
-    events with the weakest committed field so far, skipping the weeks they
-    already play; ties go to the earlier week, then the earlier calendar
-    entry.  The plan reads only the calendar and the choice counts, so the
-    k-th ranked player commits to the same events every season, whoever
-    that player is."""
-    calendar = config.calendar
+    Each of the season-start top ``n_top`` commits to every Grand Slam and
+    the first eight Masters, then picks its optional 500s and 250s greedily:
+    slots in rank order take the events with the weakest committed field so
+    far, skipping the weeks they already play; ties go to the earlier week,
+    then the earlier calendar entry.  A slot committed to two events in one
+    week enters the first one drawn.  Free players take the open seats, and
+    a draw they cannot fill raises ``DomainError``.  Only the calendar, the
+    choice counts and the pool size matter, so every season enters alike."""
+    calendar, n = config.calendar, config.n_players
     weeks = np.array([ev.week for ev in calendar])
     plan = np.zeros((len(calendar), n_top), dtype=bool)
     plan[[ev.category == Category.GRAND_SLAM for ev in calendar]] = True
@@ -226,7 +228,17 @@ def _entry_plan(config: SeasonConfig, n_top: int) -> np.ndarray:
             plan[picks, slot] = True
             busy[weeks[picks]] = True
             field_size[picks] += 1
-    return plan
+    entries: dict[int, list[tuple]] = {}  # lexsort is stable: ties keep calendar order
+    for idx in np.lexsort(([_PRESTIGE[ev.category] for ev in calendar], weeks)).tolist():
+        ev, drawn = calendar[idx], entries.setdefault(calendar[idx].week, [])  # drawn so far
+        slots = np.flatnonzero(plan[idx] & ~plan[[i for i, *_ in drawn]].any(axis=0))
+        n_open = ev.draw_size - len(slots)
+        free_left = n - n_top - sum(seats for *_, seats in drawn)
+        if n_open > free_left:
+            raise DomainError(f"week {ev.week}: only {len(slots) + free_left} entrants for a "
+                              f"{ev.draw_size}-draw event from a player pool of {n}")
+        drawn.append((idx, ev, slots, n_open))
+    return entries
 
 
 def run_season(config: SeasonConfig) -> SeasonReport:
@@ -241,7 +253,7 @@ def run_season(config: SeasonConfig) -> SeasonReport:
 
     An event that cannot fill its draw raises ``DomainError`` naming the
     week and the pool; each event enters as many players in every season,
-    so a pool too small for the calendar fails in season 1.
+    so a pool too small for the calendar fails before the first draw.
     """
     config.validate()
     n = config.n_players
@@ -260,18 +272,13 @@ def run_season(config: SeasonConfig) -> SeasonReport:
     ranked_players = np.empty((n_weeks, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     ranked_points = np.empty((n_weeks, n), dtype=np.uint16)  # best-18 sums fit 16 bits
 
-    events_by_week: dict[int, list[int]] = {}  # by prestige, then calendar order
-    for idx in sorted(range(len(calendar)), key=lambda i: _PRESTIGE[calendar[i].category]):
-        events_by_week.setdefault(calendar[idx].week, []).append(idx)
     n_top = min(TOP_N_MANDATORY, n) if config.top30_mandatory else 0
-    plan = _entry_plan(config, n_top)
+    entries = _entry_plan(config, n_top)
 
     for season in range(1, config.n_seasons + 1):
         rng = np.random.Generator(np.random.PCG64(season_streams[season - 1]))
         order = _ranked_order(points, rng.random(n))
-        top = order[:n_top]  # the k-th of them enters the events of plan column k
-        restricted = np.zeros(n, dtype=bool)  # the top 30 enter only their plan
-        restricted[top] = True
+        top = order[:n_top]  # the k-th of them enters the events of rank slot k
 
         events_played = np.zeros(n, dtype=np.int64)
         for week in range(1, WEEKS_PER_SEASON + 1):
@@ -280,24 +287,19 @@ def run_season(config: SeasonConfig) -> SeasonReport:
             left = window[:, slot].copy()  # the results 52 weeks old leave
             window[:, slot] = 0
             played = np.zeros(n, dtype=bool)
+            played[top] = True  # the top 30 enter only their planned events
             ratings = np.maximum(points, config.points_floor, dtype=float).tolist()  # by player
-            for idx in events_by_week.get(week, ()):
-                ev = calendar[idx]
+            for idx, ev, slots, n_open in entries.get(week, ()):
                 have = np.zeros(n, dtype=bool)
-                have[top[plan[idx] & ~played[top]]] = True  # committed, not yet playing
-                free = order[~(restricted | played)[order]]  # in rank order
+                have[top[slots]] = True
+                free = order[~played[order]]  # in rank order
                 if ev.category in OPTIONAL_CATEGORIES:
                     # a 500 or 250 takes players under the appetite cap
                     # first (nobody skips a Grand Slam or Masters over it)
                     capped = events_played[free] >= config.max_events_per_season
                     free = free[np.argsort(capped, kind="stable")]
-                have[free[:ev.draw_size - np.count_nonzero(have)]] = True
+                have[free[:n_open]] = True
                 entrants = order[have[order]].tolist()  # in rank order
-                if len(entrants) < ev.draw_size:
-                    raise DomainError(
-                        f"week {week}: only {len(entrants)} entrants for a "
-                        f"{ev.draw_size}-draw event from a player pool of {n}"
-                    )
                 n_seeds = SEEDS_FOR_DRAW[ev.draw_size]
                 br = place_seeds(ev.draw_size, entrants[:n_seeds], rng)
                 br = fill_unseeded(br, entrants[n_seeds:], rng)

@@ -88,6 +88,73 @@ def _reference_run_tournament(slots, ratings, alpha, category, rng):
     return results
 
 
+def _survival(ratings: list[float], alpha: float) -> np.ndarray:
+    """``surv[k, r]``, the exact chance that slot k wins its first r matches:
+    ``surv[k, r - 1]`` times the chance k beats whoever comes out of the
+    other half of k's 2**r-slot block, ``sum_j surv[j, r - 1] * p(k, j)``.
+    Column 0 is all ones; shares no code with the kernels but the model."""
+    draw = len(ratings)
+    p = np.array([[win_probability(alpha, x / y) for y in ratings] for x in ratings])
+    surv = np.ones((draw, draw.bit_length()))
+    for r in range(1, draw.bit_length()):
+        half = 2 ** (r - 1)
+        for k in range(draw):
+            start = (k ^ half) - k % half  # of the other half
+            others = slice(start, start + half)
+            surv[k, r] = surv[k, r - 1] * (surv[others, r - 1] * p[k, others]).sum()
+    return surv
+
+
+def _chi2_quantile(q: float, df: int) -> float:
+    """The q-quantile of the chi-square law on df degrees of freedom, by
+    bisection on its CDF, the series of the regularized lower gamma function."""
+    def cdf(x: float) -> float:
+        a, h = df / 2, x / 2
+        term = total = 1.0
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= h / (a + k)
+            total += term
+        return total * math.exp(a * math.log(h) - h - math.lgamma(a + 1))
+
+    lo, hi = 0.0, df + 10 * math.sqrt(2 * df) + 30
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if cdf(mid) < q else (lo, mid)
+    return hi
+
+
+def _pearson(counts: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+    """Pearson's statistic and its degrees of freedom for one multinomial
+    sample, the cells expecting least pooled into one until every cell
+    expects at least 5."""
+    order = np.argsort(expected)
+    pooled = max(np.count_nonzero(expected < 5),
+                 int(np.searchsorted(np.cumsum(expected[order]), 5)) + 1)
+    counts = np.append(counts[order[pooled:]], counts[order[:pooled]].sum())
+    expected = np.append(expected[order[pooled:]], expected[order[:pooled]].sum())
+    return float(((counts - expected) ** 2 / expected).sum()), len(counts) - 1
+
+
+def assert_survivors_match(won: np.ndarray, surv: np.ndarray) -> None:
+    """``won[run, k]`` is how many matches slot k won in that run.  After
+    round r, each 2**r-slot block holds one survivor, drawn by
+    ``surv[block, r]`` independently of the other blocks: each round's
+    Pearson statistic, summed over its blocks, stays under the 0.999
+    quantile of its degrees of freedom."""
+    n, draw = won.shape
+    for r in range(1, draw.bit_length()):
+        survivors = np.count_nonzero(won >= r, axis=0)
+        stat, df = 0.0, 0
+        for block in range(0, draw, 2 ** r):
+            cells = slice(block, block + 2 ** r)
+            assert math.isclose(surv[cells, r].sum(), 1.0, rel_tol=1e-12)
+            block_stat, block_df = _pearson(survivors[cells], n * surv[cells, r])
+            stat, df = stat + block_stat, df + block_df
+        assert stat < _chi2_quantile(0.999, df), f"round {r}: chi-square {stat:.1f} on {df} df"
+
+
 class TestSeedSlots:
     def test_published_32_draw_slots(self):
         # each draw literally, list order included: place_seeds shuffles
@@ -412,6 +479,17 @@ class TestRunTournament:
             run_tournament(br, ratings, 0.8722, T250, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_unknown_category_raises_before_any_draw(self, warm):
+        # the category is looked up on every call, memo hits included
+        rng = np.random.default_rng(12)
+        players, ratings = list(range(32)), [1.0] * 32
+        run_tournament(players, ratings, 0.8 if warm else 0.9, T250, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="^unknown category 'nope'$"):
+            run_tournament(players, ratings, 0.8, "nope", rng)
+        assert rng.bit_generator.state == state
+
     def test_repeat_edited_into_warm_memo_raises(self):
         # the memo keeps a copy of the slot list, so an edit made in place
         # after a call is checked again, before any uniform is drawn
@@ -580,6 +658,42 @@ def test_equal_points_champion_is_uniform():
     assert chi2 < 61.1
 
 
+def test_chi2_quantile_and_equal_odds():
+    # published 0.999 quantiles; at equal ratings slot k survives r rounds
+    # with chance 2**-r exactly
+    for df, quantile in ((1, 10.828), (16, 39.252), (31, 61.098), (127, 181.993)):
+        assert _chi2_quantile(0.999, df) == pytest.approx(quantile, abs=1e-3)
+    surv = _survival([100.0] * 32, 0.8722)
+    assert np.array_equal(surv, np.broadcast_to(0.5 ** np.arange(6), (32, 6)))
+
+
+@pytest.mark.parametrize("draw, n", [(32, 100_000), (128, 40_000)])
+def test_run_tournaments_meets_exact_odds(draw, n):
+    """Every round's survivors of the batched kernel, against the exact
+    survival table of the draw's spread-out ratings."""
+    br, ratings = _random_field(draw, np.random.default_rng(draw))
+    exits = run_tournaments(br, ratings, 0.8722, np.random.default_rng(2017), n)
+    # matches won at each position of a row: the first-round losers none,
+    # the next draw / 4 one, and so on, the champion every round's
+    rounds = draw.bit_length()
+    won_at = np.repeat(np.arange(rounds), [*(draw >> np.arange(1, rounds)), 1])
+    won = np.empty_like(exits)
+    won[np.arange(n)[:, None], exits] = won_at
+    assert_survivors_match(won, _survival([ratings[p] for p in br], 0.8722))
+
+
+def test_run_tournament_meets_exact_odds():
+    """The scalar kernel's rounds reached, against the same table."""
+    br, ratings = _random_field(32, np.random.default_rng(32))
+    rng = np.random.default_rng(2017)
+    won_by_round = {tag: (32 // size).bit_length() - 1 for size, tag in ROUND_OF.items()
+                    if size <= 32} | {"W": 5}
+    won = np.array([[won_by_round[results[p].round_reached] for p in br]
+                    for results in (run_tournament(br, ratings, 0.8722, T250, rng)
+                                    for _ in range(20_000))])
+    assert_survivors_match(won, _survival([ratings[p] for p in br], 0.8722))
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.8722, 50.0])
 @pytest.mark.parametrize("draw", SUPPORTED_DRAWS)
 def test_run_tournaments_equals_scalar_calls(draw, alpha):
@@ -610,6 +724,7 @@ def _bad_inputs():
     yield "missing", br, {p: 1.0 for p in players[1:]}, 1.0
     yield "rating", br, low, 1.0
     yield "negative", [*range(-1, 31)], [100.0] * 32, 1.0  # a list reads -1 from its end
+    yield "non-integer", [f"p{k}" for k in range(32)], [100.0] * 32, 1.0  # no 'p0' in a list
 
 
 @pytest.mark.parametrize("case", list(_bad_inputs()), ids=lambda case: case[0])

@@ -8,6 +8,7 @@ import io
 import os
 from collections import namedtuple
 from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,10 +191,13 @@ def _reference_season(config: SeasonConfig):
 
 def assert_season_equals_reference(config: SeasonConfig) -> None:
     """``run_season`` and ``_reference_season`` agree on every result and
-    every week's standings, or raise the same ``DomainError``."""
+    every week's standings, or raise the same ``DomainError``; ``run_season``
+    raises before it balloted any draw."""
     try:
-        report = run_season(config)
+        with mock.patch("atppoints.season.place_seeds", wraps=place_seeds) as ballots:
+            report = run_season(config)
     except DomainError as exc:
+        assert ballots.call_count == 0
         with pytest.raises(DomainError) as reference:
             _reference_season(config)
         assert str(reference.value) == str(exc)
@@ -501,10 +505,21 @@ class TestReferenceSeason:
         SeasonConfig(n_players=100, n_seasons=2),
         small_config(n_players=100),
         small_config(n_500_choices=2, n_250_choices=3, top30_mandatory=True),
-    ], ids=["default-calendar-100", "small-100", "too-few-choices"])
+        # week 1 fills, the week-30 Grand Slam cannot: the run stops before week 1
+        SeasonConfig(calendar=[CalendarEvent(1, Category.TOUR_250, 32),
+                               CalendarEvent(30, Category.GRAND_SLAM, 128)], n_players=100),
+    ], ids=["default-calendar-100", "small-100", "too-few-choices", "week-30"])
     def test_infeasible_config_raises_the_same_error(self, config):
         with pytest.raises(DomainError):
             run_season(config)
+        assert_season_equals_reference(config)
+
+    def test_cap_of_one_runs(self):
+        # the smallest valid appetite cap: after one event, a free player
+        # enters a 500 or 250 only when no player under the cap is left
+        config = small_config(max_events_per_season=1, top30_mandatory=True)
+        assert len(run_season(config).results) == 2 * sum(ev.draw_size
+                                                          for ev in config.calendar)
         assert_season_equals_reference(config)
 
     @settings(max_examples=30, deadline=None)
