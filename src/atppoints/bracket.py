@@ -67,10 +67,7 @@ def seed_slot_groups(draw_size: int) -> list[list[int]]:
     return groups
 
 
-@functools.cache
-def _seed_slot_groups(draw_size: int) -> tuple[tuple[int, ...], ...]:
-    """``seed_slot_groups`` as 0-based slot indices."""
-    return tuple(tuple(slot - 1 for slot in group) for group in seed_slot_groups(draw_size))
+_seed_slot_groups = functools.cache(seed_slot_groups)  # shared: place_seeds shuffles copies
 
 
 def place_seeds(
@@ -98,7 +95,7 @@ def place_seeds(
         ballot = list(group_slots)
         rng.shuffle(ballot)
         for slot, player in zip(ballot, seeds):  # takes a seed per slot, in seed order
-            slots[slot] = player
+            slots[slot - 1] = player
     return slots
 
 
@@ -235,7 +232,7 @@ def run_tournament(
     draw = len(values)
     try:
         exit_results = _exit_results(category, draw)
-    except ValueError:
+    except (ValueError, TypeError):  # TypeError: an unhashable category
         raise DomainError(f"unknown category {category!r}") from None
     us = iter(rng.random(draw - 1).tolist())
     # first round: slot a meets a + 1 and wins when its uniform is under p

@@ -27,14 +27,13 @@ Exit codes: 0 success, 2 usage, 3 schema, 4 I/O, 5 domain.
 from __future__ import annotations
 
 import functools
-import importlib
 import sys
 from pathlib import Path
 
 import click
 from click.core import ParameterSource
 
-from . import __version__
+from . import __version__, _lazy
 from .defaults import (DEFAULT_LEVELS, DEFAULT_PROB_BINS, DEFAULT_RATIO_BINS,
                        DEFAULT_SEARCH_HI, DEFAULT_SEARCH_LO, DEFAULT_TOL)
 from .errors import DomainError, SchemaError
@@ -56,15 +55,7 @@ LIBRARY = {
 }
 
 
-def __getattr__(name: str):
-    # only the library names: the import system probes others (``__path__``)
-    for module, names in LIBRARY.items():
-        if name in names:
-            loaded = importlib.import_module(f".{module}", __package__)
-            for each in names:
-                globals().setdefault(each, getattr(loaded, each))
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _lazy(globals(), LIBRARY)
 
 
 lib = sys.modules[__name__]  # this module (``__main__`` under ``python -m``)

@@ -19,13 +19,14 @@ appetite cap first.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .bracket import SEEDS_FOR_DRAW, fill_unseeded, place_seeds, run_tournament
+from .bracket import SEEDS_FOR_DRAW, _draw_size, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
 from .formula import _parse_number, _read_key_values
 from .points import BEST_N, IDEAL_SCHEDULE, OPTIONAL_CATEGORIES, Category
@@ -89,6 +90,10 @@ class SeasonConfig:
     max_events_per_season: int = BEST_N
 
     def validate(self) -> None:
+        for f in fields(self):  # a count that is not an integer fails inside numpy
+            value = getattr(self, f.name)
+            if type(f.default) is int and not isinstance(value, numbers.Integral):
+                raise DomainError(f"{f.name} must be an integer, got {value!r}")
         if not 0 <= self.alpha < math.inf:
             raise DomainError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
         for name, value in (("rng_seed", self.rng_seed), ("n_players", self.n_players)):
@@ -111,11 +116,13 @@ class SeasonConfig:
         if not self.calendar:
             raise DomainError("calendar is empty")
         for ev in self.calendar:
+            if not isinstance(ev.week, numbers.Integral):
+                raise DomainError(f"calendar week {ev.week!r} is not an integer")
             if not 1 <= ev.week <= WEEKS_PER_SEASON:
                 raise DomainError(f"calendar week {ev.week} outside 1..{WEEKS_PER_SEASON}")
-            if ev.draw_size not in SEEDS_FOR_DRAW:
-                raise DomainError(f"calendar draw size {ev.draw_size} not one of "
-                                  f"{', '.join(map(str, SEEDS_FOR_DRAW))}")
+            if ev.category not in list(Category):  # compares, so an unhashable one is unknown
+                raise DomainError(f"unknown calendar category {ev.category!r}")
+            _draw_size(ev.draw_size)
 
 
 @dataclass

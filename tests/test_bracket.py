@@ -486,9 +486,10 @@ class TestRunTournament:
         players, ratings = list(range(32)), [1.0] * 32
         run_tournament(players, ratings, 0.8 if warm else 0.9, T250, rng)
         state = rng.bit_generator.state
-        with pytest.raises(DomainError, match="^unknown category 'nope'$"):
-            run_tournament(players, ratings, 0.8, "nope", rng)
-        assert rng.bit_generator.state == state
+        for category, shown in [("nope", "'nope'"), (["x"], r"\['x'\]")]:  # a list is unhashable
+            with pytest.raises(DomainError, match=f"^unknown category {shown}$"):
+                run_tournament(players, ratings, 0.8, category, rng)
+            assert rng.bit_generator.state == state
 
     def test_repeat_edited_into_warm_memo_raises(self):
         # the memo keeps a copy of the slot list, so an edit made in place

@@ -586,6 +586,35 @@ class TestSeasonConfig:
         with pytest.raises(DomainError, match="n_players must be nonnegative, got -1"):
             SeasonConfig(n_players=-1).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("rng_seed", 1.0), ("n_players", 300.0), ("n_500_choices", 4.0), ("n_250_choices", 2.0),
+        ("n_seasons", 2.5), ("burn_in", 0.0), ("max_events_per_season", 18.0),
+    ])
+    def test_non_integer_count_rejected(self, name, value):
+        # each value is in range, so only the type check stops it before numpy
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+            SeasonConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("event, message", [
+        (CalendarEvent(1.5, Category.TOUR_250, 32), r"^calendar week 1\.5 is not an integer$"),
+        (CalendarEvent(1, "nope", 32), "^unknown calendar category 'nope'$"),
+        (CalendarEvent(1, ["x"], 32), r"^unknown calendar category \['x'\]$"),
+        (CalendarEvent(1, Category.TOUR_250, 32.0),
+         r"^unsupported draw size 32\.0; expected one of \(32, 64, 128\)$"),
+    ], ids=["week-1.5", "category", "unhashable-category", "draw-size-32.0"])
+    def test_bad_calendar_event_raises_before_any_draw(self, event, message):
+        # only validate stops these: the week loop never reaches week 1.5,
+        # which leaves unwritten rows in the results log, and the others
+        # fail inside the draw loop as KeyError or TypeError
+        config = SeasonConfig(calendar=[event, CalendarEvent(2, Category.TOUR_250, 32)],
+                              n_players=100, top30_mandatory=False)
+        with pytest.raises(DomainError, match=message):
+            config.validate()
+        with mock.patch("atppoints.season.place_seeds", wraps=place_seeds) as ballots:
+            with pytest.raises(DomainError, match=message):
+                run_season(config)
+        assert ballots.call_count == 0
+
     def test_burn_in_bounds(self):
         with pytest.raises(DomainError, match="burn_in"):
             SeasonConfig(n_seasons=2, burn_in=2).validate()
