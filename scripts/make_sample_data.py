@@ -41,14 +41,7 @@ EVENTS = [
     ("2015-330", "Basalt Masters", "M", 56, "masters_1000", 20151005, 20),
 ]
 
-ROUNDS_BY_DRAW = {
-    4: ["SF", "SF", "F", "F"],
-    28: None,
-    32: None,
-    56: None,
-    64: None,
-    128: None,
-}
+ROUNDS_BY_DRAW = {4: ["SF", "SF", "F", "F"]}  # other draws take seq_rounds
 
 
 def seq_rounds(n_rows: int, draw: int) -> list[str]:

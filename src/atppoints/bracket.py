@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .formula import win_probability
+from .formula import _require_nonnegative, win_probability
 from .points import Category, points_for, points_or_zero
 
 if TYPE_CHECKING:  # numpy only types annotations here; importing the module loads none
@@ -171,17 +171,19 @@ def _slot_ratings(
     if None in players or len(players) != draw or draw not in SEEDS_FOR_DRAW:
         raise DomainError(f"bracket has unfilled slots, a repeated player or a size not in "
                           f"{SUPPORTED_DRAWS}: {draw} slots hold {len(players)} distinct values")
-    if not 0 <= alpha < math.inf:
-        raise DomainError(f"alpha must be nonnegative and finite, got {alpha!r}")
+    _require_nonnegative("alpha", alpha)
     gather = operator.itemgetter(*slots)
     values = _gathered(gather, slots, ratings)
     if not isinstance(ratings, Mapping) and min(slots) < 0:
         # a sequence reads a negative index from its end: another player's rating
         raise DomainError(f"player {next(p for p in slots if p < 0)!r} has no rating")
     for player, rating in zip(slots, values):
-        if not 0 < rating < math.inf:
-            raise DomainError(f"player {player!r} has non-positive or non-finite "
-                              f"rating {rating!r}")
+        try:
+            if 0 < rating < math.inf:
+                continue
+        except TypeError:  # a rating that is not a number
+            pass
+        raise DomainError(f"player {player!r} has non-positive or non-finite rating {rating!r}")
     return gather, values
 
 

@@ -7,12 +7,14 @@ Player i beats player j with probability
 where r_i, r_j are the players' ranking points and alpha is the fitted
 exponent (``ModelParams``).  This module imports only the standard library,
 so ``predict`` and the bracket kernel start without numpy; ``model`` adds
-the numpy fit and scores.
+the numpy fit and scores.  ``_require_positive`` and ``_require_nonnegative``
+state the two number rules: a finite real number, positive or nonnegative.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -32,12 +34,12 @@ class ModelParams:
     n_matches: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.fitted_e2 is not None and not 0.0 <= self.fitted_e2 <= 1.0:
-            raise DomainError(f"fitted_e2 must lie in [0, 1], got {self.fitted_e2!r}")
-        if self.n_matches is not None and self.n_matches < 0:
-            raise DomainError(f"n_matches must be nonnegative, got {self.n_matches!r}")
+        _require_positive("alpha", self.alpha)
+        e2, n = self.fitted_e2, self.n_matches
+        if e2 is not None and not (isinstance(e2, numbers.Real) and 0.0 <= e2 <= 1.0):
+            raise DomainError(f"fitted_e2 must lie in [0, 1], got {e2!r}")
+        if n is not None and not (isinstance(n, numbers.Real) and n >= 0):
+            raise DomainError(f"n_matches must be nonnegative, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -69,16 +71,20 @@ def win_probability(alpha: float, ratio: float) -> float:
 
 def predict(alpha: float, r_i: float, r_j: float) -> Prediction:
     """Probability that the player holding r_i points beats the one holding r_j."""
-    _require_positive("alpha", alpha)
-    _require_positive("r_i", r_i)
-    _require_positive("r_j", r_j)
+    for name, value in (("alpha", alpha), ("r_i", r_i), ("r_j", r_j)):
+        _require_positive(name, value)
     ratio = r_i / r_j
     return Prediction(ratio=ratio, probability=win_probability(alpha, ratio))
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+        raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def _parse_number(kind: type, text: str):

@@ -68,18 +68,23 @@ TABLES: dict[Category, PointTable] = {
 }
 
 
+def _cell(category: Category, round_tag: str, draw_size: int | None) -> int | None:
+    """The cell for ``round_tag``, None if undefined; an unknown category is a DomainError."""
+    try:
+        table = TABLES[Category(category)]
+    except ValueError:
+        raise DomainError(f"unknown category {category!r}") from None
+    alt = table.alternates.get((round_tag, draw_size))
+    return table.points_by_round.get(round_tag) if alt is None else alt
+
+
 def points_for(category: Category, round_tag: str, draw_size: int | None = None) -> int:
     """Points awarded for reaching ``round_tag`` in ``category``.
 
     ``draw_size`` selects draw-size-dependent alternates where they exist.
-    Raises DomainError for a cell the table does not define.
+    Raises DomainError for an unknown category or a cell the table does not define.
     """
-    table = TABLES[Category(category)]
-    if draw_size is not None:
-        alt = table.alternates.get((round_tag, draw_size))
-        if alt is not None:
-            return alt
-    value = table.points_by_round.get(round_tag)
+    value = _cell(category, round_tag, draw_size)
     if value is None:
         raise DomainError(f"round {round_tag!r} not awarded in category {Category(category).value}")
     return value
@@ -87,10 +92,7 @@ def points_for(category: Category, round_tag: str, draw_size: int | None = None)
 
 def points_or_zero(category: Category, round_tag: str, draw_size: int | None = None) -> int:
     """Like points_for, but an undefined cell awards 0 (first-round exits in small draws)."""
-    try:
-        return points_for(category, round_tag, draw_size)
-    except DomainError:
-        return 0
+    return _cell(category, round_tag, draw_size) or 0
 
 
 def dump_tables(fp: IO[str]) -> None:

@@ -18,7 +18,6 @@ appetite cap first.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from .bracket import SEEDS_FOR_DRAW, _draw_size, fill_unseeded, place_seeds, run_tournament
 from .errors import DomainError
-from .formula import _parse_number, _read_key_values
+from .formula import _parse_number, _read_key_values, _require_nonnegative, _require_positive
 from .points import BEST_N, IDEAL_SCHEDULE, OPTIONAL_CATEGORIES, Category
 
 WEEKS_PER_SEASON = 52
@@ -94,8 +93,7 @@ class SeasonConfig:
             value = getattr(self, f.name)
             if type(f.default) is int and not isinstance(value, numbers.Integral):
                 raise DomainError(f"{f.name} must be an integer, got {value!r}")
-        if not 0 <= self.alpha < math.inf:
-            raise DomainError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
+        _require_nonnegative("alpha", self.alpha)
         for name, value in (("rng_seed", self.rng_seed), ("n_players", self.n_players)):
             if value < 0:
                 raise DomainError(f"{name} must be nonnegative, got {value!r}")
@@ -108,9 +106,7 @@ class SeasonConfig:
             raise DomainError("n_seasons must be at least 1")
         if not 0 <= self.burn_in < self.n_seasons:
             raise DomainError("burn_in must be smaller than n_seasons")
-        if not 0 < self.points_floor < math.inf:
-            raise DomainError(f"points_floor must be positive and finite, "
-                              f"got {self.points_floor!r}")
+        _require_positive("points_floor", self.points_floor)
         if self.max_events_per_season < 1:
             raise DomainError("max_events_per_season must be at least 1")
         if not self.calendar:

@@ -724,6 +724,7 @@ def _bad_inputs():
     yield "alpha", br, ratings, math.nan
     yield "missing", br, {p: 1.0 for p in players[1:]}, 1.0
     yield "rating", br, low, 1.0
+    yield "rating-text", [*range(32)], ["1"] * 32, 1.0  # a rating that is not a number
     yield "negative", [*range(-1, 31)], [100.0] * 32, 1.0  # a list reads -1 from its end
     yield "non-integer", [f"p{k}" for k in range(32)], [100.0] * 32, 1.0  # no 'p0' in a list
 

@@ -62,11 +62,19 @@ class TestPredict:
             (dict(alpha=float("nan"), r_i=100, r_j=100), "alpha"),
             (dict(alpha=1.0, r_i=float("inf"), r_j=100), "r_i"),
             (dict(alpha=float("inf"), r_i=100, r_j=100), "alpha"),
+            (dict(alpha=float("-inf"), r_i=100, r_j=100), "alpha"),
+            (dict(alpha=None, r_i=100, r_j=100), "alpha"),
+            (dict(alpha="0.8", r_i=100, r_j=100), "alpha"),
+            (dict(alpha=1.0, r_i="100", r_j=100), "r_i"),
         ],
     )
     def test_non_positive_inputs_name_the_argument(self, kwargs, name):
         with pytest.raises(DomainError, match=name):
             predict(**kwargs)
+
+    def test_smallest_positive_inputs_accepted(self):
+        tiny = math.ulp(0.0)
+        assert predict(tiny, tiny, 1.0).probability == pytest.approx(0.5)
 
     @given(
         alpha=st.floats(0.01, 5.0),
@@ -263,6 +271,15 @@ class TestModelParams:
     def test_rejects_out_of_range_e2(self):
         with pytest.raises(DomainError):
             ModelParams(alpha=1.0, fitted_e2=1.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(fitted_e2="x"), r"^fitted_e2 must lie in \[0, 1\], got 'x'$"),
+        (dict(n_matches="x"), "^n_matches must be nonnegative, got 'x'$"),
+        (dict(alpha="0.8"), "^alpha must be positive and finite, got '0.8'$"),
+    ])
+    def test_rejects_non_number_fields(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            ModelParams(**{"alpha": 1.0, **kwargs})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_observation_rejects_non_finite_points(self, bad):

@@ -73,6 +73,12 @@ class TestPointTable:
         assert points_or_zero(T250, "R32", draw_size=32) == 0
         assert points_or_zero(T250, "R32", draw_size=48) == 5
 
+    @pytest.mark.parametrize("lookup", [points_for, points_or_zero])
+    def test_unknown_category_raises(self, lookup):
+        # only an undefined cell of a known category awards 0
+        with pytest.raises(DomainError, match="^unknown category 'nope'$"):
+            lookup("nope", "W")
+
     def test_winner_points_double_per_category(self):
         winners = [points_for(c, "W") for c in (T250, T500, M, GS)]
         assert winners == [250 * 2**k for k in range(4)]

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import math
 import os
+import re
 from collections import namedtuple
 from itertools import repeat
 from unittest import mock
@@ -614,6 +616,25 @@ class TestSeasonConfig:
             with pytest.raises(DomainError, match=message):
                 run_season(config)
         assert ballots.call_count == 0
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", -math.ulp(0.0)), ("alpha", math.nan), ("alpha", math.inf),
+        ("alpha", -math.inf), ("alpha", None), ("alpha", "0.8"),
+        ("points_floor", 0.0), ("points_floor", math.nan), ("points_floor", math.inf),
+        ("points_floor", -math.inf), ("points_floor", None), ("points_floor", "1"),
+    ])
+    def test_bad_real_rejected(self, name, value):
+        # validate states the rule itself: nothing downstream restates it
+        rule = "nonnegative" if name == "alpha" else "positive"
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be {rule} and finite, got {re.escape(repr(value))}$"):
+            SeasonConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", 0.0), ("alpha", math.ulp(0.0)), ("points_floor", math.ulp(0.0)),
+    ])
+    def test_edge_real_accepted(self, name, value):
+        SeasonConfig(**{name: value}).validate()
 
     def test_burn_in_bounds(self):
         with pytest.raises(DomainError, match="burn_in"):
